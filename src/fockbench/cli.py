@@ -187,13 +187,8 @@ def _cmd_state(args) -> int:
     guard = int(_merged(args, config, "guard", 0))
     cutoff = _merged(args, config, "cutoff")
     if cutoff is not None:
-        cutoff = int(cutoff)
-        if family in ("coherent", "binomial", "neg_binomial"):
-            basis = enumerate_basis(1, Cutoff.per_mode(cutoff))
-        elif family == "multinomial":
-            basis = enumerate_basis(spec.modes, Cutoff.total(cutoff))
-        else:
-            basis = enumerate_basis(spec.modes, Cutoff.total(cutoff))
+        rule = Cutoff.total if family in ("multinomial", "neg_multinomial") else Cutoff.per_mode
+        basis = enumerate_basis(spec.modes, rule(int(cutoff)))
         psi = st.build_state(spec, basis, tail_tol=tail_tol)
     else:
         psi = st.build_state(spec, tail_tol=tail_tol, guard=guard)

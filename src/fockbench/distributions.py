@@ -4,6 +4,10 @@ Poisson, binomial, negative binomial, multinomial and negative multinomial
 probability mass functions (evaluated in log space), the negative-binomial
 generating function and its moments, Poisson-limit distances, multiple-Poisson
 shell slicing, and a Bernoulli waiting-time Monte Carlo sampler.
+
+Each law is written once and evaluates a whole array of counts: shape (k,)
+for the single-mode laws, (k, r) for the multimode ones.  A scalar count, or
+an r-tuple for a multimode law, returns a Python float.
 """
 
 from __future__ import annotations
@@ -14,13 +18,23 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
+from .fock import Cutoff, enumerate_basis
+
 TAIL_MASS_POLICY = 1e-14  # infinite sums truncate once cumulative mass reaches 1 - this
+
+
+def _check_finite(**fields):
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _as_eta_tuple(eta):
     eta = tuple(float(e) for e in eta)
     if not eta:
         raise ValueError("eta vector must have at least one component")
+    if not all(math.isfinite(e) for e in eta):
+        raise ValueError(f"eta components must be finite, got {eta}")
     if any(e <= 0.0 for e in eta):
         raise ValueError("eta components must be strictly positive (degenerate modes are rejected)")
     return eta
@@ -31,6 +45,7 @@ class PoissonParams:
     alpha2: float  # mean photon number |alpha|^2
 
     def __post_init__(self):
+        _check_finite(alpha2=self.alpha2)
         if self.alpha2 < 0:
             raise ValueError("alpha2 must be non-negative")
 
@@ -41,6 +56,7 @@ class BinomialParams:
     M: int
 
     def __post_init__(self):
+        _check_finite(eta2=self.eta2, M=self.M)
         if not 0.0 <= self.eta2 <= 1.0:
             raise ValueError("eta2 must lie in [0, 1]")
         if int(self.M) != self.M or self.M < 1:
@@ -54,6 +70,7 @@ class NegBinomialParams:
     M: float  # real M > 0 is allowed
 
     def __post_init__(self):
+        _check_finite(eta2=self.eta2, M=self.M)
         if not 0.0 <= self.eta2 < 1.0:
             raise ValueError("eta2 must lie in [0, 1)")
         if not self.M > 0:
@@ -67,6 +84,7 @@ class MultinomialParams:
 
     def __post_init__(self):
         object.__setattr__(self, "eta", _as_eta_tuple(self.eta))
+        _check_finite(M=self.M)
         if sum(e * e for e in self.eta) > 1.0 + 1e-15:
             raise ValueError("sum of eta_j^2 must not exceed 1")
         if int(self.M) != self.M or self.M < 1:
@@ -85,6 +103,7 @@ class NegMultinomialParams:
 
     def __post_init__(self):
         object.__setattr__(self, "eta", _as_eta_tuple(self.eta))
+        _check_finite(M=self.M)
         if sum(e * e for e in self.eta) >= 1.0:
             raise ValueError("sum of eta_j^2 must be below 1")
         if not self.M > 0:
@@ -95,76 +114,96 @@ class NegMultinomialParams:
         return len(self.eta)
 
 
-def _check_count(n):
-    if int(n) != n or n < 0:
-        raise ValueError(f"count must be a non-negative integer, got {n!r}")
-    return int(n)
+def _counts(n, modes=None):
+    """Validated counts as a float array, and whether ``n`` was one point.
+
+    Single-mode laws (``modes`` None) take a scalar or a shape (k,) array;
+    multimode laws take an r-tuple or a shape (k, r) array.  Any negative,
+    non-integer or non-finite entry raises ValueError.
+    """
+    values = np.asarray(n)
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"counts must be numbers, got {n!r}")
+    values = values.astype(float)
+    point_ndim = 0 if modes is None else 1
+    if values.ndim not in (point_ndim, point_ndim + 1):
+        raise ValueError(f"counts must have {point_ndim} or {point_ndim + 1} dimensions, "
+                         f"got shape {values.shape}")
+    if modes is not None and values.shape[-1] != modes:
+        raise ValueError(f"expected {modes} counts, got {values.shape[-1]}")
+    if not np.all(np.isfinite(values) & (values >= 0) & (values == np.floor(values))):
+        raise ValueError(f"counts must be non-negative integers, got {n!r}")
+    return values, values.ndim == point_ndim
 
 
-def poisson_log_pmf(p: PoissonParams, n: int) -> float:
-    n = _check_count(n)
-    return float(-p.alpha2 + xlogy(n, p.alpha2) - gammaln(n + 1))
+def _result(log_p, one_point):
+    """A Python float for a single point, the array otherwise."""
+    return float(log_p) if one_point else log_p
 
 
-def poisson_pmf(p: PoissonParams, n: int) -> float:
-    return math.exp(poisson_log_pmf(p, n))
+def _exp(log_p):
+    # np.exp for a single point too, so it agrees with the array path bit for bit
+    p = np.exp(log_p)
+    return float(p) if isinstance(log_p, float) else p
 
 
-def binomial_log_pmf(p: BinomialParams, n: int) -> float:
-    n = _check_count(n)
-    if n > p.M:
-        raise ValueError(f"n={n} is outside the support 0..{p.M}")
+def poisson_log_pmf(p: PoissonParams, n):
+    n, one = _counts(n)
+    return _result(-p.alpha2 + xlogy(n, p.alpha2) - gammaln(n + 1), one)
+
+
+def poisson_pmf(p: PoissonParams, n):
+    return _exp(poisson_log_pmf(p, n))
+
+
+def binomial_log_pmf(p: BinomialParams, n):
+    n, one = _counts(n)
+    if np.any(n > p.M):
+        raise ValueError(f"count {np.max(n):.0f} is outside the support 0..{p.M}")
     logc = gammaln(p.M + 1) - gammaln(n + 1) - gammaln(p.M - n + 1)
-    return float(logc + xlogy(n, p.eta2) + xlogy(p.M - n, 1.0 - p.eta2))
+    return _result(logc + xlogy(n, p.eta2) + xlogy(p.M - n, 1.0 - p.eta2), one)
 
 
-def binomial_pmf(p: BinomialParams, n: int) -> float:
-    return math.exp(binomial_log_pmf(p, n))
+def binomial_pmf(p: BinomialParams, n):
+    return _exp(binomial_log_pmf(p, n))
 
 
-def neg_binomial_log_pmf(p: NegBinomialParams, n: int) -> float:
-    n = _check_count(n)
+def neg_binomial_log_pmf(p: NegBinomialParams, n):
+    n, one = _counts(n)
     logc = gammaln(p.M + n) - gammaln(p.M) - gammaln(n + 1)
-    return float(logc + xlogy(n, p.eta2) + p.M * math.log1p(-p.eta2))
+    return _result(logc + xlogy(n, p.eta2) + p.M * math.log1p(-p.eta2), one)
 
 
-def neg_binomial_pmf(p: NegBinomialParams, n: int) -> float:
-    return math.exp(neg_binomial_log_pmf(p, n))
+def neg_binomial_pmf(p: NegBinomialParams, n):
+    return _exp(neg_binomial_log_pmf(p, n))
 
 
-def multinomial_log_pmf(p: MultinomialParams, n_vec) -> float:
+def multinomial_log_pmf(p: MultinomialParams, n_vec):
     """log pmf at (n_1..n_r); the zeroth count is implied, n_0 = M - sum(n_vec)."""
-    n_vec = tuple(_check_count(n) for n in n_vec)
-    if len(n_vec) != p.r:
-        raise ValueError(f"expected {p.r} counts, got {len(n_vec)}")
-    n0 = p.M - sum(n_vec)
-    if n0 < 0:
+    n_vec, one = _counts(n_vec, p.r)
+    n0 = p.M - n_vec.sum(axis=-1)
+    if np.any(n0 < 0):
         raise ValueError("counts exceed M")
-    logc = gammaln(p.M + 1) - gammaln(n0 + 1) - sum(gammaln(n + 1) for n in n_vec)
+    logc = gammaln(p.M + 1) - gammaln(n0 + 1) - gammaln(n_vec + 1).sum(axis=-1)
     rest = 1.0 - sum(e * e for e in p.eta)
-    return float(
-        logc
-        + sum(xlogy(n, e * e) for n, e in zip(n_vec, p.eta))
-        + xlogy(n0, max(rest, 0.0))
-    )
+    return _result(logc + xlogy(n_vec, np.square(p.eta)).sum(axis=-1) + xlogy(n0, max(rest, 0.0)),
+                   one)
 
 
-def multinomial_pmf(p: MultinomialParams, n_vec) -> float:
-    return math.exp(multinomial_log_pmf(p, n_vec))
+def multinomial_pmf(p: MultinomialParams, n_vec):
+    return _exp(multinomial_log_pmf(p, n_vec))
 
 
-def neg_multinomial_log_pmf(p: NegMultinomialParams, n_vec) -> float:
-    n_vec = tuple(_check_count(n) for n in n_vec)
-    if len(n_vec) != p.r:
-        raise ValueError(f"expected {p.r} counts, got {len(n_vec)}")
-    tot = sum(n_vec)
-    logc = gammaln(p.M + tot) - gammaln(p.M) - sum(gammaln(n + 1) for n in n_vec)
+def neg_multinomial_log_pmf(p: NegMultinomialParams, n_vec):
+    n_vec, one = _counts(n_vec, p.r)
+    logc = gammaln(p.M + n_vec.sum(axis=-1)) - gammaln(p.M) - gammaln(n_vec + 1).sum(axis=-1)
     rest = 1.0 - sum(e * e for e in p.eta)
-    return float(logc + sum(xlogy(n, e * e) for n, e in zip(n_vec, p.eta)) + p.M * math.log(rest))
+    return _result(logc + xlogy(n_vec, np.square(p.eta)).sum(axis=-1) + p.M * math.log(rest),
+                   one)
 
 
-def neg_multinomial_pmf(p: NegMultinomialParams, n_vec) -> float:
-    return math.exp(neg_multinomial_log_pmf(p, n_vec))
+def neg_multinomial_pmf(p: NegMultinomialParams, n_vec):
+    return _exp(neg_multinomial_log_pmf(p, n_vec))
 
 
 def neg_binomial_gf(p: NegBinomialParams, t: float) -> float:
@@ -242,41 +281,27 @@ def poisson_limit_distance(family: str, M, alpha2: float) -> float:
         n_top = neg_binomial_cutoff(other)
     else:
         raise ValueError(f"unknown family {family!r}")
-    n_top = max(n_top, poisson_cutoff(pois))
-    tv = 0.0
-    for n in range(n_top + 1):
-        if family == "binomial" and n > other.M:
-            q = 0.0
-        else:
-            q = binomial_pmf(other, n) if family == "binomial" else neg_binomial_pmf(other, n)
-        tv += abs(poisson_pmf(pois, n) - q)
-    return 0.5 * tv
+    ns = np.arange(max(n_top, poisson_cutoff(pois)) + 1)
+    if family == "binomial":
+        q = np.zeros(len(ns))
+        q[:other.M + 1] = binomial_pmf(other, ns[:other.M + 1])
+    else:
+        q = neg_binomial_pmf(other, ns)
+    return 0.5 * float(np.abs(poisson_pmf(pois, ns) - q).sum())
 
 
-def multiple_poisson_log_pmf(alpha, n_vec) -> float:
+def multiple_poisson_log_pmf(alpha, n_vec):
     """Independent Poisson modes with means alpha_j^2."""
     alpha = tuple(float(a) for a in alpha)
-    n_vec = tuple(_check_count(n) for n in n_vec)
-    if len(alpha) != len(n_vec):
-        raise ValueError("alpha and n_vec lengths differ")
     if any(a < 0 for a in alpha):
         raise ValueError("alpha components must be non-negative")
-    return float(
-        sum(-a * a + xlogy(n, a * a) - gammaln(n + 1) for a, n in zip(alpha, n_vec))
-    )
+    n_vec, one = _counts(n_vec, len(alpha))
+    a2 = np.square(alpha)
+    return _result((-a2 + xlogy(n_vec, a2) - gammaln(n_vec + 1)).sum(axis=-1), one)
 
 
-def multiple_poisson_pmf(alpha, n_vec) -> float:
-    return math.exp(multiple_poisson_log_pmf(alpha, n_vec))
-
-
-def _shell_compositions(total, modes):
-    if modes == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _shell_compositions(total - first, modes - 1):
-            yield (first,) + rest
+def multiple_poisson_pmf(alpha, n_vec):
+    return _exp(multiple_poisson_log_pmf(alpha, n_vec))
 
 
 def slice_to_shell(alpha, M: int) -> dict:
@@ -289,14 +314,10 @@ def slice_to_shell(alpha, M: int) -> dict:
     alpha = tuple(float(a) for a in alpha)
     if any(a <= 0 for a in alpha):
         raise ValueError("alpha components must be strictly positive")
-    M = _check_count(M)
-    logs = {}
-    for occ in _shell_compositions(M, len(alpha)):
-        logs[occ] = multiple_poisson_log_pmf(alpha, occ)
-    peak = max(logs.values())
-    weights = {occ: math.exp(v - peak) for occ, v in logs.items()}
-    total = sum(weights.values())
-    return {occ: w / total for occ, w in weights.items()}
+    shell = enumerate_basis(len(alpha), Cutoff.shell(M))
+    logs = multiple_poisson_log_pmf(alpha, shell.occupations)
+    weights = np.exp(logs - logs.max())
+    return dict(zip(shell.states, (weights / weights.sum()).tolist()))
 
 
 @dataclass(frozen=True)
@@ -342,7 +363,7 @@ def waiting_time_simulate(p: NegBinomialParams, trials: int, seed: int) -> Waiti
     counts = np.bincount(failures, minlength=n_max + 1)
     p_hat = counts / trials
     ns = np.arange(n_max + 1)
-    exact = np.array([neg_binomial_pmf(p, int(k)) for k in ns])
+    exact = neg_binomial_pmf(p, ns)
     # conservative standard error: sqrt(q(1-q)/trials) with q the larger of
     # the empirical and exact frequencies.  In the bulk the two agree; in
     # far-tail bins (expected counts below one) it keeps a deviation test

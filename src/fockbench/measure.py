@@ -94,13 +94,11 @@ def projected_state(spec: MeasureSpec, xi) -> StateVector:
     if xi.shape != (spec.r,):
         raise ValueError(f"xi must have {spec.r} components")
     basis = enumerate_basis(spec.r + 1, Cutoff.shell(spec.M))
+    occ = basis.occupations
     s = float(np.sum(np.abs(xi) ** 2))
-    amps = np.zeros(len(basis), dtype=complex)
-    for i, occ in enumerate(basis.states):
-        log_mag = 0.5 * (gammaln(spec.M + 1) - sum(gammaln(n + 1) for n in occ))
-        mono = np.prod(xi ** np.asarray(occ[1:]))
-        amps[i] = math.exp(log_mag) * mono * (1.0 + s) ** (-spec.M / 2.0)
-    return StateVector(basis, amps)
+    log_mag = 0.5 * (gammaln(spec.M + 1) - gammaln(occ + 1.0).sum(axis=1))
+    mono = np.prod(xi ** occ[:, 1:], axis=1)
+    return StateVector(basis, np.exp(log_mag) * mono * (1.0 + s) ** (-spec.M / 2.0))
 
 
 def resolution_check(spec: MeasureSpec, tolerance: float = None,
@@ -194,9 +192,9 @@ def slicing_check(alphas, M: int) -> dict:
         return {"alphas": list(alphas), "M": 0, "max_rel_error": float(err), "compared": 1}
     norm = math.sqrt(sum(a * a for a in alphas))
     params = dist.MultinomialParams(tuple(a / norm for a in alphas[1:]), M)
-    worst = 0.0
-    for occ, prob in sliced.items():
-        ref = dist.multinomial_pmf(params, occ[1:])
-        worst = max(worst, abs(prob - ref) / ref)
+    occs = np.array(list(sliced))
+    probs = np.array(list(sliced.values()))
+    ref = dist.multinomial_pmf(params, occs[:, 1:])
+    worst = np.max(np.abs(probs - ref) / ref)
     return {"alphas": list(alphas), "M": M, "max_rel_error": float(worst),
             "compared": len(sliced)}

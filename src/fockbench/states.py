@@ -1,10 +1,13 @@
 """Coherent-state families as square roots of counting laws.
 
-Each constructor writes amplitudes whose squared moduli reproduce the matching
-pmf from :mod:`fockbench.distributions` exactly (up to floating rounding), with
-phases e^{i n theta} per mode.  Constructors check that the supplied basis
-carries all but at most ``tail_tol`` of the state's mass; the truncated-tail
-deficit is the documented error bound on every downstream expectation value.
+Every family is built by one rule: amplitude = sqrt(pmf(counts)) times
+e^{i counts . theta}, with the counts read from the basis occupations and the
+pmf evaluated on all of them at once by the array-valued log-pmfs of
+:mod:`fockbench.distributions`.  The five ``*_state`` functions bind that rule
+to one family each.  A finite support (binomial, multinomial) must lie wholly
+inside the basis; for an infinite one the basis must carry all but at most
+``tail_tol`` of the state's mass, and the truncated-tail deficit is the
+documented error bound on every downstream expectation value.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import distributions as dist
 from .fock import Cutoff, StateVector, TruncatedBasis, enumerate_basis
@@ -95,15 +97,6 @@ def auto_basis(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL, guard: int =
     return enumerate_basis(p.r, Cutoff.total(n_max + guard))
 
 
-def _phase_factor(counts, phases):
-    return np.exp(1j * np.dot(counts, phases))
-
-
-def _require_modes(spec, basis):
-    if basis.modes != spec.modes:
-        raise ValueError(f"{spec.family} state needs a {spec.modes}-mode basis, got {basis.modes}")
-
-
 def _check_deficit(deficit, tail_tol, family):
     # tiny multiplicative slack: the cutoff search can land the analytic tail
     # exactly on the tolerance, and the re-measured deficit then crosses it
@@ -115,103 +108,85 @@ def _check_deficit(deficit, tail_tol, family):
         )
 
 
+# family -> (log-pmf, the occupation columns it counts, finite support mask).
+# An integer column gives the (k,) counts of a single-mode law, a slice the
+# (k, r) counts of a multimode one; infinite-support laws have no mask.
+_LAWS = {
+    "coherent": (dist.poisson_log_pmf, 0, None),
+    "binomial": (dist.binomial_log_pmf, 0, lambda p, occ: occ[:, 0] <= p.M),
+    "neg_binomial": (dist.neg_binomial_log_pmf, 0, None),
+    "multinomial": (dist.multinomial_log_pmf, slice(1, None),
+                    lambda p, occ: occ.sum(axis=1) == p.M),
+    "neg_multinomial": (dist.neg_multinomial_log_pmf, slice(None), None),
+}
+
+
+def _family_state(spec: StateSpec, basis: TruncatedBasis, tail_tol: float) -> StateVector:
+    """amplitude = sqrt(pmf(counts)) e^{i counts . theta} on the law's support.
+
+    A finite support (binomial, multinomial) must lie wholly inside the basis;
+    an infinite one must leave at most ``tail_tol`` of the mass outside it.
+    """
+    if basis.modes != spec.modes:
+        raise ValueError(f"{spec.family} state needs a {spec.modes}-mode basis, got {basis.modes}")
+    log_pmf, columns, finite_support = _LAWS[spec.family]
+    occ = basis.occupations
+    if finite_support is None:
+        support = slice(None)
+    else:
+        support = finite_support(spec.params, occ)
+        r, found = spec.phase_count, int(support.sum())
+        size = math.comb(spec.params.M + r, r)
+        if found != size:
+            raise ValueError(f"basis holds {found} of the {size} states in the "
+                             f"{spec.family} support (M={spec.params.M})")
+    counts = occ[support][:, columns]
+    phase = np.vecdot(counts.reshape(len(counts), -1), spec.phases)
+    amps = np.zeros(len(basis), dtype=complex)
+    amps[support] = np.exp(0.5 * log_pmf(spec.params, counts)) * np.exp(1j * phase)
+    psi = StateVector(basis, amps)
+    if finite_support is None:
+        _check_deficit(1.0 - psi.norm2(), tail_tol, spec.family)
+    return psi
+
+
+def _bound_state(family, spec, basis, tail_tol):
+    if spec.family != family:
+        raise ValueError(f"spec is not a {family} spec")
+    return _family_state(spec, basis, tail_tol)
+
+
 def coherent_state(spec: StateSpec, basis: TruncatedBasis, tail_tol: float = DEFAULT_TAIL_TOL) -> StateVector:
     """Poisson-weighted state, amplitude(n) = e^{-a^2/2} alpha^n e^{i n theta}/sqrt(n!)."""
-    if spec.family != "coherent":
-        raise ValueError("spec is not a coherent-state spec")
-    _require_modes(spec, basis)
-    alpha2 = spec.params.alpha2
-    theta = spec.phases[0]
-    n = basis.occupations[:, 0].astype(float)
-    with np.errstate(divide="ignore"):
-        log_mag = -0.5 * alpha2 + 0.5 * (n * np.log(alpha2) if alpha2 > 0 else np.where(n == 0, 0.0, -np.inf)) - 0.5 * gammaln(n + 1)
-    radial = np.exp(log_mag)
-    amps = radial * np.exp(1j * theta * n)
-    psi = StateVector(basis, amps)
-    _check_deficit(1.0 - psi.norm2(), tail_tol, "coherent")
-    return psi
+    return _bound_state("coherent", spec, basis, tail_tol)
 
 
 def binomial_state(spec: StateSpec, basis: TruncatedBasis, tail_tol: float = DEFAULT_TAIL_TOL) -> StateVector:
     """Finite-support state; requires the basis to hold levels 0..M."""
-    if spec.family != "binomial":
-        raise ValueError("spec is not a binomial-state spec")
-    _require_modes(spec, basis)
-    p, theta = spec.params, spec.phases[0]
-    if not basis.contains((p.M,)) or not basis.contains((0,)):
-        raise ValueError(f"basis cutoff below M={p.M}; the binomial state needs all levels 0..M")
-    amps = np.zeros(len(basis), dtype=complex)
-    for i, (n,) in enumerate(basis.states):
-        if n <= p.M:
-            log_mag = 0.5 * dist.binomial_log_pmf(p, n)
-            amps[i] = math.exp(log_mag) * np.exp(1j * theta * n)
-    return StateVector(basis, amps)
+    return _bound_state("binomial", spec, basis, tail_tol)
 
 
 def neg_binomial_state(spec: StateSpec, basis: TruncatedBasis, tail_tol: float = DEFAULT_TAIL_TOL) -> StateVector:
-    if spec.family != "neg_binomial":
-        raise ValueError("spec is not a negative-binomial-state spec")
-    _require_modes(spec, basis)
-    p, theta = spec.params, spec.phases[0]
-    n = basis.occupations[:, 0]
-    log_mag = np.array([0.5 * dist.neg_binomial_log_pmf(p, int(k)) for k in n])
-    amps = np.exp(log_mag) * np.exp(1j * theta * n)
-    psi = StateVector(basis, amps)
-    _check_deficit(1.0 - psi.norm2(), tail_tol, "neg_binomial")
-    return psi
+    """Negative-binomial state of real order M > 0 on one mode."""
+    return _bound_state("neg_binomial", spec, basis, tail_tol)
 
 
 def multinomial_state(spec: StateSpec, basis: TruncatedBasis, tail_tol: float = DEFAULT_TAIL_TOL) -> StateVector:
     """State on the exact total-occupation shell sum(n) = M over r+1 modes."""
-    if spec.family != "multinomial":
-        raise ValueError("spec is not a multinomial-state spec")
-    _require_modes(spec, basis)
-    p = spec.params
-    shell_size = math.comb(p.M + p.r, p.r)
-    amps = np.zeros(len(basis), dtype=complex)
-    found = 0
-    for i, occ in enumerate(basis.states):
-        if sum(occ) != p.M:
-            continue
-        found += 1
-        log_mag = 0.5 * dist.multinomial_log_pmf(p, occ[1:])
-        amps[i] = math.exp(log_mag) * _phase_factor(occ[1:], spec.phases)
-    if found != shell_size:
-        raise ValueError(
-            f"basis holds {found} of the {shell_size} shell states with total occupation {p.M}"
-        )
-    return StateVector(basis, amps)
+    return _bound_state("multinomial", spec, basis, tail_tol)
 
 
 def neg_multinomial_state(spec: StateSpec, basis: TruncatedBasis, tail_tol: float = DEFAULT_TAIL_TOL) -> StateVector:
-    if spec.family != "neg_multinomial":
-        raise ValueError("spec is not a negative-multinomial-state spec")
-    _require_modes(spec, basis)
-    p = spec.params
-    amps = np.zeros(len(basis), dtype=complex)
-    for i, occ in enumerate(basis.states):
-        log_mag = 0.5 * dist.neg_multinomial_log_pmf(p, occ)
-        amps[i] = math.exp(log_mag) * _phase_factor(occ, spec.phases)
-    psi = StateVector(basis, amps)
-    _check_deficit(1.0 - psi.norm2(), tail_tol, "neg_multinomial")
-    return psi
-
-
-_CONSTRUCTORS = {
-    "coherent": coherent_state,
-    "binomial": binomial_state,
-    "neg_binomial": neg_binomial_state,
-    "multinomial": multinomial_state,
-    "neg_multinomial": neg_multinomial_state,
-}
+    """Negative-multinomial state of real order M > 0 on r modes."""
+    return _bound_state("neg_multinomial", spec, basis, tail_tol)
 
 
 def build_state(spec: StateSpec, basis: TruncatedBasis = None,
                 tail_tol: float = DEFAULT_TAIL_TOL, guard: int = 0) -> StateVector:
-    """Dispatch to the family constructor; builds an auto-sized basis when none is given."""
+    """The family state of ``spec``; builds an auto-sized basis when none is given."""
     if basis is None:
         basis = auto_basis(spec, tail_tol, guard)
-    return _CONSTRUCTORS[spec.family](spec, basis, tail_tol)
+    return _family_state(spec, basis, tail_tol)
 
 
 @dataclass

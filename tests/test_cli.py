@@ -81,6 +81,19 @@ def test_state_bad_parameter_exits_two(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("--family", "coherent", "--alpha2", "nan"),
+    ("--family", "coherent", "--alpha2", "inf"),
+    ("--family", "ms", "--eta2", "nan,0.1", "--M", "3"),
+    ("--family", "nbs", "--eta2", "0.5", "--M", "inf"),
+])
+def test_state_non_finite_parameter_exits_two(tmp_path, args):
+    proc = run_cli("state", *args, "--out", str(tmp_path / "nf"))
+    assert proc.returncode == 2, proc.stderr
+    assert "finite" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_passing_suite_exits_zero(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("verify", "identity", "--out", str(out))

@@ -132,6 +132,23 @@ def test_param_validation():
         NegMultinomialParams((0.0, 0.5), 2.0)  # zero component
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("make", [
+    lambda x: PoissonParams(x),
+    lambda x: BinomialParams(x, 3),
+    lambda x: BinomialParams(0.5, x),
+    lambda x: NegBinomialParams(x, 2.0),
+    lambda x: NegBinomialParams(0.5, x),
+    lambda x: MultinomialParams((x, 0.3), 3),
+    lambda x: MultinomialParams((0.3, 0.4), x),
+    lambda x: NegMultinomialParams((0.3, x), 2.0),
+    lambda x: NegMultinomialParams((0.3, 0.4), x),
+])
+def test_params_reject_non_finite(make, bad):
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
+
+
 def test_multinomial_matches_binomial_at_rank_one():
     p1 = MultinomialParams((math.sqrt(0.3),), 4)
     pb = BinomialParams(0.3, 4)

@@ -10,19 +10,28 @@ from fockbench.distributions import (
     NegBinomialParams,
     NegMultinomialParams,
     PoissonParams,
+    binomial_log_pmf,
     binomial_pmf,
+    multinomial_log_pmf,
     multinomial_pmf,
+    neg_binomial_log_pmf,
     neg_binomial_pmf,
+    neg_multinomial_log_pmf,
     neg_multinomial_pmf,
+    poisson_log_pmf,
     poisson_pmf,
 )
 from fockbench.fock import Cutoff, enumerate_basis, fidelity
 from fockbench.states import (
     StateSpec,
     auto_basis,
+    binomial_state,
     build_state,
     coherent_state,
     mean_occupation,
+    multinomial_state,
+    neg_binomial_state,
+    neg_multinomial_state,
     number_distribution,
     occupation_variance,
     quantum_gf,
@@ -112,6 +121,52 @@ def test_multinomial_requires_full_shell():
     small = enumerate_basis(3, Cutoff.shell(2))
     with pytest.raises(ValueError):
         build_state(_spec("multinomial", params), basis=small)
+
+
+def test_binomial_requires_levels_up_to_M():
+    params = BinomialParams(0.4, 5)
+    for cutoff in (Cutoff.per_mode(4), Cutoff.shell(5)):
+        with pytest.raises(ValueError):
+            build_state(_spec("binomial", params), basis=enumerate_basis(1, cutoff))
+
+
+def test_family_constructors_refuse_other_families():
+    spec = _spec("neg_binomial", NegBinomialParams(0.4, 2.0))
+    basis = auto_basis(spec)
+    for constructor in (coherent_state, binomial_state, multinomial_state, neg_multinomial_state):
+        with pytest.raises(ValueError):
+            constructor(spec, basis)
+    np.testing.assert_array_equal(neg_binomial_state(spec, basis).amplitudes,
+                                  build_state(spec, basis).amplitudes)
+
+
+def test_one_rule_matches_per_state_loop():
+    # the per-state formula amplitude = sqrt(pmf(counts)) e^{i counts . theta},
+    # evaluated one basis state at a time with the scalar log-pmfs
+    cases = [
+        ("coherent", PoissonParams(3.1), (2.2,), enumerate_basis(1, Cutoff.per_mode(30)),
+         poisson_log_pmf, lambda occ: occ[0], lambda occ: True),
+        ("binomial", BinomialParams(0.35, 9), (5.9,), enumerate_basis(1, Cutoff.per_mode(14)),
+         binomial_log_pmf, lambda occ: occ[0], lambda occ: occ[0] <= 9),
+        ("neg_binomial", NegBinomialParams(0.55, 1.7), (4.4,),
+         enumerate_basis(1, Cutoff.per_mode(80)),
+         neg_binomial_log_pmf, lambda occ: occ[0], lambda occ: True),
+        ("multinomial", MultinomialParams((0.5, 0.4, 0.3), 12), (1.3, 6.1, 3.7),
+         enumerate_basis(4, Cutoff.total(13)),
+         multinomial_log_pmf, lambda occ: occ[1:], lambda occ: sum(occ) == 12),
+        ("neg_multinomial", NegMultinomialParams((0.5, 0.4, 0.3), 1.5), (1.3, 6.1, 3.7),
+         enumerate_basis(3, Cutoff.total(60)),
+         neg_multinomial_log_pmf, lambda occ: occ, lambda occ: True),
+    ]
+    for family, params, phases, basis, log_pmf, counts_of, in_support in cases:
+        psi = build_state(StateSpec(family, params, phases), basis=basis)
+        for occ, amp in zip(basis.states, psi.amplitudes):
+            counts = counts_of(occ)
+            expect = 0.0
+            if in_support(occ):
+                expect = (math.exp(0.5 * log_pmf(params, counts))
+                          * cmath.exp(1j * float(np.dot(np.atleast_1d(counts), phases))))
+            assert abs(amp - expect) <= 1e-15, (family, occ)
 
 
 def test_auto_basis_covers_tail():
