@@ -6,7 +6,9 @@ generators with square-root number weights (one boson per independent mode).
 ``verify_algebra`` checks the structure relations entrywise, restricted to
 *interior* basis states -- states that no monomial in the relation pushes out
 of the truncated basis -- so truncation artifacts never masquerade as algebra
-violations.  ``ConstraintSubspace`` transports states between the two pictures
+violations.  Every generator sends a basis state to at most one basis state,
+so the check walks those images instead of forming operator products.
+``ConstraintSubspace`` transports states between the two pictures
 and ``intertwining_check`` confirms the generators agree under that transport.
 """
 
@@ -16,58 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .fock import LinearOperator, TruncatedBasis
+from .fock import LinearOperator, TruncatedBasis, _monomial
 
 _SQRT = math.sqrt
-
-
-def _monomial(basis, create=(), destroy=(), weight=None):
-    """Build prod(a_j^dag) * weight(occ) * prod(a_k) with exact loss tracking.
-
-    ``weight`` is evaluated on the occupation vector after the destruction
-    step; a zero weight annihilates the state exactly (used for clamped
-    square roots at representation boundaries).  Returns the dense matrix, a
-    boolean ``lossy`` vector marking source states whose exact image falls
-    outside the basis with non-zero amplitude, and a ``target`` index vector
-    (-1 where the state is annihilated or its image left the basis).
-    """
-    d = len(basis)
-    mat = np.zeros((d, d), dtype=complex)
-    lossy = np.zeros(d, dtype=bool)
-    target = np.full(d, -1, dtype=np.int64)
-    for s, occ in enumerate(basis.states):
-        occ2 = list(occ)
-        amp = 1.0
-        alive = True
-        for k in destroy:
-            if occ2[k] == 0:
-                alive = False
-                break
-            amp *= _SQRT(occ2[k])
-            occ2[k] -= 1
-        if not alive:
-            continue
-        if weight is not None:
-            amp *= weight(occ2)
-            if amp == 0.0:
-                continue
-        for j in create:
-            amp *= _SQRT(occ2[j] + 1)
-            occ2[j] += 1
-        t = basis._index.get(tuple(occ2))
-        if t is None:
-            lossy[s] = True
-        else:
-            mat[t, s] = amp
-            target[s] = t
-    return mat, lossy, target
-
-
-def _diagonal(basis, fn):
-    d = len(basis)
-    mat = np.diag(np.array([fn(occ) for occ in basis.states], dtype=complex))
-    return mat, np.zeros(d, dtype=bool), np.arange(d, dtype=np.int64)
 
 
 @dataclass
@@ -135,9 +90,9 @@ def su11_bilinear(basis: TruncatedBasis, M: float) -> AlgebraRealization:
     raising = {"K+": _monomial(basis, create=(0, 1))}
     lowering = {"K-": _monomial(basis, destroy=(0, 1))}
     diagonal = {
-        "K0": _diagonal(basis, lambda occ: 0.5 * (occ[0] + occ[1] + 1)),
-        "N0": _diagonal(basis, lambda occ: occ[0]),
-        "N1": _diagonal(basis, lambda occ: occ[1]),
+        "K0": _monomial(basis, weight=lambda occ: 0.5 * (occ[0] + occ[1] + 1)),
+        "N0": _monomial(basis, weight=lambda occ: occ[0]),
+        "N1": _monomial(basis, weight=lambda occ: occ[1]),
     }
     return _bundle("su11", "bilinear", basis, M, raising, lowering, diagonal)
 
@@ -152,9 +107,9 @@ def su11_hp(basis: TruncatedBasis, M: float) -> AlgebraRealization:
     raising = {"K+": _monomial(basis, create=(0,), weight=w)}
     lowering = {"K-": _monomial(basis, destroy=(0,), weight=w)}
     diagonal = {
-        "K0": _diagonal(basis, lambda occ: occ[0] + M / 2.0),
-        "N0": _diagonal(basis, lambda occ: M - 1 + occ[0]),
-        "N1": _diagonal(basis, lambda occ: occ[0]),
+        "K0": _monomial(basis, weight=lambda occ: occ[0] + M / 2.0),
+        "N0": _monomial(basis, weight=lambda occ: M - 1 + occ[0]),
+        "N1": _monomial(basis, weight=lambda occ: occ[0]),
     }
     return _bundle("su11", "holstein_primakoff", basis, M, raising, lowering, diagonal)
 
@@ -168,9 +123,9 @@ def su2_bilinear(basis: TruncatedBasis, M: int) -> AlgebraRealization:
     raising = {"J+": _monomial(basis, create=(1,), destroy=(0,))}
     lowering = {"J-": _monomial(basis, create=(0,), destroy=(1,))}
     diagonal = {
-        "J0": _diagonal(basis, lambda occ: 0.5 * (occ[1] - occ[0])),
-        "N0": _diagonal(basis, lambda occ: occ[0]),
-        "N1": _diagonal(basis, lambda occ: occ[1]),
+        "J0": _monomial(basis, weight=lambda occ: 0.5 * (occ[1] - occ[0])),
+        "N0": _monomial(basis, weight=lambda occ: occ[0]),
+        "N1": _monomial(basis, weight=lambda occ: occ[1]),
     }
     return _bundle("su2", "bilinear", basis, int(M), raising, lowering, diagonal)
 
@@ -191,9 +146,9 @@ def su2_hp(basis: TruncatedBasis, M: int) -> AlgebraRealization:
     raising = {"J+": _monomial(basis, create=(0,), weight=w)}
     lowering = {"J-": _monomial(basis, destroy=(0,), weight=w)}
     diagonal = {
-        "J0": _diagonal(basis, lambda occ: occ[0] - M / 2.0),
-        "N0": _diagonal(basis, lambda occ: M - occ[0]),
-        "N1": _diagonal(basis, lambda occ: occ[0]),
+        "J0": _monomial(basis, weight=lambda occ: occ[0] - M / 2.0),
+        "N0": _monomial(basis, weight=lambda occ: M - occ[0]),
+        "N1": _monomial(basis, weight=lambda occ: occ[0]),
     }
     return _bundle("su2", "holstein_primakoff", basis, M, raising, lowering, diagonal)
 
@@ -216,7 +171,7 @@ def su_r1_bilinear(basis: TruncatedBasis, M: float) -> AlgebraRealization:
             group = raising if j > k else lowering
             group[f"K{j}{k}"] = _monomial(basis, create=(j,), destroy=(k,))
     for j in range(r + 1):
-        diagonal[f"N{j}"] = _diagonal(basis, lambda occ, j=j: occ[j])
+        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[j])
     return _bundle("su_r1", "bilinear", basis, M, raising, lowering, diagonal)
 
 
@@ -240,9 +195,9 @@ def su_r1_hp(basis: TruncatedBasis, M: float) -> AlgebraRealization:
                 continue
             group = raising if j > k else lowering
             group[f"K{j}{k}"] = _monomial(basis, create=(j - 1,), destroy=(k - 1,))
-    diagonal["N0"] = _diagonal(basis, lambda occ: M - 1 + sum(occ))
+    diagonal["N0"] = _monomial(basis, weight=lambda occ: M - 1 + sum(occ))
     for j in range(1, r + 1):
-        diagonal[f"N{j}"] = _diagonal(basis, lambda occ, j=j: occ[j - 1])
+        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[j - 1])
     return _bundle("su_r1", "holstein_primakoff", basis, M, raising, lowering, diagonal)
 
 
@@ -261,7 +216,7 @@ def su_rp1_bilinear(basis: TruncatedBasis, M: int) -> AlgebraRealization:
             group = raising if j > k else lowering
             group[f"J{j}{k}"] = _monomial(basis, create=(j,), destroy=(k,))
     for j in range(r + 1):
-        diagonal[f"N{j}"] = _diagonal(basis, lambda occ, j=j: occ[j])
+        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[j])
     return _bundle("su_rp1", "bilinear", basis, int(M), raising, lowering, diagonal)
 
 
@@ -291,9 +246,9 @@ def su_rp1_hp(basis: TruncatedBasis, M: int) -> AlgebraRealization:
                 continue
             group = raising if j > k else lowering
             group[f"J{j}{k}"] = _monomial(basis, create=(j - 1,), destroy=(k - 1,))
-    diagonal["N0"] = _diagonal(basis, lambda occ: M - sum(occ))
+    diagonal["N0"] = _monomial(basis, weight=lambda occ: M - sum(occ))
     for j in range(1, r + 1):
-        diagonal[f"N{j}"] = _diagonal(basis, lambda occ, j=j: occ[j - 1])
+        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[j - 1])
     return _bundle("su_rp1", "holstein_primakoff", basis, M, raising, lowering, diagonal)
 
 
@@ -399,60 +354,64 @@ def relations_for(realization: AlgebraRealization):
     raise ValueError(f"unknown algebra {realization.algebra!r}")
 
 
-def _interior_mask(realization, terms):
-    """States that every monomial in the relation keeps inside the basis."""
+def _images(realization, label):
+    """Where a generator sends each basis state, with what weight, and whether lossily.
+
+    The weights are read from the generator's matrix.  Each array has one
+    extra slot at the end, a sink for "no image": a target of -1 indexes it,
+    and it sends itself to -1 with weight 0 and no loss.
+    """
     d = len(realization.basis)
-    mask = np.ones(d, dtype=bool)
-    for _, labels in terms:
-        if not labels:
-            continue
-        # labels act right-to-left: (A, B) means A @ B
-        if len(labels) == 1:
-            mask &= ~realization.lossy[labels[0]]
-            continue
-        a, b = labels
-        lossy_b = realization.lossy[b]
-        lossy_a = realization.lossy[a]
-        tgt_b = realization.targets[b]
-        step_ok = ~lossy_b
-        reached = tgt_b >= 0
-        # after B, state s sits at tgt_b[s]; require A not lossy there
-        second = np.ones(d, dtype=bool)
-        second[reached] = ~lossy_a[tgt_b[reached]]
-        mask &= step_ok & second
-    return mask
+    matrix = realization.op(label).matrix
+    weight = np.zeros(d + 1, dtype=complex)
+    weight[matrix.indices] = matrix.data
+    return (np.append(realization.targets[label], -1), weight,
+            np.append(realization.lossy[label], False))
 
 
 def verify_algebra(realization: AlgebraRealization, relations=None) -> list:
     """Entrywise residuals of the structure relations on interior states.
 
-    Returns one report dict per relation:
+    Interior states are those that no monomial in the relation pushes out of
+    the basis.  Returns one report dict per relation:
     {"relation", "max_residual", "worst_state", "interior_count"}.
     """
     if relations is None:
         relations = relations_for(realization)
     d = len(realization.basis)
-    identity = np.eye(d, dtype=complex)
+    images = {label: _images(realization, label) for label in realization.labels}
     reports = []
     for name, terms in relations:
-        acc = np.zeros((d, d), dtype=complex)
+        # one image per term and source column: its row and its value
+        rows, values = [], []
+        interior = np.ones(d, dtype=bool)
         for coeff, labels in terms:
             if not labels:
-                acc += coeff * identity
-            elif len(labels) == 1:
-                acc += coeff * realization.op(labels[0]).matrix
-            else:
-                a, b = labels
-                acc += coeff * (realization.op(a).matrix @ realization.op(b).matrix)
-        mask = _interior_mask(realization, terms)
-        count = int(mask.sum())
+                rows.append(np.arange(d))
+                values.append(np.full(d, coeff, dtype=complex))
+                continue
+            # labels act right-to-left: (A, B) means A @ B
+            row, weight, lossy = (x[:d] for x in images[labels[-1]])
+            interior &= ~lossy
+            if len(labels) == 2:
+                target_a, weight_a, lossy_a = images[labels[0]]
+                interior &= ~lossy_a[row]
+                weight = weight_a[row] * weight
+                row = target_a[row]
+            rows.append(row)
+            values.append(coeff * weight)
+        rows, values = np.array(rows), np.array(values)
+        # images of a column that share a row add up, in term order
+        same_row = rows[:, None, :] == rows[None, :, :]
+        col_res = np.abs(np.where(same_row, values[None, :, :], 0).sum(axis=1)).max(axis=0)
+        count = int(interior.sum())
         if count == 0:
             reports.append({"relation": name, "max_residual": None,
                             "worst_state": None, "interior_count": 0})
             continue
-        col_res = np.abs(acc[:, mask]).max(axis=0)
+        col_res = col_res[interior]
         worst_local = int(np.argmax(col_res))
-        worst_state = realization.basis.states[np.flatnonzero(mask)[worst_local]]
+        worst_state = realization.basis.states[np.flatnonzero(interior)[worst_local]]
         reports.append({
             "relation": name,
             "max_residual": float(col_res[worst_local]),
@@ -515,12 +474,11 @@ class ConstraintSubspace:
     def shell_indices(self):
         return tuple(p for p, _ in self._pairs)
 
-    def isometry(self) -> np.ndarray:
-        """Parent x reduced matrix with orthonormal columns spanning the shell."""
-        e = np.zeros((len(self.parent), len(self.reduced)))
-        for p, ridx in self._pairs:
-            e[p, ridx] = 1.0
-        return e
+    def isometry(self) -> sp.csr_array:
+        """Parent x reduced CSR matrix with orthonormal columns spanning the shell."""
+        rows, cols = np.array(self._pairs).T
+        return sp.csr_array((np.ones(len(rows)), (rows, cols)),
+                            shape=(len(self.parent), len(self.reduced)))
 
 
 def intertwining_check(bilinear: AlgebraRealization, reduced: AlgebraRealization,
@@ -539,9 +497,7 @@ def intertwining_check(bilinear: AlgebraRealization, reduced: AlgebraRealization
     reports = []
     shared = [l for l in reduced.labels if l in set(bilinear.labels)]
     for label in shared:
-        b = bilinear.op(label).matrix
-        r = reduced.op(label).matrix
-        diff = b @ e - e @ r
+        diff = bilinear.op(label).matrix @ e - e @ reduced.op(label).matrix
         ok = ~reduced.lossy[label]
         ok &= ~bilinear.lossy[label][parent_rows]
         count = int(ok.sum())
@@ -549,7 +505,9 @@ def intertwining_check(bilinear: AlgebraRealization, reduced: AlgebraRealization
             reports.append({"label": label, "max_residual": None,
                             "worst_state": None, "checked_count": 0})
             continue
-        col_res = np.abs(diff[:, ok]).max(axis=0)
+        col_res = np.zeros(len(reduced.basis))
+        np.maximum.at(col_res, diff.indices, np.abs(diff.data))
+        col_res = col_res[ok]
         worst_local = int(np.argmax(col_res))
         worst_state = reduced.basis.states[np.flatnonzero(ok)[worst_local]]
         reports.append({

@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import betainc, gammainc, gammaln, xlogy
 
 from .fock import Cutoff, enumerate_basis
 
-TAIL_MASS_POLICY = 1e-14  # infinite sums truncate once cumulative mass reaches 1 - this
+TAIL_MASS_POLICY = 1e-14  # infinite sums truncate once the tail mass beyond falls to this
 
 
 def _check_finite(**fields):
@@ -233,32 +233,38 @@ def moments_from_gf(p: NegBinomialParams) -> GfMoments:
     return GfMoments(mean=mean, variance=variance, mandel_q=ratio)
 
 
+def _smallest_within(survival, tail_mass):
+    """Smallest n >= 0 with survival(n) <= tail_mass, for a decreasing survival.
+
+    Doubling brackets it, bisection pins it down.
+    """
+    if not tail_mass > 0.0:
+        raise ValueError(f"tail mass must be positive, got {tail_mass!r}")
+    if survival(0) <= tail_mass:
+        return 0
+    lo, hi = 0, 1  # survival(lo) > tail_mass throughout
+    while survival(hi) > tail_mass:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if survival(mid) > tail_mass else (lo, mid)
+    return hi
+
+
 def neg_binomial_cutoff(p: NegBinomialParams, tail_mass: float = TAIL_MASS_POLICY) -> int:
-    """Smallest n_max whose tail mass falls below ``tail_mass``."""
-    cumulative = 0.0
-    n = 0
-    log_pmf = neg_binomial_log_pmf(p, 0)
-    while True:
-        cumulative += math.exp(log_pmf)
-        if cumulative >= 1.0 - tail_mass:
-            return n
-        n += 1
-        # recurrence pmf(n+1)/pmf(n) = eta^2 (M+n)/(n+1)
-        log_pmf += math.log(p.eta2) + math.log(p.M + n - 1) - math.log(n)
-        if n > 10_000_000:
-            raise ValueError("tail policy not reached; eta2 too close to 1")
+    """Smallest n_max whose tail mass is at most ``tail_mass``.
+
+    The tail mass P(N > n_max) is the regularized incomplete beta I_eta2(n_max + 1, M).
+    """
+    return _smallest_within(lambda n: betainc(n + 1, p.M, p.eta2), tail_mass)
 
 
 def poisson_cutoff(p: PoissonParams, tail_mass: float = TAIL_MASS_POLICY) -> int:
-    cumulative = 0.0
-    n = 0
-    log_pmf = poisson_log_pmf(p, 0)
-    while True:
-        cumulative += math.exp(log_pmf)
-        if cumulative >= 1.0 - tail_mass:
-            return n
-        n += 1
-        log_pmf += math.log(p.alpha2) - math.log(n)
+    """Smallest n_max whose tail mass is at most ``tail_mass``.
+
+    The tail mass P(N > n_max) is the regularized lower incomplete gamma P(n_max + 1, alpha2).
+    """
+    return _smallest_within(lambda n: gammainc(n + 1, p.alpha2), tail_mass)
 
 
 def poisson_limit_distance(family: str, M, alpha2: float) -> float:

@@ -2,10 +2,12 @@
 
 Bases are finite slices of the occupation-number lattice, enumerated in graded
 lexicographic order (total occupation ascending, then lexicographic within each
-total).  States and operators are dense complex vectors/matrices over such a
-basis; ladder operators silently drop any transition that would leave the
-basis, so truncation error shows up only as missing tail mass, never as an
-exception.
+total).  States are dense complex vectors over such a basis; operators are
+complex CSR matrices, and every ladder monomial among them has at most one
+nonzero per column.  Ladder operators silently drop any transition that would
+leave the basis, so truncation error shows up only as missing tail mass,
+never as an exception.  One truncated-Taylor series computes both the action
+exp(A)|psi> and the small whole-operator exponentials.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 OccupationVector = tuple  # tuple of non-negative ints, one entry per mode
 
@@ -235,13 +238,16 @@ def vacuum_state(basis: TruncatedBasis) -> StateVector:
 
 @dataclass
 class LinearOperator:
-    """Dense operator over a truncated basis."""
+    """Operator over a truncated basis, held as a complex CSR matrix.
+
+    Dense input is accepted and converted.
+    """
 
     basis: TruncatedBasis
-    matrix: np.ndarray
+    matrix: sp.csr_array
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = sp.csr_array(self.matrix, dtype=complex)
         d = len(self.basis)
         if mat.shape != (d, d):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({d}, {d})")
@@ -252,7 +258,7 @@ class LinearOperator:
         return StateVector(self.basis, self.matrix @ psi.amplitudes)
 
     def adjoint(self) -> "LinearOperator":
-        return LinearOperator(self.basis, self.matrix.conj().T.copy())
+        return LinearOperator(self.basis, self.matrix.conj().T)
 
     def __matmul__(self, other):
         if isinstance(other, StateVector):
@@ -277,8 +283,68 @@ class LinearOperator:
         return LinearOperator(self.basis, -self.matrix)
 
 
+def _column_map(target, weight):
+    """CSR matrix sending basis state s to ``target[s]`` with ``weight[s]``.
+
+    Sources with a negative target have no image.  No two sources may share a
+    target, which holds for every monomial: it shifts occupations by a fixed
+    vector.  So each row, like each column, holds at most one entry, and the
+    CSR arrays come straight from the inverse map.
+    """
+    d = len(target)
+    source = np.full(d, -1, dtype=np.int64)
+    alive = target >= 0
+    source[target[alive]] = np.flatnonzero(alive)
+    hit = source >= 0
+    indices = source[hit]
+    indptr = np.concatenate(([0], np.cumsum(hit)))
+    return sp.csr_array((np.asarray(weight)[indices], indices, indptr), shape=(d, d))
+
+
+def _monomial(basis, create=(), destroy=(), weight=None):
+    """Build prod(a_j^dag) * weight(occ) * prod(a_k) with exact loss tracking.
+
+    ``weight`` is evaluated on the occupation vector after the destruction
+    step; a zero weight annihilates the state exactly (used for clamped
+    square roots at representation boundaries).  Returns the CSR matrix, a
+    boolean ``lossy`` vector marking source states whose exact image falls
+    outside the basis with non-zero amplitude, and a ``target`` index vector
+    (-1 where the state is annihilated or its image left the basis).
+    """
+    d = len(basis)
+    amps = np.zeros(d, dtype=complex)
+    lossy = np.zeros(d, dtype=bool)
+    target = np.full(d, -1, dtype=np.int64)
+    for s, occ in enumerate(basis.states):
+        occ2 = list(occ)
+        amp = 1.0
+        alive = True
+        for k in destroy:
+            if occ2[k] == 0:
+                alive = False
+                break
+            amp *= math.sqrt(occ2[k])
+            occ2[k] -= 1
+        if not alive:
+            continue
+        if weight is not None:
+            amp *= weight(occ2)
+            if amp == 0.0:
+                continue
+        for j in create:
+            amp *= math.sqrt(occ2[j] + 1)
+            occ2[j] += 1
+        t = basis._index.get(tuple(occ2))
+        if t is None:
+            lossy[s] = True
+        else:
+            amps[s] = amp
+            target[s] = t
+    return _column_map(target, amps), lossy, target
+
+
 def identity_op(basis: TruncatedBasis) -> LinearOperator:
-    return LinearOperator(basis, np.eye(len(basis), dtype=complex))
+    return LinearOperator(basis, sp.eye_array(len(basis), dtype=complex, format="csr"))
 
 
 def diagonal_op(basis: TruncatedBasis, values) -> LinearOperator:
@@ -289,7 +355,7 @@ def diagonal_op(basis: TruncatedBasis, values) -> LinearOperator:
         diag = np.asarray(values, dtype=complex)
         if diag.shape != (len(basis),):
             raise ValueError("diagonal length does not match basis size")
-    return LinearOperator(basis, np.diag(diag))
+    return LinearOperator(basis, _column_map(np.arange(len(basis)), diag))
 
 
 def _check_mode(basis, mode):
@@ -300,14 +366,7 @@ def _check_mode(basis, mode):
 
 def creation_op(basis: TruncatedBasis, mode: int) -> LinearOperator:
     """a_mode^dagger; transitions leaving the basis are dropped silently."""
-    mode = _check_mode(basis, mode)
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for s, occ in enumerate(basis.states):
-        target = occ[:mode] + (occ[mode] + 1,) + occ[mode + 1 :]
-        t = basis._index.get(target)
-        if t is not None:
-            mat[t, s] = math.sqrt(occ[mode] + 1)
-    return LinearOperator(basis, mat)
+    return LinearOperator(basis, _monomial(basis, create=(_check_mode(basis, mode),))[0])
 
 
 def annihilation_op(basis: TruncatedBasis, mode: int) -> LinearOperator:
@@ -328,73 +387,40 @@ def commutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     return a @ b - b @ a
 
 
-def _is_strictly_triangular(mat: np.ndarray) -> bool:
-    lower = not np.any(np.triu(mat))
-    upper = not np.any(np.tril(mat))
-    return lower or upper
+def _series_exponential(mat, block):
+    """exp(mat) @ block, for a dense or sparse ``mat`` and a vector or matrix ``block``.
 
-
-_MAX_SERIES_TERMS = 400
-
-
-def op_exponential(a: LinearOperator, tol: float = 1e-12) -> LinearOperator:
-    """Matrix exponential by scaling-and-squaring with a truncated Taylor series.
-
-    Strictly triangular (nilpotent) inputs -- e.g. pure raising or lowering
-    operators in graded order -- take an exact terminating-series path.
+    The truncated-Taylor action of Al-Mohy and Higham (SIAM J. Sci. Comput.
+    33 (2011) 488) with a fixed schedule: ceil(||mat||_1) substeps, each a
+    Taylor series summed until its term is at most 1e-15 of the running sum
+    (2-norm for a vector, Frobenius for a matrix).
     """
-    mat = a.matrix
-    d = mat.shape[0]
-    if _is_strictly_triangular(mat):
-        out = np.eye(d, dtype=complex)
-        term = np.eye(d, dtype=complex)
-        for k in range(1, d + 1):
-            term = mat @ term / k
-            if not np.any(term):
+    steps = max(1, math.ceil(abs(mat).sum(axis=0).max()))
+    scaled = mat / steps
+    out = block
+    for _ in range(steps):
+        term, k = out, 0
+        while True:
+            k += 1
+            term = scaled @ term
+            term /= k
+            out = out + term
+            # squared norms (vdot flattens a matrix to its Frobenius norm); a NaN stops too
+            if not np.vdot(term, term).real > 1e-30 * np.vdot(out, out).real:
                 break
-            out += term
-        return LinearOperator(a.basis, out)
-    norm = np.linalg.norm(mat, 1)
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
-    scaled = mat / (2.0 ** squarings)
-    out = np.eye(d, dtype=complex)
-    term = np.eye(d, dtype=complex)
-    for k in range(1, _MAX_SERIES_TERMS):
-        term = scaled @ term / k
-        out += term
-        if np.abs(term).max() <= tol * max(np.abs(out).max(), 1.0):
-            break
-    else:
-        raise ValueError("matrix exponential series did not converge")
-    for _ in range(squarings):
-        out = out @ out
-    return LinearOperator(a.basis, out)
+    return out
 
 
-def apply_exponential(a: LinearOperator, psi: StateVector, tol: float = 1e-12) -> StateVector:
-    """exp(a) |psi> without forming the full exponential.
+def op_exponential(a: LinearOperator) -> LinearOperator:
+    """The whole exponential exp(a), summed densely; meant for small bases."""
+    identity = np.eye(len(a.basis), dtype=complex)
+    return LinearOperator(a.basis, _series_exponential(a.matrix.toarray(), identity))
 
-    Same scaling-and-squaring Taylor scheme as :func:`op_exponential`, applied
-    to the vector; much cheaper for large bases.
-    """
+
+def apply_exponential(a: LinearOperator, psi: StateVector) -> StateVector:
+    """exp(a) |psi> without forming the exponential: sparse products on the vector."""
     _check_same_basis(a, psi)
-    mat = a.matrix
-    norm = np.linalg.norm(mat, 1)
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
-    scaled = mat / (2.0 ** squarings)
-    v = psi.amplitudes.astype(complex)
-    for _ in range(2 ** squarings):
-        term = v.copy()
-        out = v.copy()
-        for k in range(1, _MAX_SERIES_TERMS):
-            term = scaled @ term / k
-            out += term
-            if np.linalg.norm(term) <= tol * max(np.linalg.norm(out), 1e-300):
-                break
-        else:
-            raise ValueError("exponential series did not converge")
-        v = out
-    return StateVector(psi.basis, v)
+    return StateVector(psi.basis, _series_exponential(a.matrix, psi.amplitudes))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

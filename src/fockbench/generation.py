@@ -18,11 +18,12 @@ import numpy as np
 
 from . import distributions as dist
 from . import states as st
-from .algebra import AlgebraRealization, _monomial, su2_bilinear, su2_hp, su11_hp
+from .algebra import AlgebraRealization, su2_bilinear, su2_hp, su11_hp
 from .fock import (
     Cutoff,
     LinearOperator,
     StateVector,
+    _monomial,
     annihilation_op,
     apply_exponential,
     basis_state,
@@ -148,17 +149,15 @@ def displacement_leakage(realization: AlgebraRealization, psi: StateVector,
     return max(pressed, abs(1.0 - psi.norm2()))
 
 
-def disentangled_product(realization: AlgebraRealization, zeta: complex,
-                         tol: float = 1e-15) -> LinearOperator:
+def disentangled_product(realization: AlgebraRealization, zeta: complex) -> LinearOperator:
     """Raising x diagonal x lowering factorization of the displacement exponential.
 
     su(2):  exp(zeta J+ - zeta* J-) = exp(tau J+) exp(ln(1+|tau|^2) J0) exp(-tau* J-)
             with tau = (zeta/|zeta|) tan|zeta|;
     su(1,1): same shape with tau = (zeta/|zeta|) tanh|zeta| and middle factor
             exp(ln(1-|tau|^2) K0).
-    Returns the three-factor product as a dense operator for entrywise
-    comparison with the one-shot exponential; ``tol`` is passed through to the
-    exponential series so the comparison floor sits well under 1e-12.
+    Returns the three-factor product as an operator for entrywise comparison
+    with the one-shot exponential.
     """
     if realization.algebra == "su2":
         plus, minus, diag = "J+", "J-", "J0"
@@ -176,20 +175,19 @@ def disentangled_product(realization: AlgebraRealization, zeta: complex,
     else:
         tau = phase * math.tanh(abs(z))
         middle_log = math.log1p(-abs(tau) ** 2)
-    first = op_exponential(tau * realization.op(plus), tol=tol)
-    middle = op_exponential(middle_log * realization.op(diag), tol=tol)
-    last = op_exponential(-np.conj(tau) * realization.op(minus), tol=tol)
+    first = op_exponential(tau * realization.op(plus))
+    middle = op_exponential(middle_log * realization.op(diag))
+    last = op_exponential(-np.conj(tau) * realization.op(minus))
     return first @ middle @ last
 
 
-def disentangling_identity_check(realization: AlgebraRealization, zeta: complex,
-                                 tol: float = 1e-15) -> dict:
+def disentangling_identity_check(realization: AlgebraRealization, zeta: complex) -> dict:
     """Entrywise residual between exp(zeta K+ - h.c.) and its three-factor product."""
     raising = realization.raising["K+" if realization.algebra == "su11" else "J+"]
     generator = complex(zeta) * raising - np.conj(complex(zeta)) * raising.adjoint()
-    whole = op_exponential(generator, tol=tol)
-    product = disentangled_product(realization, zeta, tol=tol)
-    residual = float(np.abs(whole.matrix - product.matrix).max())
+    whole = op_exponential(generator)
+    product = disentangled_product(realization, zeta)
+    residual = float(abs(whole.matrix - product.matrix).max())
     return {"algebra": realization.algebra, "M": realization.M,
             "zeta": complex(zeta), "max_residual": residual}
 
@@ -228,8 +226,8 @@ def path_equivalence(family: str, eta2: float, M, theta: float = 0.0,
 # --- sequential rotation chains ------------------------------------------
 #
 # The chains need only one generator per step, so the operators are built
-# directly instead of through a full realization (which would hold a dozen
-# dense matrices on the largest bases used here).
+# directly instead of through a full realization, which would build a dozen
+# generators on the largest bases used here.
 
 
 def _pump_op(basis, M, compact):
@@ -238,14 +236,12 @@ def _pump_op(basis, M, compact):
         w = lambda occ: math.sqrt(max(M - sum(occ), 0.0))
     else:
         w = lambda occ: math.sqrt(M + sum(occ))
-    mat, _, _ = _monomial(basis, create=(0,), weight=w)
-    return LinearOperator(basis, mat)
+    return LinearOperator(basis, _monomial(basis, create=(0,), weight=w)[0])
 
 
 def _transfer_op(basis, j, k):
     """b_j^dag b_k between components j, k (1-indexed)."""
-    mat, _, _ = _monomial(basis, create=(j - 1,), destroy=(k - 1,))
-    return LinearOperator(basis, mat)
+    return LinearOperator(basis, _monomial(basis, create=(j - 1,), destroy=(k - 1,))[0])
 
 
 def _rotation_angles(eta):

@@ -22,7 +22,8 @@ import numpy as np
 from scipy.special import gammaln, roots_legendre
 
 from . import distributions as dist
-from .fock import Cutoff, LinearOperator, StateVector, TruncatedBasis, enumerate_basis
+from .fock import (Cutoff, LinearOperator, StateVector, TruncatedBasis, diagonal_op,
+                   enumerate_basis)
 
 DEFAULT_NODES = {1: (64, 64), 2: (24, 24)}
 
@@ -44,7 +45,7 @@ def projector_fixed_M(basis: TruncatedBasis, M: int) -> LinearOperator:
         raise ValueError(
             f"basis holds {int(on_shell.sum())} of the {expected} shell states with total {M}"
         )
-    return LinearOperator(basis, np.diag(on_shell.astype(complex)))
+    return diagonal_op(basis, on_shell)
 
 
 @dataclass(frozen=True)
@@ -101,24 +102,17 @@ def projected_state(spec: MeasureSpec, xi) -> StateVector:
     return StateVector(basis, np.exp(log_mag) * mono * (1.0 + s) ** (-spec.M / 2.0))
 
 
-def resolution_check(spec: MeasureSpec, tolerance: float = None,
-                     allow_high_rank: bool = False) -> dict:
-    """Quadrature of the overcompleteness integral against the shell identity.
+def _shell_quadrature(spec: MeasureSpec):
+    """The shell basis and the quadrature of integral dmu(xi) |xi><xi| on it.
 
-    Accumulates integral dmu(xi) |xi><xi| over C^r with the nested radial
-    substitution described in the module docstring and a uniform angular rule
-    (exact once the angular node count exceeds M), then reports the entrywise
-    and trace residuals against the identity on the shell basis.  Rank r >= 3
-    costs nodes^{2r} evaluations and must be requested explicitly.
+    Each node's vector is radial_p o ang, with one real radial factor per
+    radial node and the same angular factor at every node, so the node sum
+    sum_p w_p (radial_p o ang)(radial_p o ang)^H is (R diag(w) R^T) o (A A^H):
+    the same finite quadrature, reassociated into two matrix products.
     """
     r, M = spec.r, spec.M
-    if r >= 3 and not allow_high_rank:
-        raise ValueError(
-            "rank >= 3 quadrature grows as nodes^(2r); pass allow_high_rank=True to run it"
-        )
     nrad, nang = spec.nodes_radial, spec.nodes_angular
     basis = enumerate_basis(r + 1, Cutoff.shell(M))
-    d = len(basis)
     occ_all = basis.occupations.astype(float)
     nprime = occ_all[:, 1:]  # (d, r)
     log_coeff = 0.5 * (gammaln(M + 1) - gammaln(occ_all + 1.0).sum(axis=1))
@@ -138,7 +132,6 @@ def resolution_check(spec: MeasureSpec, tolerance: float = None,
     s_prev = np.hstack([np.ones((uu.shape[0], 1)), s_part[:, :-1]])
     jac = (0.5 ** r) * np.prod(s_prev / (1.0 - uu) ** 2, axis=1)
     one_plus = s_part[:, -1]  # 1 + |rho|^2, exactly
-    log_rho2 = np.log(rho2)
 
     phi = 2.0 * np.pi * np.arange(nang) / nang
     phis = np.stack([g.ravel() for g in np.meshgrid(*([phi] * r), indexing="ij")], axis=1)
@@ -146,20 +139,35 @@ def resolution_check(spec: MeasureSpec, tolerance: float = None,
     ang_weight = (2.0 * np.pi / nang) ** r
 
     const = math.exp(gammaln(M + r + 1) - gammaln(M + 1)) / math.pi ** r
-    contributions = np.empty((uu.shape[0], d, d), dtype=complex)
-    for p in range(uu.shape[0]):
-        radial = np.exp(log_coeff + 0.5 * (nprime @ log_rho2[p]) - 0.5 * M * math.log(one_plus[p]))
-        vecs = radial[:, None] * ang
-        weight = const * jac[p] * wprod[p] * ang_weight / one_plus[p] ** (r + 1)
-        contributions[p] = weight * (vecs @ vecs.conj().T)
-    accumulated = contributions.sum(axis=0)  # numpy pairwise summation over nodes
+    radial = np.exp(log_coeff[:, None] + 0.5 * (nprime @ np.log(rho2).T)
+                    - 0.5 * M * np.log(one_plus))  # (d, nrad^r)
+    weight = const * jac * wprod * ang_weight / one_plus ** (r + 1)
+    return basis, ((radial * weight) @ radial.T) * (ang @ ang.conj().T)
 
+
+def resolution_check(spec: MeasureSpec, tolerance: float = None,
+                     allow_high_rank: bool = False) -> dict:
+    """Quadrature of the overcompleteness integral against the shell identity.
+
+    Accumulates integral dmu(xi) |xi><xi| over C^r with the nested radial
+    substitution described in the module docstring and a uniform angular rule
+    (exact once the angular node count exceeds M), then reports the entrywise
+    and trace residuals against the identity on the shell basis.  Rank r >= 3
+    costs nodes^r radial and nodes^r angular evaluations per basis state and
+    must be requested explicitly.
+    """
+    if spec.r >= 3 and not allow_high_rank:
+        raise ValueError(
+            "rank >= 3 quadrature grows as nodes^r; pass allow_high_rank=True to run it"
+        )
+    basis, accumulated = _shell_quadrature(spec)
+    d = len(basis)
     diff = np.abs(accumulated - np.eye(d))
     worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
     report = {
-        "r": r,
-        "M": M,
-        "nodes": {"radial": nrad, "angular": nang},
+        "r": spec.r,
+        "M": spec.M,
+        "nodes": {"radial": spec.nodes_radial, "angular": spec.nodes_angular},
         "max_entry_residual": float(diff[worst]),
         "trace_residual": float(abs(np.trace(accumulated) - d)),
         "worst_entry": {"row": list(basis.states[worst[0]]), "col": list(basis.states[worst[1]])},

@@ -54,8 +54,8 @@ def test_su2_hp_two_level_block():
     # M = 1 restricts the ladder to a single excitation: a Pauli-type block
     basis = enumerate_basis(1, Cutoff.per_mode(1))
     real = su2_hp(basis, 1)
-    jp = real.op("J+").matrix
-    jm = real.op("J-").matrix
+    jp = real.op("J+").matrix.toarray()
+    jm = real.op("J-").matrix.toarray()
     np.testing.assert_allclose(jp, np.array([[0, 0], [1, 0]], dtype=complex), atol=1e-15)
     np.testing.assert_allclose(jm, jp.conj().T, atol=0)
     comm = jp @ jm - jm @ jp
@@ -116,6 +116,69 @@ def test_corrupted_generator_fails_loudly():
     real = su11_hp(basis, 2.0)
     real.op("K+").matrix[3, 2] *= 1.5
     reports = verify_algebra(real)
+    assert _worst(reports) > 0.1
+
+
+def _all_realizations():
+    return [
+        su11_bilinear(enumerate_basis(2, Cutoff.total(8)), 2.0),
+        su11_hp(enumerate_basis(1, Cutoff.per_mode(9)), 2.5),
+        su2_bilinear(enumerate_basis(2, Cutoff.shell(4)), 4),
+        su2_hp(enumerate_basis(1, Cutoff.per_mode(4)), 4),
+        su_r1_bilinear(enumerate_basis(3, Cutoff.total(6)), 2.0),
+        su_r1_hp(enumerate_basis(2, Cutoff.total(6)), 1.5),
+        su_rp1_bilinear(enumerate_basis(3, Cutoff.shell(3)), 3),
+        su_rp1_hp(enumerate_basis(2, Cutoff.total(3)), 3),
+    ]
+
+
+def test_every_generator_has_at_most_one_entry_per_column():
+    for real in _all_realizations():
+        d = len(real.basis)
+        for label in real.labels:
+            assert real.op(label).matrix.nnz <= d, (real.algebra, real.form, label)
+
+
+def _dense_reports(real):
+    """verify_algebra's reports from dense matrix products and an explicit mask."""
+    d = len(real.basis)
+    dense = {label: real.op(label).matrix.toarray() for label in real.labels}
+    reports = []
+    for name, terms in relations_for(real):
+        acc = np.zeros((d, d), dtype=complex)
+        mask = np.ones(d, dtype=bool)
+        for coeff, labels in terms:
+            if not labels:
+                acc += coeff * np.eye(d)
+            elif len(labels) == 1:
+                acc += coeff * dense[labels[0]]
+                mask &= ~real.lossy[labels[0]]
+            else:
+                a, b = labels
+                acc += coeff * (dense[a] @ dense[b])
+                target_b = real.targets[b]
+                reached = target_b >= 0
+                second = np.ones(d, dtype=bool)
+                second[reached] = ~real.lossy[a][target_b[reached]]
+                mask &= ~real.lossy[b] & second
+        col_res = np.abs(acc[:, mask]).max(axis=0)
+        worst = int(np.argmax(col_res))
+        reports.append({"relation": name, "max_residual": float(col_res[worst]),
+                        "worst_state": list(real.basis.states[np.flatnonzero(mask)[worst]]),
+                        "interior_count": int(mask.sum())})
+    return reports
+
+
+def test_verify_algebra_matches_dense_reference():
+    for real in _all_realizations()[::2] + [su_r1_hp(enumerate_basis(3, Cutoff.total(5)), 2.0)]:
+        assert verify_algebra(real) == _dense_reports(real), (real.algebra, real.form)
+
+
+def test_verify_algebra_matches_dense_reference_on_corrupted_generator():
+    real = su11_hp(enumerate_basis(1, Cutoff.per_mode(10)), 2.0)
+    real.op("K+").matrix[3, 2] *= 1.5
+    reports = verify_algebra(real)
+    assert reports == _dense_reports(real)
     assert _worst(reports) > 0.1
 
 

@@ -47,6 +47,18 @@ def test_state_floats_round_trip_17_digits(tmp_path):
     assert vacuum == math.exp(-1.0)  # exact round trip, not approximate
 
 
+@pytest.mark.parametrize("args", [
+    ("--family", "nbs", "--eta2", "0.95", "--M", "3.5"),
+    ("--family", "coherent", "--alpha2", "5", "--tail-tol", "1e-16"),
+])
+def test_state_near_tail_tolerance_succeeds_promptly(tmp_path, args):
+    # the exact tail cutoff leaves the re-measured deficit within tolerance,
+    # and a tolerance near roundoff still ends the cutoff search
+    proc = subprocess.run(CLI + ["state", *args, "--out", str(tmp_path / "edge")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_state_multimode(tmp_path):
     base = tmp_path / "ms"
     proc = run_cli("state", "--family", "ms", "--eta2", "0.3,0.2", "--M", "3",

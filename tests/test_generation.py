@@ -157,7 +157,7 @@ def test_disentangling_identity_noncompact():
 def test_disentangled_product_zero_is_identity():
     basis = enumerate_basis(1, Cutoff.per_mode(4))
     prod = disentangled_product(su2_hp(basis, 4), 0.0)
-    np.testing.assert_allclose(prod.matrix, np.eye(5), atol=0)
+    np.testing.assert_allclose(prod.matrix.toarray(), np.eye(5), atol=0)
 
 
 # --- route equivalence --------------------------------------------------------
@@ -212,6 +212,19 @@ def test_sequential_chain_noncompact_rank_three():
     target = build_state(spec, basis=basis)
     psi = sequential_nms(eta, thetas, 2.0, basis)
     assert fidelity(psi, target) >= 1 - 1e-8
+
+
+def test_sequential_chain_rank_three_large_basis():
+    # d = C(43, 3) = 12341: past the size a dense d x d operator could hold
+    eta2 = (0.09, 0.06, 0.05)
+    thetas = (0.2, 0.9, 1.7)
+    eta = tuple(math.sqrt(e) for e in eta2)
+    basis = enumerate_basis(3, Cutoff.total(40))
+    assert len(basis) == 12341
+    psi = sequential_nms(eta, thetas, 2.0, basis)
+    assert abs(psi.norm2() - 1.0) <= 1e-12
+    spec = StateSpec("neg_multinomial", NegMultinomialParams(eta, 2.0), thetas)
+    assert fidelity(psi, build_state(spec, basis=basis)) >= 1 - 1e-8
 
 
 def test_sequential_chain_compact():

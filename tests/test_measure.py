@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, roots_legendre
 
 from fockbench.distributions import BinomialParams, MultinomialParams, binomial_pmf
 from fockbench.fock import Cutoff, enumerate_basis, fidelity
 from fockbench.measure import (
     MeasureSpec,
+    _shell_quadrature,
     measure_density,
     projected_state,
     projector_fixed_M,
@@ -70,7 +72,7 @@ def test_projected_state_matches_shell_family():
 def test_projector_shape_and_idempotence():
     basis = enumerate_basis(3, Cutoff.total(5))
     proj = projector_fixed_M(basis, 3)
-    mat = proj.matrix
+    mat = proj.matrix.toarray()
     np.testing.assert_allclose(mat, mat.conj().T, atol=0)
     np.testing.assert_allclose(mat @ mat, mat, atol=0)
     assert int(round(np.trace(mat).real)) == math.comb(3 + 2, 2)
@@ -111,6 +113,41 @@ def test_resolution_angular_aliasing_control():
     assert coarse["max_entry_residual"] > 1e-3
     fine = resolution_check(MeasureSpec(r=1, M=12, nodes_radial=16, nodes_angular=16))
     assert fine["max_entry_residual"] < 1e-12
+
+
+def _per_node_quadrature(spec):
+    """The shell quadrature as a sum of one weighted outer product per radial node."""
+    r, M = spec.r, spec.M
+    occ = enumerate_basis(r + 1, Cutoff.shell(M)).occupations.astype(float)
+    nprime = occ[:, 1:]
+    log_coeff = 0.5 * (gammaln(M + 1) - gammaln(occ + 1.0).sum(axis=1))
+    x, w = roots_legendre(spec.nodes_radial)
+    u1, w1 = 0.5 * (x + 1.0), 0.5 * w
+    phi = 2.0 * np.pi * np.arange(spec.nodes_angular) / spec.nodes_angular
+    phis = np.array(np.meshgrid(*([phi] * r), indexing="ij")).reshape(r, -1)
+    ang = np.exp(1j * (nprime @ phis))
+    ang_weight = (2.0 * np.pi / spec.nodes_angular) ** r
+    const = math.exp(gammaln(M + r + 1) - gammaln(M + 1)) / math.pi ** r
+    total = np.zeros((len(occ), len(occ)), dtype=complex)
+    for idx in np.ndindex(*([spec.nodes_radial] * r)):
+        u = u1[list(idx)]
+        s_part = np.cumprod(1.0 / (1.0 - u))
+        s_prev = np.concatenate(([1.0], s_part[:-1]))
+        jac = 0.5 ** r * np.prod(s_prev / (1.0 - u) ** 2)
+        one_plus = s_part[-1]
+        radial = np.exp(log_coeff + 0.5 * (nprime @ np.log(u * s_part))
+                        - 0.5 * M * math.log(one_plus))
+        vecs = radial[:, None] * ang
+        weight = const * jac * np.prod(w1[list(idx)]) * ang_weight / one_plus ** (r + 1)
+        total += weight * (vecs @ vecs.conj().T)
+    return total
+
+
+@pytest.mark.parametrize("r, M", [(1, 1), (1, 3), (1, 6), (2, 1), (2, 3)])
+def test_factored_quadrature_matches_per_node_sum(r, M):
+    spec = MeasureSpec(r=r, M=M)
+    _, factored = _shell_quadrature(spec)
+    np.testing.assert_allclose(factored, _per_node_quadrature(spec), rtol=0, atol=1e-14)
 
 
 def test_resolution_high_rank_guard():
