@@ -6,6 +6,10 @@ Subcommands
     verify     run a named verification suite and emit a JSON report
     simulate   waiting-time Monte Carlo versus the exact pmf, CSV output
 
+Artifacts are rendered from the basis arrays (occupations, amplitudes,
+probabilities) in one pass, one ``%``-format call per file;
+``fock.state_to_json_dict`` is the library's dict form of the same state file.
+
 Exit codes: 0 success, 2 usage or parameter error, 3 verification failure,
 1 internal error.  The environment variable FOCKBENCH_THREADS caps the
 thread count of the underlying linear-algebra libraries; it must take
@@ -16,6 +20,7 @@ submodules lazily inside the command handlers.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -55,13 +60,35 @@ def _configure_threads():
         os.environ[var] = cap
 
 
-def _fmt(x) -> str:
-    """Round-trippable decimal rendering (17 significant digits)."""
-    return format(float(x), ".17g")
+def _render_rows(row, sep, *columns):
+    """``row`` filled from each row of the (n,) or (n, k) ``columns``, in one % call.
+
+    Values go in as Python ints and floats, so ``%r`` writes a float as ``json`` does.
+    """
+    import numpy as np
+
+    n = len(columns[0])
+    table = np.hstack([c.reshape(n, -1).astype(object) for c in columns])
+    return sep.join([row] * n) % tuple(table.ravel())
 
 
-def _parse_float_list(text):
-    return tuple(float(part) for part in str(text).split(",") if part != "")
+def _json_with_entries(head, rows):
+    """``json.dump(head, indent=2)`` + newline, ``rows`` replacing its ``"entries": null``."""
+    entries = "[" + rows + "\n  ]" if rows else "[]"
+    return json.dumps(head, indent=2).replace('\n  "entries": null',
+                                              '\n  "entries": ' + entries, 1) + "\n"
+
+
+def _parse_float_list(key, value):
+    """Floats from a comma-separated string or a JSON list of numbers."""
+    if isinstance(value, list):
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+            raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+        return tuple(float(v) for v in value)
+    try:
+        return tuple(float(part) for part in str(value).split(",") if part != "")
+    except ValueError:
+        raise ValueError(f"{key} must be comma-separated numbers, got {value!r}") from None
 
 
 def _build_parser():
@@ -143,7 +170,7 @@ def _merged(args, config, key, default=None):
 def _cmd_state(args) -> int:
     from . import distributions as dist
     from . import states as st
-    from .fock import Cutoff, enumerate_basis, state_to_json_dict
+    from .fock import Cutoff, enumerate_basis
 
     config = _load_config(args.config)
     family_raw = _merged(args, config, "family")
@@ -156,7 +183,7 @@ def _cmd_state(args) -> int:
     alpha2 = _merged(args, config, "alpha2")
     eta2_raw = _merged(args, config, "eta2")
     m_value = _merged(args, config, "M")
-    thetas = _parse_float_list(_merged(args, config, "theta", "")) or ()
+    thetas = _parse_float_list("theta", _merged(args, config, "theta", ""))
 
     if family == "coherent":
         if alpha2 is None:
@@ -167,7 +194,7 @@ def _cmd_state(args) -> int:
             raise ValueError(f"--eta2 is required for the {family_raw} family")
         if m_value is None:
             raise ValueError(f"--M is required for the {family_raw} family")
-        eta2 = _parse_float_list(eta2_raw)
+        eta2 = _parse_float_list("eta2", eta2_raw)
         if family == "binomial":
             if len(eta2) != 1:
                 raise ValueError("binomial takes a single eta^2 value")
@@ -199,43 +226,37 @@ def _cmd_state(args) -> int:
     if pmf_format not in ("csv", "json"):
         raise ValueError("pmf format must be csv or json")
 
-    payload = state_to_json_dict(psi)
-    payload["family"] = family
-    payload["parameters"] = _params_dict(params)
-    payload["phases"] = list(spec.phases)
-    payload["norm_deficit"] = deficit
+    basis, amps = psi.basis, psi.amplitudes
+    kept = abs(amps) > 0.0  # the entries state_to_json_dict(psi) keeps
+    entry = ('\n    {\n      "occupations": [' + ",".join(["\n        %d"] * basis.modes)
+             + '\n      ],\n      ')
+    head = {"schema": "fockbench.state/1", "modes": basis.modes,
+            "cutoff": basis.cutoff.to_json_dict(), "entries": None, "family": family,
+            "parameters": dataclasses.asdict(params), "phases": list(spec.phases),
+            "norm_deficit": deficit}
     state_path = f"{base}_state.json"
     with open(state_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+        handle.write(_json_with_entries(head, _render_rows(
+            entry + '"re": %r,\n      "im": %r\n    }', ",",
+            basis.occupations[kept], amps.real[kept], amps.imag[kept])))
 
-    probs = st.number_distribution(psi)
+    probs = st.number_distribution(psi).probabilities
     pmf_path = f"{base}_pmf.{pmf_format}"
     if pmf_format == "csv":
-        lines = [",".join([f"n{j}" for j in range(psi.basis.modes)] + ["p"])]
-        for occ, p in zip(psi.basis.states, probs.probabilities):
-            lines.append(",".join([str(n) for n in occ] + [_fmt(p)]))
-        with open(pmf_path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        header = ",".join([f"n{j}" for j in range(basis.modes)] + ["p"])
+        row = ",".join(["%d"] * basis.modes + ["%.17g\n"])
+        text = header + "\n" + _render_rows(row, "", basis.occupations, probs)
     else:
-        entries = [{"occupations": list(occ), "p": float(p)}
-                   for occ, p in zip(psi.basis.states, probs.probabilities)]
-        with open(pmf_path, "w", encoding="utf-8") as handle:
-            json.dump({"schema": "fockbench.pmf/1", "entries": entries}, handle, indent=2)
-            handle.write("\n")
+        text = _json_with_entries({"schema": "fockbench.pmf/1", "entries": None},
+                                  _render_rows(entry + '"p": %r\n    }', ",",
+                                               basis.occupations, probs))
+    with open(pmf_path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
     print(f"wrote {state_path}")
     print(f"wrote {pmf_path}")
-    print(f"norm deficit: {_fmt(deficit)}")
+    print(f"norm deficit: {deficit:.17g}")
     return 0
-
-
-def _params_dict(params):
-    out = {}
-    for name in getattr(params, "__dataclass_fields__", {}):
-        value = getattr(params, name)
-        out[name] = list(value) if isinstance(value, tuple) else value
-    return out
 
 
 # --- verify ----------------------------------------------------------------
@@ -465,10 +486,8 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--seed is required (sampling must be reproducible)")
     params = dist.NegBinomialParams(float(eta2), float(m_value))
     result = dist.waiting_time_simulate(params, int(trials), int(seed))
-    lines = ["n,p,p_hat,stderr"]
-    for n, p, p_hat, err in zip(result.n, result.p, result.p_hat, result.stderr):
-        lines.append(",".join([str(int(n)), _fmt(p), _fmt(p_hat), _fmt(err)]))
-    text = "\n".join(lines) + "\n"
+    text = "n,p,p_hat,stderr\n" + _render_rows("%d,%.17g,%.17g,%.17g\n", "", result.n,
+                                                 result.p, result.p_hat, result.stderr)
     out = _merged(args, config, "out")
     if out:
         with open(out, "w", encoding="utf-8") as handle:

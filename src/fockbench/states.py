@@ -77,6 +77,9 @@ def auto_basis(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL, guard: int =
     ``guard`` adds headroom levels for states that will be hit by raising
     operators afterwards.
     """
+    _check_tail_tol(tail_tol)
+    if int(guard) != guard or guard < 0:
+        raise ValueError(f"guard must be a non-negative integer, got {guard!r}")
     fam, p = spec.family, spec.params
     if fam == "coherent":
         n_max = dist.poisson_cutoff(p, tail_tol)
@@ -95,6 +98,11 @@ def auto_basis(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL, guard: int =
     marginal = dist.NegBinomialParams(sum(e * e for e in p.eta), p.M)
     n_max = dist.neg_binomial_cutoff(marginal, tail_tol)
     return enumerate_basis(p.r, Cutoff.total(n_max + guard))
+
+
+def _check_tail_tol(tail_tol):
+    if not 0.0 < tail_tol < 1.0:  # also false for NaN
+        raise ValueError(f"tail tolerance must be a finite number in (0, 1), got {tail_tol!r}")
 
 
 def _check_deficit(deficit, tail_tol, family):
@@ -127,6 +135,7 @@ def _family_state(spec: StateSpec, basis: TruncatedBasis, tail_tol: float) -> St
     A finite support (binomial, multinomial) must lie wholly inside the basis;
     an infinite one must leave at most ``tail_tol`` of the mass outside it.
     """
+    _check_tail_tol(tail_tol)
     if basis.modes != spec.modes:
         raise ValueError(f"{spec.family} state needs a {spec.modes}-mode basis, got {basis.modes}")
     log_pmf, columns, finite_support = _LAWS[spec.family]

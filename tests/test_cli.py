@@ -106,6 +106,49 @@ def test_state_non_finite_parameter_exits_two(tmp_path, args):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--tail-tol", "2"), "tail tolerance"),
+    (("--tail-tol", "inf"), "tail tolerance"),
+    (("--guard", "-3"), "guard"),
+])
+def test_state_bad_sizing_exits_two(tmp_path, args, message):
+    proc = run_cli("state", "--family", "nbs", "--eta2", "0.5", "--M", "2", *args,
+                   "--out", str(tmp_path / "bad"))
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "cutoff too small" not in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_config_lists_match_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "ms", "eta2": [0.3, 0.2], "M": 3,
+                               "theta": [0.4, 0.9]}))
+    proc = run_cli("state", "--config", str(cfg), "--out", str(tmp_path / "cfg"))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("state", "--family", "ms", "--eta2", "0.3,0.2", "--M", "3",
+                   "--theta", "0.4,0.9", "--out", str(tmp_path / "flags"))
+    assert proc.returncode == 0, proc.stderr
+    for suffix in ("_state.json", "_pmf.csv"):
+        assert ((tmp_path / f"cfg{suffix}").read_bytes()
+                == (tmp_path / f"flags{suffix}").read_bytes())
+
+
+@pytest.mark.parametrize("entry", [
+    {"eta2": [0.3, "x"]},
+    {"eta2": [0.3, True]},
+    {"eta2": [0.3, 0.2], "theta": [0.4, None]},
+    {"eta2": "0.3,abc"},
+])
+def test_config_non_numeric_list_exits_two(tmp_path, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "ms", "M": 3, **entry}))
+    proc = run_cli("state", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert proc.returncode == 2, proc.stderr
+    assert list(entry)[-1] in proc.stderr
+    assert not list(tmp_path.glob("x_*"))
+
+
 def test_verify_passing_suite_exits_zero(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("verify", "identity", "--out", str(out))

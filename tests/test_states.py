@@ -176,6 +176,26 @@ def test_auto_basis_covers_tail():
     assert 1.0 - psi.norm2() < 1e-12
 
 
+@pytest.mark.parametrize("tail_tol", [0.0, -1e-12, 1.0, 2.0, math.inf, math.nan])
+def test_tail_tolerance_outside_unit_interval_is_refused(tail_tol):
+    spec = _spec("neg_binomial", NegBinomialParams(0.5, 2.0))
+    basis = enumerate_basis(1, Cutoff.per_mode(40))
+    for call in (lambda: auto_basis(spec, tail_tol=tail_tol),
+                 lambda: build_state(spec, tail_tol=tail_tol),
+                 lambda: build_state(spec, basis, tail_tol=tail_tol)):
+        with pytest.raises(ValueError, match="tail tolerance"):
+            call()
+
+
+@pytest.mark.parametrize("guard", [-1, -3, 1.5])
+def test_guard_must_be_a_non_negative_integer(guard):
+    spec = _spec("neg_binomial", NegBinomialParams(0.5, 2.0))
+    with pytest.raises(ValueError, match="guard"):
+        auto_basis(spec, guard=guard)
+    with pytest.raises(ValueError, match="guard"):
+        build_state(spec, guard=guard)
+
+
 def test_phase_count_validation():
     with pytest.raises(ValueError):
         StateSpec("coherent", PoissonParams(1.0), (0.1, 0.2))
