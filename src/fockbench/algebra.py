@@ -22,9 +22,6 @@ import scipy.sparse as sp
 
 from .fock import LinearOperator, TruncatedBasis, _monomial
 
-_SQRT = math.sqrt
-
-
 @dataclass
 class AlgebraRealization:
     """A named set of generators with truncation metadata.
@@ -90,9 +87,9 @@ def su11_bilinear(basis: TruncatedBasis, M: float) -> AlgebraRealization:
     raising = {"K+": _monomial(basis, create=(0, 1))}
     lowering = {"K-": _monomial(basis, destroy=(0, 1))}
     diagonal = {
-        "K0": _monomial(basis, weight=lambda occ: 0.5 * (occ[0] + occ[1] + 1)),
-        "N0": _monomial(basis, weight=lambda occ: occ[0]),
-        "N1": _monomial(basis, weight=lambda occ: occ[1]),
+        "K0": _monomial(basis, weight=lambda occ: 0.5 * (occ[:, 0] + occ[:, 1] + 1)),
+        "N0": _monomial(basis, weight=lambda occ: occ[:, 0]),
+        "N1": _monomial(basis, weight=lambda occ: occ[:, 1]),
     }
     return _bundle("su11", "bilinear", basis, M, raising, lowering, diagonal)
 
@@ -103,13 +100,13 @@ def su11_hp(basis: TruncatedBasis, M: float) -> AlgebraRealization:
         raise ValueError("su11_hp needs a 1-mode basis")
     if not M > 0:
         raise ValueError("M must be positive")
-    w = lambda occ: _SQRT(M + occ[0])
+    w = lambda occ: np.sqrt(M + occ[:, 0])
     raising = {"K+": _monomial(basis, create=(0,), weight=w)}
     lowering = {"K-": _monomial(basis, destroy=(0,), weight=w)}
     diagonal = {
-        "K0": _monomial(basis, weight=lambda occ: occ[0] + M / 2.0),
-        "N0": _monomial(basis, weight=lambda occ: M - 1 + occ[0]),
-        "N1": _monomial(basis, weight=lambda occ: occ[0]),
+        "K0": _monomial(basis, weight=lambda occ: occ[:, 0] + M / 2.0),
+        "N0": _monomial(basis, weight=lambda occ: M - 1 + occ[:, 0]),
+        "N1": _monomial(basis, weight=lambda occ: occ[:, 0]),
     }
     return _bundle("su11", "holstein_primakoff", basis, M, raising, lowering, diagonal)
 
@@ -123,9 +120,9 @@ def su2_bilinear(basis: TruncatedBasis, M: int) -> AlgebraRealization:
     raising = {"J+": _monomial(basis, create=(1,), destroy=(0,))}
     lowering = {"J-": _monomial(basis, create=(0,), destroy=(1,))}
     diagonal = {
-        "J0": _monomial(basis, weight=lambda occ: 0.5 * (occ[1] - occ[0])),
-        "N0": _monomial(basis, weight=lambda occ: occ[0]),
-        "N1": _monomial(basis, weight=lambda occ: occ[1]),
+        "J0": _monomial(basis, weight=lambda occ: 0.5 * (occ[:, 1] - occ[:, 0])),
+        "N0": _monomial(basis, weight=lambda occ: occ[:, 0]),
+        "N1": _monomial(basis, weight=lambda occ: occ[:, 1]),
     }
     return _bundle("su2", "bilinear", basis, int(M), raising, lowering, diagonal)
 
@@ -137,18 +134,17 @@ def su2_hp(basis: TruncatedBasis, M: int) -> AlgebraRealization:
     if int(M) != M or M < 1:
         raise ValueError("M must be a positive integer")
     M = int(M)
-    levels = sorted(occ[0] for occ in basis.states)
-    if levels != list(range(M + 1)):
+    if not np.array_equal(np.sort(basis.occupations[:, 0]), np.arange(M + 1)):
         raise ValueError(
             f"su2_hp needs the basis to hold exactly levels 0..{M} (spin-M/2 block)"
         )
-    w = lambda occ: _SQRT(max(M - occ[0], 0))
+    w = lambda occ: np.sqrt(np.maximum(M - occ[:, 0], 0))
     raising = {"J+": _monomial(basis, create=(0,), weight=w)}
     lowering = {"J-": _monomial(basis, destroy=(0,), weight=w)}
     diagonal = {
-        "J0": _monomial(basis, weight=lambda occ: occ[0] - M / 2.0),
-        "N0": _monomial(basis, weight=lambda occ: M - occ[0]),
-        "N1": _monomial(basis, weight=lambda occ: occ[0]),
+        "J0": _monomial(basis, weight=lambda occ: occ[:, 0] - M / 2.0),
+        "N0": _monomial(basis, weight=lambda occ: M - occ[:, 0]),
+        "N1": _monomial(basis, weight=lambda occ: occ[:, 0]),
     }
     return _bundle("su2", "holstein_primakoff", basis, M, raising, lowering, diagonal)
 
@@ -171,7 +167,7 @@ def su_r1_bilinear(basis: TruncatedBasis, M: float) -> AlgebraRealization:
             group = raising if j > k else lowering
             group[f"K{j}{k}"] = _monomial(basis, create=(j,), destroy=(k,))
     for j in range(r + 1):
-        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[j])
+        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[:, j])
     return _bundle("su_r1", "bilinear", basis, M, raising, lowering, diagonal)
 
 
@@ -184,7 +180,7 @@ def su_r1_hp(basis: TruncatedBasis, M: float) -> AlgebraRealization:
     r = basis.modes
     if not M > 0:
         raise ValueError("M must be positive")
-    w = lambda occ: _SQRT(M + sum(occ))
+    w = lambda occ: np.sqrt(M + occ.sum(axis=1))
     raising, lowering, diagonal = {}, {}, {}
     for j in range(1, r + 1):
         raising[f"K+{j}"] = _monomial(basis, create=(j - 1,), weight=w)
@@ -195,9 +191,9 @@ def su_r1_hp(basis: TruncatedBasis, M: float) -> AlgebraRealization:
                 continue
             group = raising if j > k else lowering
             group[f"K{j}{k}"] = _monomial(basis, create=(j - 1,), destroy=(k - 1,))
-    diagonal["N0"] = _monomial(basis, weight=lambda occ: M - 1 + sum(occ))
+    diagonal["N0"] = _monomial(basis, weight=lambda occ: M - 1 + occ.sum(axis=1))
     for j in range(1, r + 1):
-        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[j - 1])
+        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[:, j - 1])
     return _bundle("su_r1", "holstein_primakoff", basis, M, raising, lowering, diagonal)
 
 
@@ -216,7 +212,7 @@ def su_rp1_bilinear(basis: TruncatedBasis, M: int) -> AlgebraRealization:
             group = raising if j > k else lowering
             group[f"J{j}{k}"] = _monomial(basis, create=(j,), destroy=(k,))
     for j in range(r + 1):
-        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[j])
+        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[:, j])
     return _bundle("su_rp1", "bilinear", basis, int(M), raising, lowering, diagonal)
 
 
@@ -231,11 +227,11 @@ def su_rp1_hp(basis: TruncatedBasis, M: int) -> AlgebraRealization:
         raise ValueError("M must be a positive integer")
     M = int(M)
     expected = math.comb(M + r, r)
-    if len(basis) != expected or any(sum(occ) > M for occ in basis.states):
+    if len(basis) != expected or (basis.totals > M).any():
         raise ValueError(
             f"su_rp1_hp needs exactly the {expected} states with total occupation <= {M}"
         )
-    w = lambda occ: _SQRT(max(M - sum(occ), 0))
+    w = lambda occ: np.sqrt(np.maximum(M - occ.sum(axis=1), 0))
     raising, lowering, diagonal = {}, {}, {}
     for j in range(1, r + 1):
         raising[f"J{j}0"] = _monomial(basis, create=(j - 1,), weight=w)
@@ -246,9 +242,9 @@ def su_rp1_hp(basis: TruncatedBasis, M: int) -> AlgebraRealization:
                 continue
             group = raising if j > k else lowering
             group[f"J{j}{k}"] = _monomial(basis, create=(j - 1,), destroy=(k - 1,))
-    diagonal["N0"] = _monomial(basis, weight=lambda occ: M - sum(occ))
+    diagonal["N0"] = _monomial(basis, weight=lambda occ: M - occ.sum(axis=1))
     for j in range(1, r + 1):
-        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[j - 1])
+        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[:, j - 1])
     return _bundle("su_rp1", "holstein_primakoff", basis, M, raising, lowering, diagonal)
 
 
@@ -411,11 +407,11 @@ def verify_algebra(realization: AlgebraRealization, relations=None) -> list:
             continue
         col_res = col_res[interior]
         worst_local = int(np.argmax(col_res))
-        worst_state = realization.basis.states[np.flatnonzero(interior)[worst_local]]
+        worst_state = realization.basis.occupations[np.flatnonzero(interior)[worst_local]]
         reports.append({
             "relation": name,
             "max_residual": float(col_res[worst_local]),
-            "worst_state": list(worst_state),
+            "worst_state": worst_state.tolist(),
             "interior_count": count,
         })
     return reports
@@ -443,15 +439,16 @@ class ConstraintSubspace:
         self.M = int(self.M)
         if self.parent.modes != self.reduced.modes + 1:
             raise ValueError("parent must have exactly one more mode than the reduced space")
-        pairs = []
-        for ridx, occ in enumerate(self.reduced.states):
-            parent_occ = self.embed(occ)
-            if not self.parent.contains(parent_occ):
-                raise ValueError(
-                    f"reduced state {occ} embeds to {parent_occ}, outside the parent basis"
-                )
-            pairs.append((self.parent.index_of(parent_occ), ridx))
-        self._pairs = tuple(pairs)
+        occ = self.reduced.occupations
+        totals = occ.sum(axis=1)
+        n0 = self.M - 1 + totals if self.kind == "su_r1" else self.M - totals
+        rows = self.parent.rank(np.column_stack((n0, occ)))
+        if (rows < 0).any():
+            first = tuple(occ[int(np.argmax(rows < 0))].tolist())
+            raise ValueError(
+                f"reduced state {first} embeds to {self.embed(first)}, outside the parent basis"
+            )
+        self._rows = rows
 
     def embed(self, occ):
         occ = tuple(occ)
@@ -472,12 +469,12 @@ class ConstraintSubspace:
 
     @property
     def shell_indices(self):
-        return tuple(p for p, _ in self._pairs)
+        return tuple(self._rows.tolist())
 
     def isometry(self) -> sp.csr_array:
         """Parent x reduced CSR matrix with orthonormal columns spanning the shell."""
-        rows, cols = np.array(self._pairs).T
-        return sp.csr_array((np.ones(len(rows)), (rows, cols)),
+        rows = self._rows
+        return sp.csr_array((np.ones(len(rows)), (rows, np.arange(len(rows)))),
                             shape=(len(self.parent), len(self.reduced)))
 
 
@@ -493,7 +490,7 @@ def intertwining_check(bilinear: AlgebraRealization, reduced: AlgebraRealization
     if bilinear.basis != subspace.parent or reduced.basis != subspace.reduced:
         raise ValueError("realizations do not match the subspace bases")
     e = subspace.isometry()
-    parent_rows = np.array(subspace.shell_indices)
+    parent_rows = subspace._rows
     reports = []
     shared = [l for l in reduced.labels if l in set(bilinear.labels)]
     for label in shared:
@@ -509,11 +506,11 @@ def intertwining_check(bilinear: AlgebraRealization, reduced: AlgebraRealization
         np.maximum.at(col_res, diff.indices, np.abs(diff.data))
         col_res = col_res[ok]
         worst_local = int(np.argmax(col_res))
-        worst_state = reduced.basis.states[np.flatnonzero(ok)[worst_local]]
+        worst_state = reduced.basis.occupations[np.flatnonzero(ok)[worst_local]]
         reports.append({
             "label": label,
             "max_residual": float(col_res[worst_local]),
-            "worst_state": list(worst_state),
+            "worst_state": worst_state.tolist(),
             "checked_count": count,
         })
     return reports

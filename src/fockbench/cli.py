@@ -211,16 +211,22 @@ def _cmd_state(args) -> int:
 
     spec = st.StateSpec(family, params, thetas)
     tail_tol = float(_merged(args, config, "tail_tol", st.DEFAULT_TAIL_TOL))
-    guard = int(_merged(args, config, "guard", 0))
+    guard = _merged(args, config, "guard", 0)
+    if (isinstance(guard, bool) or not isinstance(guard, (int, float))
+            or not math.isfinite(guard) or int(guard) != guard or guard < 0):
+        raise ValueError(f"guard must be a non-negative integer, got {guard!r}")
     cutoff = _merged(args, config, "cutoff")
     if cutoff is not None:
+        if guard:
+            raise ValueError("guard and cutoff conflict: a guard widens the automatic "
+                             "cutoff, so give one or the other")
         rule = Cutoff.total if family in ("multinomial", "neg_multinomial") else Cutoff.per_mode
         basis = enumerate_basis(spec.modes, rule(int(cutoff)))
         psi = st.build_state(spec, basis, tail_tol=tail_tol)
     else:
-        psi = st.build_state(spec, tail_tol=tail_tol, guard=guard)
+        psi = st.build_state(spec, tail_tol=tail_tol, guard=int(guard))
 
-    deficit = 1.0 - psi.norm2()
+    deficit = st.norm_deficit(psi, family)
     base = str(_merged(args, config, "out", "fockbench"))
     pmf_format = str(_merged(args, config, "pmf_format", "csv"))
     if pmf_format not in ("csv", "json"):

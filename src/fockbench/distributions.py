@@ -344,25 +344,31 @@ def waiting_time_simulate(p: NegBinomialParams, trials: int, seed: int) -> Waiti
     Each replicate runs Bernoulli trials with failure probability eta2 until
     the M-th success and records the failure count n.  All replicates advance
     in lockstep, one trial per wave, drawn from a single PCG64 stream, so the
-    output is a deterministic function of (seed, trials).
-    Requires integer M.
+    output is a deterministic function of (seed, trials).  The live
+    replicates stay in their original order in one int64 array,
+    successes_left * 2**32 + failures, so wave k hands its k-th draw to the
+    k-th live replicate; finished replicates are binned and dropped each wave.
+    Requires integer M below 2**31.
     """
     if int(p.M) != p.M:
         raise ValueError("waiting-time sampling needs integer M")
     M = int(p.M)
+    if M >= 2**31:
+        raise ValueError(f"waiting-time sampling needs M below 2**31, got {M}")
     if trials < 1:
         raise ValueError("trials must be positive")
     if seed is None:
         raise ValueError("a seed is required for reproducible sampling")
     rng = np.random.default_rng(int(seed))
-    remaining = np.full(trials, M, dtype=np.int64)
-    failures = np.zeros(trials, dtype=np.int64)
-    active = np.arange(trials)
-    while active.size:
-        fail = rng.random(active.size) < p.eta2
-        failures[active[fail]] += 1
-        remaining[active[~fail]] -= 1
-        active = active[remaining[active] > 0]
+    live = np.full(trials, M << 32, dtype=np.int64)
+    finished = []
+    while live.size:
+        live += np.where(rng.random(live.size) < p.eta2, 1, -(1 << 32))
+        done = live < (1 << 32)  # no successes left: the low word is the failure count
+        if done.any():
+            finished.append(live[done])
+            live = live[~done]
+    failures = np.concatenate(finished)
     # bins cover the law's effective support even when the sample never
     # reached it, so sparse tail bins still come with a usable yardstick
     n_max = max(int(failures.max()), neg_binomial_cutoff(p, 1e-12))

@@ -1,10 +1,13 @@
 """Truncated multi-mode bosonic Fock spaces.
 
-Bases are finite slices of the occupation-number lattice, enumerated in graded
-lexicographic order (total occupation ascending, then lexicographic within each
-total).  States are dense complex vectors over such a basis; operators are
-complex CSR matrices, and every ladder monomial among them has at most one
-nonzero per column.  Ladder operators silently drop any transition that would
+Bases are finite slices of the occupation-number lattice, held as one
+(size, modes) int64 occupation array in graded lexicographic order (total
+occupation ascending, then lexicographic within each total).  A vectorised
+rank, built from per-basis tables of bounded-composition counts, maps any
+occupation rows back to their indices.  States are dense complex vectors over
+such a basis; operators are complex CSR matrices, and every ladder monomial
+among them is computed on the whole occupation array at once and has at most
+one nonzero per column.  Ladder operators silently drop any transition that would
 leave the basis, so truncation error shows up only as missing tail mass,
 never as an exception.  One truncated-Taylor series computes both the action
 exp(A)|psi> and the small whole-operator exponentials.
@@ -79,33 +82,27 @@ class Cutoff:
         return cls(d["kind"], d["value"])
 
 
-def _compositions(total, modes, bound):
-    """Yield occupation tuples with the given total, lexicographically ascending."""
-    if modes == 1:
-        if total <= bound:
-            yield (total,)
-        return
-    for first in range(min(total, bound) + 1):
-        for rest in _compositions(total - first, modes - 1, bound):
-            yield (first,) + rest
-
-
 class TruncatedBasis:
     """A graded-lexicographically ordered slice of the Fock lattice.
 
-    Construct via :func:`enumerate_basis`.  Two bases compare equal when they
-    have the same mode count and cutoff (the state list is a pure function of
-    those).
+    The basis is its (size, modes) int64 ``occupations`` array, one row per
+    state in graded-lex order; ``states`` is a tuple-of-tuples view of it,
+    built on first use and cached, and :meth:`rank` maps occupation rows back
+    to their row index.  Construct via :func:`enumerate_basis`.  Two bases
+    compare equal when they have the same mode count and cutoff (the array is
+    a pure function of those).
     """
 
-    def __init__(self, modes: int, cutoff: Cutoff, states):
+    def __init__(self, modes: int, cutoff: Cutoff, occupations):
         self.modes = modes
         self.cutoff = cutoff
-        self.states = tuple(states)
-        self._index = {occ: i for i, occ in enumerate(self.states)}
+        occupations.flags.writeable = False
+        self.occupations = occupations
+        self._states = None
+        self._rank_table = None
 
     def __len__(self):
-        return len(self.states)
+        return len(self.occupations)
 
     def __eq__(self, other):
         return (
@@ -125,29 +122,75 @@ class TruncatedBasis:
 
     @property
     def size(self):
-        return len(self.states)
+        return len(self)
+
+    @property
+    def states(self) -> tuple:
+        """The occupation rows as a tuple of int tuples (built once, then cached)."""
+        if self._states is None:
+            self._states = tuple(map(tuple, self.occupations.tolist()))
+        return self._states
+
+    def _table(self):
+        """Lookup table F with rank(occ) = sum_j F[r-1-j, rem_j], rem_j = sum(occ[j:]).
+
+        Knuth's combinatorial number system for bounded compositions
+        (TAOCP 4A, 7.2.1.3): with Q[m][k] the number of m-part compositions
+        with parts <= bound and total below k, a row's lex rank within its
+        total is sum_j Q[r-1-j][rem_j + 1] - Q[r-1-j][rem_{j+1} + 1], and the
+        Q[r][total] states of lower totals come first (none for a shell).
+        Returned flat, with the offset of each row.
+        """
+        if self._rank_table is None:
+            r, bound = self.modes, self.cutoff.value
+            top = r * bound if self.cutoff.kind == "per_mode" else bound
+            q = np.zeros((r + 1, top + 2), dtype=np.int64)
+            q[0, 1:] = 1
+            for m in range(1, r + 1):
+                # compositions of u into m parts: Q[m-1][u+1] - Q[m-1][u-bound]
+                counts = q[m - 1, 1:].copy()
+                counts[bound + 1:] -= q[m - 1, 1:top - bound + 1]
+                np.cumsum(counts, out=q[m, 1:])
+            inner = q[:, 1:].copy()
+            inner[[0, r]] = 0
+            table = inner[:-1] - inner[1:]
+            if self.cutoff.kind != "shell":
+                table[-1] += q[r, :-1]
+            self._rank_table = (table.ravel(), np.arange(r) * (top + 1))
+        return self._rank_table
+
+    def rank(self, occ) -> np.ndarray:
+        """Graded-lex index of each occupation row, -1 for rows outside the basis."""
+        occ = np.asarray(occ)
+        if occ.dtype.kind == "f":  # a non-integral entry lies outside every basis
+            whole = np.isfinite(occ) & (np.round(occ) == occ) & (np.abs(occ) < 2.0**62)
+            occ = np.where(whole, occ, -1)
+        occ = occ.astype(np.int64, copy=False).reshape(-1, self.modes)
+        flat, offsets = self._table()
+        rem = occ[:, ::-1].cumsum(axis=1)  # rem_j in column r-1-j, the total last
+        value = self.cutoff.value
+        # the unsigned view sends negative occupations above every bound
+        inside = np.maximum.reduce(occ.view(np.uint64), axis=1) <= value
+        if self.cutoff.kind == "total":
+            inside &= rem[:, -1] <= value
+        elif self.cutoff.kind == "shell":
+            inside &= rem[:, -1] == value
+        # rows outside the basis may index anywhere; clip keeps the lookup in bounds
+        found = np.add.reduce(flat.take(rem + offsets, mode="clip"), axis=1)
+        return np.where(inside, found, -1)
 
     def index_of(self, occ) -> int:
         """Position of an occupation vector in the basis; ValueError if absent."""
-        try:
-            return self._index[tuple(occ)]
-        except KeyError:
-            raise ValueError(f"occupation {tuple(occ)} is not in the basis") from None
+        index = int(self.rank(occ)[0]) if len(occ) == self.modes else -1
+        if index < 0:
+            raise ValueError(f"occupation {tuple(occ)} is not in the basis")
+        return index
 
     def contains(self, occ) -> bool:
-        return tuple(occ) in self._index
+        return len(occ) == self.modes and int(self.rank(occ)[0]) >= 0
 
     def state(self, i) -> OccupationVector:
-        return self.states[i]
-
-    @property
-    def occupations(self) -> np.ndarray:
-        """All occupation vectors as an (size, modes) int array."""
-        arr = getattr(self, "_occ_arr", None)
-        if arr is None:
-            arr = np.array(self.states, dtype=np.int64).reshape(len(self.states), self.modes)
-            self._occ_arr = arr
-        return arr
+        return tuple(self.occupations[i].tolist())
 
     @property
     def totals(self) -> np.ndarray:
@@ -157,8 +200,11 @@ class TruncatedBasis:
 def enumerate_basis(modes: int, cutoff: Cutoff, max_states: int = MAX_BASIS_STATES) -> TruncatedBasis:
     """Enumerate the truncated basis in graded lexicographic order.
 
-    Raises ValueError when the cutoff yields an empty basis or more than
-    ``max_states`` states.
+    The rows are written level by level: each prefix (n_0 .. n_{j-1}) with
+    occupation ``rem`` still to place spawns one child per admissible n_j, in
+    ascending order, so the leaves come out sorted.  Raises ValueError when
+    the cutoff yields an empty basis or more than ``max_states`` states,
+    before anything is allocated.
     """
     if int(modes) != modes or modes < 1:
         raise ValueError(f"modes must be a positive integer, got {modes!r}")
@@ -170,19 +216,27 @@ def enumerate_basis(modes: int, cutoff: Cutoff, max_states: int = MAX_BASIS_STAT
         raise ValueError(
             f"cutoff yields {count} basis states, above the cap of {max_states}"
         )
+    bound = cutoff.value
     if cutoff.kind == "shell":
-        totals = [cutoff.value]
-        bound = cutoff.value
-    elif cutoff.kind == "total":
-        totals = range(cutoff.value + 1)
-        bound = cutoff.value
+        rem = np.array([bound], dtype=np.int64)
     else:
-        totals = range(modes * cutoff.value + 1)
-        bound = cutoff.value
-    states = []
-    for t in totals:
-        states.extend(_compositions(t, modes, bound))
-    return TruncatedBasis(modes, cutoff, states)
+        rem = np.arange((modes if cutoff.kind == "per_mode" else 1) * bound + 1)
+    levels = []
+    for after in range(modes - 1, 0, -1):  # modes still to place after this one
+        low = np.maximum(rem - after * bound, 0)
+        width = np.minimum(rem, bound) - low + 1
+        parent = np.repeat(np.arange(len(rem)), width)
+        value = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width - low, width)
+        levels.append((parent, value))
+        rem = rem[parent] - value
+    occ = np.empty((len(rem), modes), dtype=np.int64)
+    occ[:, -1] = rem
+    row = slice(None)
+    for j in range(modes - 2, -1, -1):
+        parent, value = levels[j]
+        occ[:, j] = value[row]
+        row = parent[row]
+    return TruncatedBasis(modes, cutoff, occ)
 
 
 def _check_same_basis(a, b):
@@ -247,7 +301,9 @@ class LinearOperator:
     matrix: sp.csr_array
 
     def __post_init__(self):
-        mat = sp.csr_array(self.matrix, dtype=complex)
+        mat = self.matrix
+        if not (isinstance(mat, sp.csr_array) and mat.dtype == complex):
+            mat = sp.csr_array(mat, dtype=complex)
         d = len(self.basis)
         if mat.shape != (d, d):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({d}, {d})")
@@ -283,64 +339,71 @@ class LinearOperator:
         return LinearOperator(self.basis, -self.matrix)
 
 
-def _column_map(target, weight):
-    """CSR matrix sending basis state s to ``target[s]`` with ``weight[s]``.
+def _column_map(d, source, target, weight):
+    """d x d CSR matrix sending basis state ``source[i]`` to ``target[i]`` with ``weight[i]``.
 
-    Sources with a negative target have no image.  No two sources may share a
-    target, which holds for every monomial: it shifts occupations by a fixed
-    vector.  So each row, like each column, holds at most one entry, and the
-    CSR arrays come straight from the inverse map.
+    Both index arrays must ascend.  They do for every ladder monomial: it
+    shifts all occupations by one fixed vector, which keeps totals and
+    lexicographic comparisons, hence graded-lex order.  So each row, like
+    each column, holds at most one entry, and the pairs are already in CSR
+    order.
     """
-    d = len(target)
-    source = np.full(d, -1, dtype=np.int64)
-    alive = target >= 0
-    source[target[alive]] = np.flatnonzero(alive)
-    hit = source >= 0
-    indices = source[hit]
-    indptr = np.concatenate(([0], np.cumsum(hit)))
-    return sp.csr_array((np.asarray(weight)[indices], indices, indptr), shape=(d, d))
+    indptr = np.searchsorted(target, np.arange(d + 1))  # entries in the rows above each row
+    return sp.csr_array((np.asarray(weight, dtype=complex), source, indptr), shape=(d, d))
 
 
 def _monomial(basis, create=(), destroy=(), weight=None):
     """Build prod(a_j^dag) * weight(occ) * prod(a_k) with exact loss tracking.
 
-    ``weight`` is evaluated on the occupation vector after the destruction
-    step; a zero weight annihilates the state exactly (used for clamped
-    square roots at representation boundaries).  Returns the CSR matrix, a
-    boolean ``lossy`` vector marking source states whose exact image falls
-    outside the basis with non-zero amplitude, and a ``target`` index vector
-    (-1 where the state is annihilated or its image left the basis).
+    Works on the whole occupation array at once.  ``weight`` takes the
+    (n, modes) occupation rows left after the destruction step and returns n
+    values; a zero weight annihilates the state exactly (used for clamped
+    square roots at representation boundaries).  The factors multiply in a
+    fixed order -- each destroy sqrt(n), the weight, each create sqrt(n+1) --
+    so every entry is the same float whatever the basis size.  Returns the
+    CSR matrix, a boolean ``lossy`` vector marking source states whose exact
+    image falls outside the basis with non-zero amplitude, and a ``target``
+    index vector (-1 where the state is annihilated or its image left the
+    basis).
     """
-    d = len(basis)
-    amps = np.zeros(d, dtype=complex)
-    lossy = np.zeros(d, dtype=bool)
-    target = np.full(d, -1, dtype=np.int64)
-    for s, occ in enumerate(basis.states):
-        occ2 = list(occ)
-        amp = 1.0
+    occ = basis.occupations
+    d = len(occ)
+    every = not destroy  # every state is a source until a factor rules some out
+    if destroy:
         alive = True
-        for k in destroy:
-            if occ2[k] == 0:
-                alive = False
-                break
-            amp *= math.sqrt(occ2[k])
-            occ2[k] -= 1
-        if not alive:
-            continue
-        if weight is not None:
-            amp *= weight(occ2)
-            if amp == 0.0:
-                continue
-        for j in create:
-            amp *= math.sqrt(occ2[j] + 1)
-            occ2[j] += 1
-        t = basis._index.get(tuple(occ2))
-        if t is None:
-            lossy[s] = True
-        else:
-            amps[s] = amp
-            target[s] = t
-    return _column_map(target, amps), lossy, target
+        for k in set(destroy):
+            alive = alive & (occ[:, k] >= destroy.count(k))
+        source = np.flatnonzero(alive)
+        rows = occ[source]
+    else:
+        source = np.arange(d)
+        rows = occ.copy() if create else occ
+    amp = 1.0  # the first factor replaces it exactly: 1.0 * x == x
+    for k in destroy:
+        amp = amp * np.sqrt(rows[:, k])
+        rows[:, k] -= 1
+    if weight is not None:
+        amp = amp * weight(rows)
+        kept = amp != 0.0
+        if not kept.all():
+            source, rows, amp, every = source[kept], rows[kept], amp[kept], False
+    for j in create:
+        amp = amp * np.sqrt(rows[:, j] + 1)
+        rows[:, j] += 1
+    if isinstance(amp, float):  # no factor at all: the identity
+        amp = np.ones(d)
+    image = basis.rank(rows) if create or destroy else source.copy()
+    lost = image < 0
+    if every:
+        target, lossy = image, lost
+    else:
+        target = np.full(d, -1, dtype=np.int64)
+        target[source] = image
+        lossy = np.zeros(d, dtype=bool)
+        lossy[source] = lost
+    if np.count_nonzero(lost):
+        source, image, amp = source[~lost], image[~lost], amp[~lost]
+    return _column_map(d, source, image, amp), lossy, target
 
 
 def identity_op(basis: TruncatedBasis) -> LinearOperator:
@@ -348,14 +411,12 @@ def identity_op(basis: TruncatedBasis) -> LinearOperator:
 
 
 def diagonal_op(basis: TruncatedBasis, values) -> LinearOperator:
-    """Diagonal operator; ``values`` is a callable on occupation tuples or an array."""
-    if callable(values):
-        diag = np.array([values(occ) for occ in basis.states], dtype=complex)
-    else:
-        diag = np.asarray(values, dtype=complex)
-        if diag.shape != (len(basis),):
-            raise ValueError("diagonal length does not match basis size")
-    return LinearOperator(basis, _column_map(np.arange(len(basis)), diag))
+    """Diagonal operator from one value per basis state."""
+    diag = np.asarray(values, dtype=complex)
+    if diag.shape != (len(basis),):
+        raise ValueError("diagonal length does not match basis size")
+    index = np.arange(len(basis))
+    return LinearOperator(basis, _column_map(len(basis), index, index, diag))
 
 
 def _check_mode(basis, mode):
@@ -375,12 +436,11 @@ def annihilation_op(basis: TruncatedBasis, mode: int) -> LinearOperator:
 
 
 def number_op(basis: TruncatedBasis, mode: int) -> LinearOperator:
-    mode = _check_mode(basis, mode)
-    return diagonal_op(basis, lambda occ: occ[mode])
+    return diagonal_op(basis, basis.occupations[:, _check_mode(basis, mode)])
 
 
 def total_number_op(basis: TruncatedBasis) -> LinearOperator:
-    return diagonal_op(basis, lambda occ: sum(occ))
+    return diagonal_op(basis, basis.totals)
 
 
 def commutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
@@ -440,9 +500,9 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 def state_to_json_dict(psi: StateVector, threshold: float = 0.0) -> dict:
     """Serialize a state; entries with |amplitude| <= threshold are omitted."""
     entries = []
-    for occ, amp in zip(psi.basis.states, psi.amplitudes):
+    for occ, amp in zip(psi.basis.occupations.tolist(), psi.amplitudes):
         if abs(amp) > threshold:
-            entries.append({"occupations": list(occ), "re": float(amp.real), "im": float(amp.imag)})
+            entries.append({"occupations": occ, "re": float(amp.real), "im": float(amp.imag)})
     return {
         "schema": "fockbench.state/1",
         "modes": psi.basis.modes,
@@ -453,7 +513,15 @@ def state_to_json_dict(psi: StateVector, threshold: float = 0.0) -> dict:
 
 def state_from_json_dict(d: dict) -> StateVector:
     basis = enumerate_basis(d["modes"], Cutoff.from_json_dict(d["cutoff"]))
+    entries = d["entries"]
     amps = np.zeros(len(basis), dtype=complex)
-    for entry in d["entries"]:
-        amps[basis.index_of(tuple(entry["occupations"]))] = entry["re"] + 1j * entry["im"]
+    if entries:
+        occ = [entry["occupations"] for entry in entries]
+        if any(len(row) != basis.modes for row in occ):
+            raise ValueError(f"state entries need {basis.modes} occupations each")
+        index = basis.rank(occ)
+        if (index < 0).any():
+            outside = tuple(occ[int(np.argmax(index < 0))])
+            raise ValueError(f"occupation {outside} is not in the basis")
+        amps[index] = [entry["re"] + 1j * entry["im"] for entry in entries]
     return StateVector(basis, amps)

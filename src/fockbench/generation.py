@@ -83,6 +83,7 @@ def operator_identity_check(M: float, n_max: int, variant: str = "su11") -> list
         ladder = real.raising["K+"]
     reports = []
     lhs = vacuum_state(basis)
+    levels = basis.rank(np.arange(1, n_max + 1))
     for n in range(1, n_max + 1):
         lhs = ladder.apply(lhs)
         scalar = 1.0
@@ -91,7 +92,7 @@ def operator_identity_check(M: float, n_max: int, variant: str = "su11") -> list
         rhs = np.zeros(len(basis), dtype=complex)
         if scalar != 0.0:
             # bare (b^dag)^n |0> has amplitude sqrt(n!) on level n
-            rhs[basis.index_of((n,))] = scalar * math.sqrt(math.factorial(n))
+            rhs[levels[n - 1]] = scalar * math.sqrt(math.factorial(n))
         reports.append({"n": n, "residual": float(np.abs(lhs.amplitudes - rhs).max())})
     return reports
 
@@ -233,9 +234,9 @@ def path_equivalence(family: str, eta2: float, M, theta: float = 0.0,
 def _pump_op(basis, M, compact):
     """b_1^dag sqrt(M -+ sum N): the first-step raising generator."""
     if compact:
-        w = lambda occ: math.sqrt(max(M - sum(occ), 0.0))
+        w = lambda occ: np.sqrt(np.maximum(M - occ.sum(axis=1), 0.0))
     else:
-        w = lambda occ: math.sqrt(M + sum(occ))
+        w = lambda occ: np.sqrt(M + occ.sum(axis=1))
     return LinearOperator(basis, _monomial(basis, create=(0,), weight=w)[0])
 
 

@@ -170,7 +170,8 @@ def resolution_check(spec: MeasureSpec, tolerance: float = None,
         "nodes": {"radial": spec.nodes_radial, "angular": spec.nodes_angular},
         "max_entry_residual": float(diff[worst]),
         "trace_residual": float(abs(np.trace(accumulated) - d)),
-        "worst_entry": {"row": list(basis.states[worst[0]]), "col": list(basis.states[worst[1]])},
+        "worst_entry": {"row": basis.occupations[worst[0]].tolist(),
+                        "col": basis.occupations[worst[1]].tolist()},
     }
     if tolerance is not None:
         report["tolerance"] = float(tolerance)

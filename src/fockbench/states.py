@@ -198,6 +198,18 @@ def build_state(spec: StateSpec, basis: TruncatedBasis = None,
     return _family_state(spec, basis, tail_tol)
 
 
+def norm_deficit(psi: StateVector, family: str) -> float:
+    """Mass of the ``family`` law that the basis of ``psi`` leaves out.
+
+    Exactly 0.0 for a finite support (binomial, multinomial), which
+    :func:`_family_state` requires to lie wholly inside the basis; otherwise
+    1 - |psi|^2, floored at 0.0 where summation roundoff pushes |psi|^2 above 1.
+    """
+    if _LAWS[family][2] is not None:
+        return 0.0
+    return max(0.0, 1.0 - psi.norm2())
+
+
 @dataclass
 class NumberDistribution:
     """|amplitude|^2 per basis state plus the missing-tail deficit."""

@@ -37,7 +37,10 @@ def _reference_state_bytes(family, params, phases, psi):
         "family": family,
         "parameters": _params_dict(params),
         "phases": list(phases),
-        "norm_deficit": 1.0 - psi.norm2(),
+        # a finite support lies wholly in the basis; an infinite one misses a
+        # non-negative tail, so roundoff above |psi|^2 = 1 reads as no deficit
+        "norm_deficit": (0.0 if family in ("binomial", "multinomial")
+                         else max(0.0, 1.0 - psi.norm2())),
     }
     return (json.dumps(payload, indent=2) + "\n").encode()
 

@@ -236,3 +236,50 @@ def test_thread_cap_garbage_warns_and_continues():
     proc = run_cli("verify", "identity", env_extra={"FOCKBENCH_THREADS": "lots"})
     assert proc.returncode == 0
     assert "FOCKBENCH_THREADS" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("--family", "ms", "--eta2", "0.3,0.2", "--M", "3", "--theta", "0.4,0.9"),
+    ("--family", "ms", "--eta2", "0.1,0.25", "--M", "7"),
+    ("--family", "binomial", "--eta2", "0.4", "--M", "6"),
+])
+def test_finite_support_records_zero_norm_deficit(tmp_path, args):
+    # the whole support lies in the basis, so nothing is missing; 1 - |psi|^2
+    # summed in floating point lands a few ulps below zero on these inputs
+    proc = run_cli("state", *args, "--out", str(tmp_path / "fin"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "fin_state.json").read_text())["norm_deficit"] == 0.0
+    assert proc.stdout.splitlines()[-1] == "norm deficit: 0"
+
+
+@pytest.mark.parametrize("args", [
+    ("--family", "nms", "--eta2", "1e-8,1e-9", "--M", "1.5", "--cutoff", "90"),
+    ("--family", "nbs", "--eta2", "0.5", "--M", "1.5"),
+    ("--family", "coherent", "--alpha2", "0.5", "--cutoff", "330"),
+])
+def test_infinite_support_norm_deficit_is_never_negative(tmp_path, args):
+    proc = run_cli("state", *args, "--out", str(tmp_path / "inf"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "inf_state.json").read_text())["norm_deficit"] >= 0.0
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    ({"guard": 1.5}, (), "guard must be a non-negative integer, got 1.5"),
+    ({"guard": -1}, (), "guard must be a non-negative integer"),
+    ({}, ("--guard", "-3", "--cutoff", "60"), "guard must be a non-negative integer"),
+    ({}, ("--guard", "2", "--cutoff", "60"), "guard and cutoff conflict"),
+    ({"guard": 2, "cutoff": 60}, (), "guard and cutoff conflict"),
+])
+def test_bad_guard_exits_two_on_every_path(tmp_path, config, flags, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "nbs", "eta2": 0.5, "M": 2, **config}))
+    proc = run_cli("state", "--config", str(cfg), *flags, "--out", str(tmp_path / "g"))
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert not (tmp_path / "g_state.json").exists()
+
+
+def test_zero_guard_with_cutoff_is_accepted(tmp_path):
+    proc = run_cli("state", "--family", "nbs", "--eta2", "0.5", "--M", "2", "--guard", "0",
+                   "--cutoff", "60", "--out", str(tmp_path / "z"))
+    assert proc.returncode == 0, proc.stderr

@@ -53,6 +53,13 @@ def test_index_round_trip():
     assert not basis.contains((7, 0))
     with pytest.raises(ValueError):
         basis.index_of((7, 0))
+    # whole floats name the same state; anything else lies outside the basis
+    assert basis.index_of((1.0, 2.0)) == basis.index_of((1, 2))
+    for occ in ((1.5, 2), (float("nan"), 0), (float("inf"), 0), (-1, 2), (1, 2, 0), (1,)):
+        assert not basis.contains(occ)
+        with pytest.raises(ValueError):
+            basis.index_of(occ)
+    assert basis.rank([[0, 1], [0.5, 1], [9, 9], [-1, 1]]).tolist() == [1, -1, -1, -1]
 
 
 def test_state_cap_enforced():
@@ -223,3 +230,11 @@ def test_identity_op_is_identity():
     psi = basis_state(basis, (1, 2))
     out = identity_op(basis) @ psi
     assert np.array_equal(out.amplitudes, psi.amplitudes)
+
+
+@pytest.mark.parametrize("occupations", [[7, 0], [1, 0, 0], [0.5, 1], [-1, 1]])
+def test_state_from_json_rejects_entries_outside_the_basis(occupations):
+    payload = state_to_json_dict(vacuum_state(enumerate_basis(2, Cutoff.total(6))))
+    payload["entries"].append({"occupations": occupations, "re": 1.0, "im": 0.0})
+    with pytest.raises(ValueError):
+        state_from_json_dict(payload)
