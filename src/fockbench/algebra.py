@@ -467,10 +467,6 @@ class ConstraintSubspace:
             raise ValueError(f"parent state {occ} is not on the constrained shell")
         return occ[1:]
 
-    @property
-    def shell_indices(self):
-        return tuple(self._rows.tolist())
-
     def isometry(self) -> sp.csr_array:
         """Parent x reduced CSR matrix with orthonormal columns spanning the shell."""
         rows = self._rows

@@ -353,12 +353,11 @@ def _suite_measure(rank=None, m_value=None, nodes=None):
         checks.append(rep)
 
     if rank is not None:
-        rank = int(rank)
-        m_int = 1 if m_value is None else int(m_value)
-        tol = 1e-8 if rank == 1 else 1e-4
-        spec = meas.MeasureSpec(rank, m_int, nodes, nodes)
-        record(meas.resolution_check(spec, tolerance=tol, allow_high_rank=rank >= 3))
+        spec = meas.MeasureSpec(rank, 1 if m_value is None else m_value, nodes, nodes)
+        record(meas.resolution_check(spec, tolerance=1e-8 if spec.r == 1 else 1e-4))
         return checks
+    if m_value is not None:
+        raise ValueError("--M sets the shell of a --r override; pass --r with it")
 
     for rr, mm, tol in ((1, 1, 1e-8), (1, 2, 1e-8), (1, 3, 1e-8), (2, 1, 1e-4), (2, 2, 1e-4)):
         record(meas.resolution_check(meas.MeasureSpec(rr, mm, nodes, nodes), tolerance=tol))

@@ -10,12 +10,14 @@ the unit cube by the nested compactification
 
 under which the integrand becomes a polynomial in u (and a trigonometric
 polynomial in the angles), so Gauss-Legendre x uniform-angle rules are exact
-beyond small node counts instead of merely convergent.
+beyond small node counts instead of merely convergent, and factor over the r
+dimensions: r one-dimensional sums per matrix entry, d^2 r for d states, any rank.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +27,21 @@ from . import distributions as dist
 from .fock import (Cutoff, LinearOperator, StateVector, TruncatedBasis, diagonal_op,
                    enumerate_basis)
 
-DEFAULT_NODES = {1: (64, 64), 2: (24, 24)}
+DEFAULT_NODES = {1: (64, 64), 2: (24, 24)}  # per-rank floors of the default nodes
+# M <= MAX_NODES - 2 keeps the default exact rule under the node ceiling, and the
+# radial table and c_n in double range (at r = 1 they leave it near M = 1020)
+MIN_NODES, MAX_NODES = 8, 1000
+# largest d^2 r a resolution check accepts; r = 6, M = 8 (5.4e7) takes ~1.3 s on one core
+MAX_PAIR_WORK = 10 ** 8
+BLOCK_ROWS = 64  # rows of the quadrature result formed at a time
 
-MIN_NODES = 8
+
+def _whole(name, value, low, high=math.inf):
+    """``value`` as an int in [low, high]; ValueError for NaN, inf, 2.5, "3", ..."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and low <= value <= high and value == int(value)):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
 
 
 def projector_fixed_M(basis: TruncatedBasis, M: int) -> LinearOperator:
@@ -36,9 +50,7 @@ def projector_fixed_M(basis: TruncatedBasis, M: int) -> LinearOperator:
     The basis must contain the complete shell (all C(M+r, r) states with
     r = modes - 1), otherwise the projector would have the wrong rank.
     """
-    if int(M) != M or M < 0:
-        raise ValueError("M must be a non-negative integer")
-    M = int(M)
+    M = _whole("M", M, 0)
     on_shell = basis.totals == M
     expected = math.comb(M + basis.modes - 1, basis.modes - 1)
     if int(on_shell.sum()) != expected:
@@ -58,20 +70,16 @@ class MeasureSpec:
     nodes_angular: int = None
 
     def __post_init__(self):
-        if int(self.r) != self.r or self.r < 1:
-            raise ValueError("r must be a positive integer")
-        if int(self.M) != self.M or self.M < 1:
-            raise ValueError("M must be a positive integer")
-        object.__setattr__(self, "r", int(self.r))
-        object.__setattr__(self, "M", int(self.M))
-        default = DEFAULT_NODES.get(self.r, (max(MIN_NODES, self.M + 2),
-                                              max(MIN_NODES, self.M + 1)))
-        nrad = default[0] if self.nodes_radial is None else int(self.nodes_radial)
-        nang = default[1] if self.nodes_angular is None else int(self.nodes_angular)
-        if nrad < MIN_NODES or nang < MIN_NODES:
-            raise ValueError(f"node counts below {MIN_NODES} per dimension are not allowed")
-        object.__setattr__(self, "nodes_radial", nrad)
-        object.__setattr__(self, "nodes_angular", nang)
+        r, M = _whole("r", self.r, 1), _whole("M", self.M, 1, MAX_NODES - 2)
+        floor_rad, floor_ang = DEFAULT_NODES.get(r, (MIN_NODES, MIN_NODES))
+        # Gauss-Legendre with n nodes is exact to degree 2n - 1 >= M + r - 1, the top
+        # degree of a diagonal entry; n uniform angles resolve phases |n_k - m_k| <= M
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "M", M)
+        for field, default in (("nodes_radial", max(floor_rad, M + 2, -(-(M + r) // 2))),
+                               ("nodes_angular", max(floor_ang, M + 1))):
+            nodes = default if getattr(self, field) is None else getattr(self, field)
+            object.__setattr__(self, field, _whole(field, nodes, MIN_NODES, MAX_NODES))
 
 
 def measure_density(spec: MeasureSpec, xi) -> float:
@@ -102,76 +110,69 @@ def projected_state(spec: MeasureSpec, xi) -> StateVector:
     return StateVector(basis, np.exp(log_mag) * mono * (1.0 + s) ** (-spec.M / 2.0))
 
 
-def _shell_quadrature(spec: MeasureSpec):
-    """The shell basis and the quadrature of integral dmu(xi) |xi><xi| on it.
+def _shell_quadrature(spec: MeasureSpec, basis: TruncatedBasis):
+    """Consecutive BLOCK_ROWS-row blocks of integral dmu(xi) |xi><xi| on the shell ``basis``.
 
-    Each node's vector is radial_p o ang, with one real radial factor per
-    radial node and the same angular factor at every node, so the node sum
-    sum_p w_p (radial_p o ang)(radial_p o ang)^H is (R diag(w) R^T) o (A A^H):
-    the same finite quadrature, reassociated into two matrix products.
+    The tensor Gauss x uniform rule, reassociated into r one-dimensional sums
+    per entry (sum factorisation): entry (n, m) is
+    K c_n c_m prod_k T[a_k, 2 e_k] Ang[n_k - m_k] with a_k = n_k + m_k,
+    2 e_k = 2M + 2k - 2 - sum_{j >= k} a_j, T[a, b] = sum_p w_p u_p^{a/2}
+    (1 - u_p)^{b/2} over the radial nodes, Ang[delta] the numerical mean of
+    e^{i delta phi} over the uniform angles, and K = (M+r)!/M! entering as one
+    factor M + k per dimension, which keeps the running product in range.
     """
     r, M = spec.r, spec.M
-    nrad, nang = spec.nodes_radial, spec.nodes_angular
-    basis = enumerate_basis(r + 1, Cutoff.shell(M))
-    occ_all = basis.occupations.astype(float)
-    nprime = occ_all[:, 1:]  # (d, r)
-    log_coeff = 0.5 * (gammaln(M + 1) - gammaln(occ_all + 1.0).sum(axis=1))
-
-    x, w = roots_legendre(nrad)
-    u1 = 0.5 * (x + 1.0)
-    w1 = 0.5 * w
-    uu = np.stack([g.ravel() for g in np.meshgrid(*([u1] * r), indexing="ij")], axis=1)
-    wprod = np.prod(
-        np.stack([g.ravel() for g in np.meshgrid(*([w1] * r), indexing="ij")], axis=1), axis=1
-    )
-    # rho_j^2 = u_j * prod_{k<=j} (1-u_k)^{-1}; the triangular Jacobian gives
-    # d(rho^2)/d(u) = prod_j [prod_{k<j} (1-u_k)^{-1}] / (1-u_j)^2, and each
-    # rho drho contributes a further factor 1/2.
-    s_part = np.cumprod(1.0 / (1.0 - uu), axis=1)
-    rho2 = uu * s_part
-    s_prev = np.hstack([np.ones((uu.shape[0], 1)), s_part[:, :-1]])
-    jac = (0.5 ** r) * np.prod(s_prev / (1.0 - uu) ** 2, axis=1)
-    one_plus = s_part[:, -1]  # 1 + |rho|^2, exactly
-
-    phi = 2.0 * np.pi * np.arange(nang) / nang
-    phis = np.stack([g.ravel() for g in np.meshgrid(*([phi] * r), indexing="ij")], axis=1)
-    ang = np.exp(1j * (nprime @ phis.T))  # (d, nang^r)
-    ang_weight = (2.0 * np.pi / nang) ** r
-
-    const = math.exp(gammaln(M + r + 1) - gammaln(M + 1)) / math.pi ** r
-    radial = np.exp(log_coeff[:, None] + 0.5 * (nprime @ np.log(rho2).T)
-                    - 0.5 * M * np.log(one_plus))  # (d, nrad^r)
-    weight = const * jac * wprod * ang_weight / one_plus ** (r + 1)
-    return basis, ((radial * weight) @ radial.T) * (ang @ ang.conj().T)
+    coeff = np.exp(0.5 * (gammaln(M + 1) - gammaln(basis.occupations + 1.0).sum(axis=1)))
+    cols = np.ascontiguousarray(basis.occupations[:, 1:].T)  # (r, d)
+    x, w = roots_legendre(spec.nodes_radial)
+    u = 0.5 * (x + 1.0)
+    half = 0.5 * np.arange(2 * M + 2 * r - 1)
+    table = (0.5 * w * u ** half[:2 * M + 1, None]) @ ((1.0 - u) ** half[:, None]).T
+    phi = 2.0 * np.pi * np.arange(spec.nodes_angular) / spec.nodes_angular
+    ang = np.exp(1j * np.arange(-M, M + 1)[:, None] * phi).mean(axis=1)
+    for start in range(0, len(basis), BLOCK_ROWS):
+        rows = cols[:, start:start + BLOCK_ROWS, None]
+        out = coeff[start:start + BLOCK_ROWS, None] * coeff
+        tail = 0
+        for k in range(r - 1, -1, -1):
+            a = rows[k] + cols[k]
+            tail = tail + a
+            out = out * table[a, 2 * M + 2 * k - tail] * ((M + k + 1) * ang)[rows[k] - cols[k] + M]
+        yield out
 
 
-def resolution_check(spec: MeasureSpec, tolerance: float = None,
-                     allow_high_rank: bool = False) -> dict:
+def resolution_check(spec: MeasureSpec, tolerance: float = None) -> dict:
     """Quadrature of the overcompleteness integral against the shell identity.
 
     Accumulates integral dmu(xi) |xi><xi| over C^r with the nested radial
     substitution described in the module docstring and a uniform angular rule
     (exact once the angular node count exceeds M), then reports the entrywise
-    and trace residuals against the identity on the shell basis.  Rank r >= 3
-    costs nodes^r radial and nodes^r angular evaluations per basis state and
-    must be requested explicitly.
+    and trace residuals against the identity on the shell basis.  Any rank
+    runs; shells with d^2 r above MAX_PAIR_WORK are refused before the basis
+    is built, and the d x d result is consumed in row blocks, never held whole.
     """
-    if spec.r >= 3 and not allow_high_rank:
-        raise ValueError(
-            "rank >= 3 quadrature grows as nodes^r; pass allow_high_rank=True to run it"
-        )
-    basis, accumulated = _shell_quadrature(spec)
-    d = len(basis)
-    diff = np.abs(accumulated - np.eye(d))
-    worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    d = Cutoff.shell(spec.M).size(spec.r + 1)
+    if d * d * spec.r > MAX_PAIR_WORK:
+        raise ValueError(f"the r = {spec.r}, M = {spec.M} shell holds {d} states; d^2 r = "
+                         f"{d * d * spec.r:.4g} exceeds the limit {MAX_PAIR_WORK:.4g}")
+    basis = enumerate_basis(spec.r + 1, Cutoff.shell(spec.M))
+    worst, worst_at, trace = -1.0, (0, 0), 0.0
+    for start, block in zip(range(0, d, BLOCK_ROWS), _shell_quadrature(spec, basis)):
+        rows = np.arange(len(block))
+        trace += block[rows, start + rows].sum()
+        block[rows, start + rows] -= 1.0
+        diff = np.abs(block)
+        flat = int(np.argmax(diff))
+        if diff.flat[flat] > worst:  # strict: the first maximum in row-major order wins
+            worst, worst_at = float(diff.flat[flat]), divmod(start * d + flat, d)
     report = {
         "r": spec.r,
         "M": spec.M,
         "nodes": {"radial": spec.nodes_radial, "angular": spec.nodes_angular},
-        "max_entry_residual": float(diff[worst]),
-        "trace_residual": float(abs(np.trace(accumulated) - d)),
-        "worst_entry": {"row": basis.occupations[worst[0]].tolist(),
-                        "col": basis.occupations[worst[1]].tolist()},
+        "max_entry_residual": worst,
+        "trace_residual": float(abs(trace - d)),
+        "worst_entry": {"row": basis.occupations[worst_at[0]].tolist(),
+                        "col": basis.occupations[worst_at[1]].tolist()},
     }
     if tolerance is not None:
         report["tolerance"] = float(tolerance)
@@ -191,9 +192,7 @@ def slicing_check(alphas, M: int) -> dict:
         raise ValueError("alphas must cover the zeroth mode plus at least one more")
     if any(a <= 0 for a in alphas):
         raise ValueError("alpha components must be strictly positive")
-    if int(M) != M or M < 0:
-        raise ValueError("M must be a non-negative integer")
-    M = int(M)
+    M = _whole("M", M, 0)
     sliced = dist.slice_to_shell(alphas, M)
     if M == 0:
         # a zero-quantum shell holds a single point mass

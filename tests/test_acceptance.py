@@ -226,12 +226,16 @@ def test_criterion_4_resolution_of_unity():
         ["max_entry_residual"]
         for M in (1, 2)
     )
+    worst_high = max(resolution_check(MeasureSpec(r=r, M=M))["max_entry_residual"]
+                     for r, M in ((3, 6), (5, 8)))
     elapsed = time.time() - start
-    ok = worst_r1 <= 1e-8 and worst_r2 <= 1e-4 and elapsed < budget
+    ok = worst_r1 <= 1e-8 and worst_r2 <= 1e-4 and worst_high <= 1e-4 and elapsed < budget
     _report(4, ok, elapsed, budget,
-            f"r=1 residual {worst_r1:.2e} (<=1e-8), r=2 residual {worst_r2:.2e} (<=1e-4)")
+            f"r=1 residual {worst_r1:.2e} (<=1e-8), r=2 residual {worst_r2:.2e} (<=1e-4), "
+            f"r=3,5 residual {worst_high:.2e} (<=1e-4)")
     assert worst_r1 <= 1e-8
     assert worst_r2 <= 1e-4
+    assert worst_high <= 1e-4
     assert elapsed < budget
 
 

@@ -176,6 +176,35 @@ def test_verify_failing_suite_exits_three():
     assert report["passed"] is False
 
 
+@pytest.mark.parametrize("args", [
+    ("--r", "5", "--M", "8"),
+    ("--r", "3", "--M", "6", "--nodes", "200"),
+    ("--r", "20", "--M", "2"),
+])
+def test_verify_measure_beyond_rank_two_passes(args):
+    proc = run_cli("verify", "measure", *args)
+    assert proc.returncode == 0, proc.stderr
+    check = json.loads(proc.stdout[proc.stdout.index("{"):])["checks"][0]
+    assert check["tolerance"] == 1e-4 and check["passed"] is True
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    ({}, ("--r", "1", "--M", "2.5"), "M must be an integer"),
+    ({"r": 1.5}, (), "r must be an integer"),
+    ({}, ("--r", "1", "--M", "inf"), "M must be an integer"),
+    ({}, ("--M", "3"), "pass --r with it"),
+    ({"M": 3}, (), "pass --r with it"),
+    ({}, ("--r", "1", "--nodes", "1000000000"), "nodes_radial must be an integer"),
+    ({}, ("--r", "10", "--M", "30"), "exceeds the limit"),
+])
+def test_bad_measure_input_exits_two(tmp_path, config, flags, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    proc = run_cli("verify", "measure", "--config", str(cfg), *flags)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+
+
 def test_verify_unknown_suite_exits_two():
     proc = run_cli("verify", "nonsense")
     assert proc.returncode == 2

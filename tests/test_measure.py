@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.special import gammaln, roots_legendre
 
+from fockbench.cli import main
 from fockbench.distributions import BinomialParams, MultinomialParams, binomial_pmf
 from fockbench.fock import Cutoff, enumerate_basis, fidelity
 from fockbench.measure import (
@@ -143,18 +145,32 @@ def _per_node_quadrature(spec):
     return total
 
 
-@pytest.mark.parametrize("r, M", [(1, 1), (1, 3), (1, 6), (2, 1), (2, 3)])
+@pytest.mark.parametrize("r, M", [(1, 1), (1, 3), (1, 6), (2, 1), (2, 3),
+                                  (3, 1), (3, 2), (4, 1)])
 def test_factored_quadrature_matches_per_node_sum(r, M):
     spec = MeasureSpec(r=r, M=M)
-    _, factored = _shell_quadrature(spec)
+    basis = enumerate_basis(r + 1, Cutoff.shell(M))
+    factored = np.vstack(list(_shell_quadrature(spec, basis)))
     np.testing.assert_allclose(factored, _per_node_quadrature(spec), rtol=0, atol=1e-14)
 
 
-def test_resolution_high_rank_guard():
-    with pytest.raises(ValueError):
-        resolution_check(MeasureSpec(r=3, M=1))
-    report = resolution_check(MeasureSpec(r=3, M=1), allow_high_rank=True)
+def test_resolution_any_rank_without_flag():
+    report = resolution_check(MeasureSpec(r=3, M=1))
     assert report["max_entry_residual"] < 1e-10
+
+
+def test_oversize_shell_is_refused_up_front():
+    # r = 10, M = 30 holds C(40, 10) ~ 8.5e8 states: refused before enumeration
+    start = time.perf_counter()
+    assert main(["verify", "measure", "--r", "10", "--M", "30"]) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_default_nodes_exact_past_the_rank_floor():
+    # r > M + 4: exactness needs ceil((M + r) / 2) = 11 radial nodes, past max(8, M + 2)
+    spec = MeasureSpec(r=20, M=2)
+    assert (spec.nodes_radial, spec.nodes_angular) == (11, 8)
+    assert resolution_check(spec)["max_entry_residual"] < 1e-12
 
 
 def test_node_floor_enforced():
@@ -162,6 +178,18 @@ def test_node_floor_enforced():
         MeasureSpec(r=1, M=1, nodes_radial=4)
     with pytest.raises(ValueError):
         MeasureSpec(r=1, M=1, nodes_angular=6)
+
+
+@pytest.mark.parametrize("fields", [
+    {"r": 1.5, "M": 2}, {"r": 0, "M": 2}, {"r": math.nan, "M": 2}, {"r": "3", "M": 2},
+    {"r": 1, "M": 2.5}, {"r": 1, "M": math.inf}, {"r": 1, "M": 0}, {"r": 1, "M": 999},
+    {"r": 1, "M": 2, "nodes_radial": 8.5}, {"r": 1, "M": 2, "nodes_angular": math.inf},
+    {"r": 1, "M": 2, "nodes_radial": 1001}, {"r": 1, "M": 2, "nodes_angular": 10 ** 9},
+    {"r": 10 ** 4, "M": 1},  # default radial nodes (M + r) / 2 past the ceiling
+])
+def test_spec_rejects_bad_fields(fields):
+    with pytest.raises(ValueError):
+        MeasureSpec(**fields)
 
 
 def test_slicing_equal_amplitudes_reduces_to_binomial():
