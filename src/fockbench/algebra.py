@@ -6,10 +6,11 @@ generators with square-root number weights (one boson per independent mode).
 ``verify_algebra`` checks the structure relations entrywise, restricted to
 *interior* basis states -- states that no monomial in the relation pushes out
 of the truncated basis -- so truncation artifacts never masquerade as algebra
-violations.  Every generator sends a basis state to at most one basis state,
-so the check walks those images instead of forming operator products.
-``ConstraintSubspace`` transports states between the two pictures
-and ``intertwining_check`` confirms the generators agree under that transport.
+violations.  ``ConstraintSubspace`` transports states between the two
+pictures and ``intertwining_check`` confirms the generators agree under that
+transport.  Every generator sends a basis state to at most one basis state,
+so neither check forms an operator product: both walk those images, read off
+the generators' matrices, column by column.
 """
 
 from __future__ import annotations
@@ -18,19 +19,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fock import LinearOperator, TruncatedBasis, _monomial
+from .fock import LinearOperator, TruncatedBasis, _column_images, _monomial
 
 @dataclass
 class AlgebraRealization:
     """A named set of generators with truncation metadata.
 
-    ``raising``/``lowering``/``diagonal`` map generator labels to operators.
-    ``targets[label][s]`` is the single basis state a generator sends state s
-    to (-1 if annihilated or truncated) and ``lossy[label][s]`` flags sources
-    whose exact image was dropped by truncation; both drive the interior-state
-    masking in :func:`verify_algebra`.
+    ``raising``/``lowering``/``diagonal`` map generator labels to operators;
+    each operator's matrix is the only record of where the generator sends a
+    state and with what weight.  ``lossy[label][s]`` flags sources whose exact
+    image was dropped by truncation; it drives the interior-state masking in
+    :func:`verify_algebra` and :func:`intertwining_check`.
     """
 
     algebra: str
@@ -41,7 +41,6 @@ class AlgebraRealization:
     lowering: dict
     diagonal: dict
     lossy: dict = field(repr=False)
-    targets: dict = field(repr=False)
 
     def op(self, label: str) -> LinearOperator:
         for group in (self.raising, self.lowering, self.diagonal):
@@ -63,18 +62,15 @@ class AlgebraRealization:
 
 
 def _bundle(algebra, form, basis, M, raising, lowering, diagonal):
-    ops = {k: LinearOperator(basis, m) for k, (m, _, _) in
-           {**raising, **lowering, **diagonal}.items()}
     return AlgebraRealization(
         algebra=algebra,
         form=form,
         basis=basis,
         M=M,
-        raising={k: ops[k] for k in raising},
-        lowering={k: ops[k] for k in lowering},
-        diagonal={k: ops[k] for k in diagonal},
-        lossy={k: l for k, (_, l, _) in {**raising, **lowering, **diagonal}.items()},
-        targets={k: t for k, (_, _, t) in {**raising, **lowering, **diagonal}.items()},
+        raising={k: op for k, (op, _) in raising.items()},
+        lowering={k: op for k, (op, _) in lowering.items()},
+        diagonal={k: op for k, (op, _) in diagonal.items()},
+        lossy={k: l for k, (_, l) in {**raising, **lowering, **diagonal}.items()},
     )
 
 
@@ -353,16 +349,32 @@ def relations_for(realization: AlgebraRealization):
 def _images(realization, label):
     """Where a generator sends each basis state, with what weight, and whether lossily.
 
-    The weights are read from the generator's matrix.  Each array has one
-    extra slot at the end, a sink for "no image": a target of -1 indexes it,
-    and it sends itself to -1 with weight 0 and no loss.
+    Each array has one extra slot at the end, a sink for "no image": a target
+    of -1 indexes it, and it sends itself to -1 with weight 0 and no loss.
     """
-    d = len(realization.basis)
-    matrix = realization.op(label).matrix
-    weight = np.zeros(d + 1, dtype=complex)
-    weight[matrix.indices] = matrix.data
-    return (np.append(realization.targets[label], -1), weight,
+    target, weight = _column_images(realization.op(label))
+    return (np.append(target, -1), np.append(weight, 0),
             np.append(realization.lossy[label], False))
+
+
+def _worst_column(rows, values, checked, occupations):
+    """Largest column residual of a sum of terms, each with one image per column.
+
+    ``rows[t][s]`` and ``values[t][s]`` are where term t sends column s and
+    with what value (row -1 and value 0 for none).  Images of a column that
+    share a row add up, in term order.  Only the ``checked`` columns count.
+    Returns (max_residual, worst_state, checked_count); the first two are
+    None when no column is checked.
+    """
+    rows, values = np.array(rows), np.array(values)
+    same_row = rows[:, None, :] == rows[None, :, :]
+    col_res = np.abs(np.where(same_row, values[None, :, :], 0).sum(axis=1)).max(axis=0)
+    count = int(checked.sum())
+    if count == 0:
+        return None, None, 0
+    col_res = col_res[checked]
+    worst = int(np.argmax(col_res))
+    return float(col_res[worst]), occupations[np.flatnonzero(checked)[worst]].tolist(), count
 
 
 def verify_algebra(realization: AlgebraRealization, relations=None) -> list:
@@ -378,7 +390,6 @@ def verify_algebra(realization: AlgebraRealization, relations=None) -> list:
     images = {label: _images(realization, label) for label in realization.labels}
     reports = []
     for name, terms in relations:
-        # one image per term and source column: its row and its value
         rows, values = [], []
         interior = np.ones(d, dtype=bool)
         for coeff, labels in terms:
@@ -396,24 +407,10 @@ def verify_algebra(realization: AlgebraRealization, relations=None) -> list:
                 row = target_a[row]
             rows.append(row)
             values.append(coeff * weight)
-        rows, values = np.array(rows), np.array(values)
-        # images of a column that share a row add up, in term order
-        same_row = rows[:, None, :] == rows[None, :, :]
-        col_res = np.abs(np.where(same_row, values[None, :, :], 0).sum(axis=1)).max(axis=0)
-        count = int(interior.sum())
-        if count == 0:
-            reports.append({"relation": name, "max_residual": None,
-                            "worst_state": None, "interior_count": 0})
-            continue
-        col_res = col_res[interior]
-        worst_local = int(np.argmax(col_res))
-        worst_state = realization.basis.occupations[np.flatnonzero(interior)[worst_local]]
-        reports.append({
-            "relation": name,
-            "max_residual": float(col_res[worst_local]),
-            "worst_state": worst_state.tolist(),
-            "interior_count": count,
-        })
+        residual, worst, count = _worst_column(rows, values, interior,
+                                               realization.basis.occupations)
+        reports.append({"relation": name, "max_residual": residual,
+                        "worst_state": worst, "interior_count": count})
     return reports
 
 
@@ -423,7 +420,7 @@ class ConstraintSubspace:
 
     For the non-compact pair the parent shell is n0 - sum(n') = M - 1; for the
     compact pair it is sum(n) = M.  ``embed``/``project`` translate occupation
-    vectors and the column-isometry ``isometry()`` transports matrices.
+    vectors; ``_rows[s]`` is the parent row that reduced state s embeds to.
     """
 
     parent: TruncatedBasis
@@ -467,46 +464,31 @@ class ConstraintSubspace:
             raise ValueError(f"parent state {occ} is not on the constrained shell")
         return occ[1:]
 
-    def isometry(self) -> sp.csr_array:
-        """Parent x reduced CSR matrix with orthonormal columns spanning the shell."""
-        rows = self._rows
-        return sp.csr_array((np.ones(len(rows)), (rows, np.arange(len(rows)))),
-                            shape=(len(self.parent), len(self.reduced)))
-
 
 def intertwining_check(bilinear: AlgebraRealization, reduced: AlgebraRealization,
                        subspace: ConstraintSubspace) -> list:
-    """Compare bilinear and reduced generator actions through the embedding.
+    """Compare bilinear and reduced generator actions through the embedding E.
 
     For every shared label L checks (B_L E - E R_L) column by column, skipping
-    columns where either picture truncates.  Returns per-label report dicts.
+    columns where either picture truncates.  Column s has two images: B_L's
+    image of the parent row s embeds to, and -R_L's image carried up to the
+    parent by E.  Returns per-label report dicts.
     """
     if bilinear.form != "bilinear" or reduced.form != "holstein_primakoff":
         raise ValueError("pass the bilinear realization first, the reduced one second")
     if bilinear.basis != subspace.parent or reduced.basis != subspace.reduced:
         raise ValueError("realizations do not match the subspace bases")
-    e = subspace.isometry()
     parent_rows = subspace._rows
+    embedded = np.append(parent_rows, -1)  # the sink -1 stays -1
     reports = []
     shared = [l for l in reduced.labels if l in set(bilinear.labels)]
     for label in shared:
-        diff = bilinear.op(label).matrix @ e - e @ reduced.op(label).matrix
-        ok = ~reduced.lossy[label]
-        ok &= ~bilinear.lossy[label][parent_rows]
-        count = int(ok.sum())
-        if count == 0:
-            reports.append({"label": label, "max_residual": None,
-                            "worst_state": None, "checked_count": 0})
-            continue
-        col_res = np.zeros(len(reduced.basis))
-        np.maximum.at(col_res, diff.indices, np.abs(diff.data))
-        col_res = col_res[ok]
-        worst_local = int(np.argmax(col_res))
-        worst_state = reduced.basis.occupations[np.flatnonzero(ok)[worst_local]]
-        reports.append({
-            "label": label,
-            "max_residual": float(col_res[worst_local]),
-            "worst_state": worst_state.tolist(),
-            "checked_count": count,
-        })
+        target_b, weight_b = _column_images(bilinear.op(label))
+        target_r, weight_r = _column_images(reduced.op(label))
+        checked = ~reduced.lossy[label] & ~bilinear.lossy[label][parent_rows]
+        residual, worst, count = _worst_column(
+            [target_b[parent_rows], embedded[target_r]], [weight_b[parent_rows], -weight_r],
+            checked, reduced.basis.occupations)
+        reports.append({"label": label, "max_residual": residual,
+                        "worst_state": worst, "checked_count": count})
     return reports

@@ -441,6 +441,10 @@ def _suite_dynamical():
 def _cmd_verify(args) -> int:
     config = _load_config(args.config)
     suite = args.suite
+    if suite != "measure":
+        for key in ("r", "M", "nodes"):
+            if _merged(args, config, key) is not None:
+                raise ValueError(f"--{key} applies only to the measure suite, not {suite}")
     if suite == "algebra":
         checks = _suite_algebra()
     elif suite == "disentangle":

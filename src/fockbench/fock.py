@@ -361,14 +361,13 @@ def _monomial(basis, create=(), destroy=(), weight=None):
     square roots at representation boundaries).  The factors multiply in a
     fixed order -- each destroy sqrt(n), the weight, each create sqrt(n+1) --
     so every entry is the same float whatever the basis size.  Returns the
-    CSR matrix, a boolean ``lossy`` vector marking source states whose exact
-    image falls outside the basis with non-zero amplitude, and a ``target``
-    index vector (-1 where the state is annihilated or its image left the
-    basis).
+    operator, whose matrix is the only record of where each state goes and
+    with what weight (:func:`_column_images` reads it back), and a boolean
+    ``lossy`` vector marking source states whose exact image falls outside
+    the basis with non-zero amplitude -- the one fact the matrix cannot hold.
     """
     occ = basis.occupations
     d = len(occ)
-    every = not destroy  # every state is a source until a factor rules some out
     if destroy:
         alive = True
         for k in set(destroy):
@@ -386,7 +385,7 @@ def _monomial(basis, create=(), destroy=(), weight=None):
         amp = amp * weight(rows)
         kept = amp != 0.0
         if not kept.all():
-            source, rows, amp, every = source[kept], rows[kept], amp[kept], False
+            source, rows, amp = source[kept], rows[kept], amp[kept]
     for j in create:
         amp = amp * np.sqrt(rows[:, j] + 1)
         rows[:, j] += 1
@@ -394,16 +393,30 @@ def _monomial(basis, create=(), destroy=(), weight=None):
         amp = np.ones(d)
     image = basis.rank(rows) if create or destroy else source.copy()
     lost = image < 0
-    if every:
-        target, lossy = image, lost
-    else:
-        target = np.full(d, -1, dtype=np.int64)
-        target[source] = image
-        lossy = np.zeros(d, dtype=bool)
-        lossy[source] = lost
+    lossy = np.zeros(d, dtype=bool)
+    lossy[source] = lost
     if np.count_nonzero(lost):
         source, image, amp = source[~lost], image[~lost], amp[~lost]
-    return _column_map(d, source, image, amp), lossy, target
+    return LinearOperator(basis, _column_map(d, source, image, amp)), lossy
+
+
+def _column_images(op):
+    """Where ``op`` sends each basis state, and with what weight, read off its matrix.
+
+    Returns ``target`` (-1 for a state the operator annihilates or sends out
+    of the basis) and the complex ``weight`` (0 there).  Only operators with
+    at most one entry per column, as every ladder monomial has, have such a
+    map; any other raises ValueError.
+    """
+    mat = op.matrix
+    d = mat.shape[1]
+    if np.bincount(mat.indices, minlength=d).max() > 1:
+        raise ValueError("operator sends a basis state to more than one state")
+    target = np.full(d, -1, dtype=np.int64)
+    target[mat.indices] = np.repeat(np.arange(d), np.diff(mat.indptr))
+    weight = np.zeros(d, dtype=complex)
+    weight[mat.indices] = mat.data
+    return target, weight
 
 
 def identity_op(basis: TruncatedBasis) -> LinearOperator:
@@ -427,7 +440,7 @@ def _check_mode(basis, mode):
 
 def creation_op(basis: TruncatedBasis, mode: int) -> LinearOperator:
     """a_mode^dagger; transitions leaving the basis are dropped silently."""
-    return LinearOperator(basis, _monomial(basis, create=(_check_mode(basis, mode),))[0])
+    return _monomial(basis, create=(_check_mode(basis, mode),))[0]
 
 
 def annihilation_op(basis: TruncatedBasis, mode: int) -> LinearOperator:

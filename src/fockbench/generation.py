@@ -39,6 +39,10 @@ from .fock import (
 DISPLACEMENT_GUARD = 16  # extra levels above the series cutoff for unitary routes
 
 
+def _raising_label(realization):
+    return "K+" if realization.algebra == "su11" else "J+"
+
+
 def exp_form_state(realization: AlgebraRealization, eta_c: complex) -> StateVector:
     """Normalized pure-raising exponential acting on the vacuum.
 
@@ -51,11 +55,9 @@ def exp_form_state(realization: AlgebraRealization, eta_c: complex) -> StateVect
     z = complex(eta_c)
     if abs(z) >= 1.0:
         raise ValueError("|eta_c| must be below 1")
-    if realization.algebra == "su11":
-        coeff, label = z, "K+"
-    else:
-        coeff, label = z / math.sqrt(1.0 - abs(z) ** 2), "J+"
-    psi = apply_exponential(coeff * realization.raising[label], vacuum_state(realization.basis))
+    coeff = z if realization.algebra == "su11" else z / math.sqrt(1.0 - abs(z) ** 2)
+    psi = apply_exponential(coeff * realization.raising[_raising_label(realization)],
+                            vacuum_state(realization.basis))
     prefactor = (1.0 - abs(z) ** 2) ** (realization.M / 2.0)
     return StateVector(psi.basis, prefactor * psi.amplitudes)
 
@@ -121,7 +123,7 @@ def displacement_state(realization: AlgebraRealization, eta: float, theta: float
     """
     if realization.form != "holstein_primakoff" or realization.algebra not in ("su11", "su2"):
         raise ValueError("displacement_state needs a reduced su11 or su2 realization")
-    label = "K+" if realization.algebra == "su11" else "J+"
+    label = _raising_label(realization)
     zeta = displacement_zeta(realization.algebra, eta, theta)
     raising = realization.raising[label]
     generator = zeta * raising - np.conj(zeta) * raising.adjoint()
@@ -144,7 +146,7 @@ def displacement_leakage(realization: AlgebraRealization, psi: StateVector,
     reading reduces to the series norm drift alone.
     """
     if label is None:
-        label = "K+" if realization.algebra == "su11" else "J+"
+        label = _raising_label(realization)
     boundary = realization.lossy[label]
     pressed = float(np.sum(np.abs(psi.amplitudes[boundary]) ** 2))
     return max(pressed, abs(1.0 - psi.norm2()))
@@ -184,7 +186,7 @@ def disentangled_product(realization: AlgebraRealization, zeta: complex) -> Line
 
 def disentangling_identity_check(realization: AlgebraRealization, zeta: complex) -> dict:
     """Entrywise residual between exp(zeta K+ - h.c.) and its three-factor product."""
-    raising = realization.raising["K+" if realization.algebra == "su11" else "J+"]
+    raising = realization.raising[_raising_label(realization)]
     generator = complex(zeta) * raising - np.conj(complex(zeta)) * raising.adjoint()
     whole = op_exponential(generator)
     product = disentangled_product(realization, zeta)
@@ -231,20 +233,6 @@ def path_equivalence(family: str, eta2: float, M, theta: float = 0.0,
 # generators on the largest bases used here.
 
 
-def _pump_op(basis, M, compact):
-    """b_1^dag sqrt(M -+ sum N): the first-step raising generator."""
-    if compact:
-        w = lambda occ: np.sqrt(np.maximum(M - occ.sum(axis=1), 0.0))
-    else:
-        w = lambda occ: np.sqrt(M + occ.sum(axis=1))
-    return LinearOperator(basis, _monomial(basis, create=(0,), weight=w)[0])
-
-
-def _transfer_op(basis, j, k):
-    """b_j^dag b_k between components j, k (1-indexed)."""
-    return LinearOperator(basis, _monomial(basis, create=(j - 1,), destroy=(k - 1,))[0])
-
-
 def _rotation_angles(eta):
     """Splitting angles for the transfer steps.
 
@@ -258,18 +246,36 @@ def _rotation_angles(eta):
     return angles
 
 
-def _chain_phases(thetas):
-    # successive rotations compose phases down the chain, so each internal
-    # rotation carries the increment over the previous mode's phase
-    return [thetas[0]] + [thetas[j] - thetas[j - 1] for j in range(1, len(thetas))]
-
-
 def _apply_rotation(raising, angle, phase, psi):
     if angle == 0.0:
         return psi.copy()
     generator = (angle * cmath.exp(1j * phase)) * raising \
         - (angle * cmath.exp(-1j * phase)) * raising.adjoint()
     return apply_exponential(generator, psi)
+
+
+def _rotation_chain(eta, thetas, M, basis, compact):
+    """The pump rotation on the vacuum, then the transfer rotations down the chain.
+
+    The pump raises mode 1 with b_1^dag sqrt(M -+ sum N); transfer j moves
+    mode j into mode j+1 with b_{j+1}^dag b_j.
+    """
+    strength = math.sqrt(sum(e * e for e in eta))
+    if compact:
+        pump_angle = math.asin(strength)
+        w = lambda occ: np.sqrt(np.maximum(M - occ.sum(axis=1), 0.0))
+    else:
+        pump_angle = math.atanh(strength)
+        w = lambda occ: np.sqrt(M + occ.sum(axis=1))
+    # successive rotations compose phases down the chain, so each internal
+    # rotation carries the increment over the previous mode's phase
+    phases = [thetas[0]] + [thetas[j] - thetas[j - 1] for j in range(1, len(thetas))]
+    pump = _monomial(basis, create=(0,), weight=w)[0]
+    psi = _apply_rotation(pump, pump_angle, phases[0], vacuum_state(basis))
+    for j, angle in enumerate(_rotation_angles(eta), start=1):
+        transfer = _monomial(basis, create=(j,), destroy=(j - 1,))[0]
+        psi = _apply_rotation(transfer, angle, phases[j], psi)
+    return psi
 
 
 def _check_chain_args(eta, thetas, basis):
@@ -302,13 +308,7 @@ def sequential_nms(eta, thetas, M: float, basis) -> StateVector:
     eta, thetas = _check_chain_args(eta, thetas, basis)
     if not M > 0:
         raise ValueError("M must be positive")
-    phases = _chain_phases(thetas)
-    pump_angle = math.atanh(math.sqrt(sum(e * e for e in eta)))
-    psi = _apply_rotation(_pump_op(basis, M, compact=False), pump_angle, phases[0],
-                          vacuum_state(basis))
-    for j, angle in enumerate(_rotation_angles(eta), start=1):
-        psi = _apply_rotation(_transfer_op(basis, j + 1, j), angle, phases[j], psi)
-    return psi
+    return _rotation_chain(eta, thetas, M, basis, compact=False)
 
 
 def sequential_ms(eta, thetas, M: int, basis) -> StateVector:
@@ -328,13 +328,7 @@ def sequential_ms(eta, thetas, M: int, basis) -> StateVector:
     inside = int((basis.totals <= M).sum())
     if inside != math.comb(M + r, r):
         raise ValueError(f"basis must contain the full simplex of total occupation <= {M}")
-    phases = _chain_phases(thetas)
-    pump_angle = math.asin(math.sqrt(sum(e * e for e in eta)))
-    psi = _apply_rotation(_pump_op(basis, M, compact=True), pump_angle, phases[0],
-                          vacuum_state(basis))
-    for j, angle in enumerate(_rotation_angles(eta), start=1):
-        psi = _apply_rotation(_transfer_op(basis, j + 1, j), angle, phases[j], psi)
-    return psi
+    return _rotation_chain(eta, thetas, M, basis, compact=True)
 
 
 # --- dynamical generation --------------------------------------------------

@@ -17,7 +17,7 @@ from fockbench.algebra import (
     su_rp1_hp,
     verify_algebra,
 )
-from fockbench.fock import Cutoff, basis_state, enumerate_basis
+from fockbench.fock import Cutoff, _column_images, basis_state, enumerate_basis
 
 
 def _worst(reports):
@@ -156,7 +156,7 @@ def _dense_reports(real):
             else:
                 a, b = labels
                 acc += coeff * (dense[a] @ dense[b])
-                target_b = real.targets[b]
+                target_b = _column_images(real.op(b))[0]
                 reached = target_b >= 0
                 second = np.ones(d, dtype=bool)
                 second[reached] = ~real.lossy[a][target_b[reached]]
@@ -220,6 +220,36 @@ def test_intertwining_rank_two_noncompact():
     sub = ConstraintSubspace(parent, reduced, M=M, kind="su_r1")
     reports = intertwining_check(su_r1_bilinear(parent, float(M)), su_r1_hp(reduced, float(M)), sub)
     assert _worst(reports) <= 1e-12
+
+
+def _dense_intertwining_reports(bilinear, reduced, sub):
+    """intertwining_check's reports from the dense product B E - E R and an explicit mask."""
+    e = np.zeros((len(sub.parent), len(sub.reduced)))
+    e[sub._rows, np.arange(len(sub.reduced))] = 1.0
+    reports = []
+    for label in reduced.labels:
+        diff = bilinear.op(label).matrix.toarray() @ e - e @ reduced.op(label).matrix.toarray()
+        mask = ~reduced.lossy[label] & ~bilinear.lossy[label][sub._rows]
+        col_res = np.abs(diff[:, mask]).max(axis=0)
+        worst = int(np.argmax(col_res))
+        reports.append({"label": label, "max_residual": float(col_res[worst]),
+                        "worst_state": list(sub.reduced.states[np.flatnonzero(mask)[worst]]),
+                        "checked_count": int(mask.sum())})
+    return reports
+
+
+def test_intertwining_corrupted_reduced_generator_fails_loudly():
+    # negative control: breaking one entry of a reduced generator must show up
+    M = 2
+    reduced = enumerate_basis(2, Cutoff.total(4))
+    parent = enumerate_basis(3, Cutoff.total(M - 1 + 8))
+    sub = ConstraintSubspace(parent, reduced, M=M, kind="su_r1")
+    bilinear, hp = su_r1_bilinear(parent, float(M)), su_r1_hp(reduced, float(M))
+    hp.op("K+2").matrix.data[4] *= 1.5
+    reports = intertwining_check(bilinear, hp, sub)
+    assert reports == _dense_intertwining_reports(bilinear, hp, sub)
+    assert _worst(reports) > 0.1
+    assert [r["label"] for r in reports if r["max_residual"] > 0.1] == ["K+2"]
 
 
 def test_compact_reduced_realization_rejects_wrong_simplex():

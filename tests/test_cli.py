@@ -205,6 +205,31 @@ def test_bad_measure_input_exits_two(tmp_path, config, flags, message):
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize("suite, config, flags, flag", [
+    ("algebra", {}, ("--r", "3"), "--r"),
+    ("disentangle", {}, ("--M", "2"), "--M"),
+    ("limits", {}, ("--nodes", "9"), "--nodes"),
+    ("identity", {}, ("--r", "3", "--M", "7", "--nodes", "9"), "--r"),
+    ("dynamical", {"nodes": 9}, (), "--nodes"),
+])
+def test_measure_flags_outside_measure_exit_two(tmp_path, suite, config, flags, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    proc = run_cli("verify", suite, "--config", str(cfg), *flags)
+    assert proc.returncode == 2, proc.stderr
+    assert f"{flag} applies only to the measure suite" in proc.stderr
+
+
+def test_usage_path_loads_no_numeric_library():
+    # FOCKBENCH_THREADS must take effect before numpy loads, so the package and
+    # the CLI module import neither numpy nor scipy until a command runs
+    code = ("import sys, fockbench, fockbench.cli; code = fockbench.cli.main([]); "
+            "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.stdout.strip() == "2 []", proc.stderr
+
+
 def test_verify_unknown_suite_exits_two():
     proc = run_cli("verify", "nonsense")
     assert proc.returncode == 2

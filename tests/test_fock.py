@@ -5,6 +5,7 @@ import scipy.linalg
 from fockbench.fock import (
     Cutoff,
     LinearOperator,
+    _column_images,
     annihilation_op,
     apply_exponential,
     basis_state,
@@ -206,6 +207,16 @@ def test_operator_shape_validation():
     basis = enumerate_basis(1, Cutoff.per_mode(2))
     with pytest.raises(ValueError):
         LinearOperator(basis, np.zeros((2, 2)))
+
+
+def test_column_images_read_the_ladder_map_and_refuse_two_entries():
+    basis = enumerate_basis(1, Cutoff.per_mode(2))
+    target, weight = _column_images(creation_op(basis, 0))
+    assert target.tolist() == [1, 2, -1]
+    assert weight.tolist() == [1.0, np.sqrt(2.0), 0.0]
+    both = creation_op(basis, 0) + annihilation_op(basis, 0)  # |1> goes to |0> and |2>
+    with pytest.raises(ValueError, match="more than one state"):
+        _column_images(both)
 
 
 def test_serialization_round_trip():
