@@ -3,6 +3,9 @@
 Two pictures of the same ladder structure: bilinear (multi-boson) generators
 on a parent space carrying a conserved constraint, and reduced single-sector
 generators with square-root number weights (one boson per independent mode).
+su(1,1) and su(2) are the rank-one cases of su(r,1) and su(r+1): their
+constructors build the rank-one realization, rename its ladder pair and add
+the Cartan generator.
 ``verify_algebra`` checks the structure relations entrywise, restricted to
 *interior* basis states -- states that no monomial in the relation pushes out
 of the truncated basis -- so truncation artifacts never masquerade as algebra
@@ -54,14 +57,31 @@ class AlgebraRealization:
 
     @property
     def rank(self) -> int:
-        if self.algebra in ("su11", "su2"):
-            return 1
         if self.form == "bilinear":
             return self.basis.modes - 1
         return self.basis.modes
 
 
-def _bundle(algebra, form, basis, M, raising, lowering, diagonal):
+def _r_family(algebra, form, basis, M, raising, lowering, n0):
+    """Bundle an r-family realization from its ladder pairs and zeroth-mode number.
+
+    Adds the mode-swapping generators Kjk/Jjk (j != k >= 1; j > k raising) and
+    the numbers Nj, after N0 with weight ``n0``.  Label j is mode j - shift,
+    with shift 0 in the bilinear picture and 1 in the reduced one.
+    """
+    shift = 0 if form == "bilinear" else 1
+    r = basis.modes - 1 + shift
+    letter = "K" if algebra == "su_r1" else "J"
+    for j in range(1, r + 1):
+        for k in range(1, r + 1):
+            if j != k:
+                group = raising if j > k else lowering
+                group[f"{letter}{j}{k}"] = _monomial(basis, create=(j - shift,),
+                                                      destroy=(k - shift,))
+    diagonal = {"N0": _monomial(basis, weight=n0)}
+    for j in range(1, r + 1):
+        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[:, j - shift])
+    generators = {**raising, **lowering, **diagonal}
     return AlgebraRealization(
         algebra=algebra,
         form=form,
@@ -70,7 +90,31 @@ def _bundle(algebra, form, basis, M, raising, lowering, diagonal):
         raising={k: op for k, (op, _) in raising.items()},
         lowering={k: op for k, (op, _) in lowering.items()},
         diagonal={k: op for k, (op, _) in diagonal.items()},
-        lossy={k: l for k, (_, l) in {**raising, **lowering, **diagonal}.items()},
+        lossy={k: lossy for k, (_, lossy) in generators.items()},
+    )
+
+
+def _rank_one(real, algebra, cartan_weight):
+    """The rank-one ``real`` as su11 or su2: ladder pair renamed, Cartan generator first.
+
+    K+1/K-1 become K+/K-, J10/J01 become J+/J-, and K0 or J0 (weight
+    ``cartan_weight``) joins the diagonal ahead of the numbers.
+    """
+    letter = "K" if algebra == "su11" else "J"
+    up, down, cartan = letter + "+", letter + "-", letter + "0"
+    (old_up, raising), = real.raising.items()
+    (old_down, lowering), = real.lowering.items()
+    cartan_op, cartan_lossy = _monomial(real.basis, weight=cartan_weight)
+    return AlgebraRealization(
+        algebra=algebra,
+        form=real.form,
+        basis=real.basis,
+        M=real.M,
+        raising={up: raising},
+        lowering={down: lowering},
+        diagonal={cartan: cartan_op, **real.diagonal},
+        lossy={up: real.lossy[old_up], down: real.lossy[old_down], cartan: cartan_lossy,
+               **{label: real.lossy[label] for label in real.diagonal}},
     )
 
 
@@ -78,71 +122,30 @@ def su11_bilinear(basis: TruncatedBasis, M: float) -> AlgebraRealization:
     """K+ = a0^dag a1^dag, K- = a0 a1, K0 = (N0 + N1 + 1)/2 on a two-mode space."""
     if basis.modes != 2:
         raise ValueError("su11_bilinear needs a 2-mode basis")
-    if not M > 0:
-        raise ValueError("M must be positive")
-    raising = {"K+": _monomial(basis, create=(0, 1))}
-    lowering = {"K-": _monomial(basis, destroy=(0, 1))}
-    diagonal = {
-        "K0": _monomial(basis, weight=lambda occ: 0.5 * (occ[:, 0] + occ[:, 1] + 1)),
-        "N0": _monomial(basis, weight=lambda occ: occ[:, 0]),
-        "N1": _monomial(basis, weight=lambda occ: occ[:, 1]),
-    }
-    return _bundle("su11", "bilinear", basis, M, raising, lowering, diagonal)
+    return _rank_one(su_r1_bilinear(basis, M), "su11",
+                     lambda occ: 0.5 * (occ[:, 0] + occ[:, 1] + 1))
 
 
 def su11_hp(basis: TruncatedBasis, M: float) -> AlgebraRealization:
     """Reduced form K+ = b^dag sqrt(M + N), K0 = N + M/2 on one mode; real M > 0."""
     if basis.modes != 1:
         raise ValueError("su11_hp needs a 1-mode basis")
-    if not M > 0:
-        raise ValueError("M must be positive")
-    w = lambda occ: np.sqrt(M + occ[:, 0])
-    raising = {"K+": _monomial(basis, create=(0,), weight=w)}
-    lowering = {"K-": _monomial(basis, destroy=(0,), weight=w)}
-    diagonal = {
-        "K0": _monomial(basis, weight=lambda occ: occ[:, 0] + M / 2.0),
-        "N0": _monomial(basis, weight=lambda occ: M - 1 + occ[:, 0]),
-        "N1": _monomial(basis, weight=lambda occ: occ[:, 0]),
-    }
-    return _bundle("su11", "holstein_primakoff", basis, M, raising, lowering, diagonal)
+    return _rank_one(su_r1_hp(basis, M), "su11", lambda occ: occ[:, 0] + M / 2.0)
 
 
 def su2_bilinear(basis: TruncatedBasis, M: int) -> AlgebraRealization:
     """J+ = a1^dag a0, J0 = (N1 - N0)/2; spin M/2 lives on the shell sum(n) = M."""
     if basis.modes != 2:
         raise ValueError("su2_bilinear needs a 2-mode basis")
-    if int(M) != M or M < 1:
-        raise ValueError("M must be a positive integer")
-    raising = {"J+": _monomial(basis, create=(1,), destroy=(0,))}
-    lowering = {"J-": _monomial(basis, create=(0,), destroy=(1,))}
-    diagonal = {
-        "J0": _monomial(basis, weight=lambda occ: 0.5 * (occ[:, 1] - occ[:, 0])),
-        "N0": _monomial(basis, weight=lambda occ: occ[:, 0]),
-        "N1": _monomial(basis, weight=lambda occ: occ[:, 1]),
-    }
-    return _bundle("su2", "bilinear", basis, int(M), raising, lowering, diagonal)
+    return _rank_one(su_rp1_bilinear(basis, M), "su2",
+                     lambda occ: 0.5 * (occ[:, 1] - occ[:, 0]))
 
 
 def su2_hp(basis: TruncatedBasis, M: int) -> AlgebraRealization:
-    """Reduced form J+ = b^dag sqrt(M - N) on exactly the levels 0..M."""
+    """Reduced form J+ = b^dag sqrt(M - N), J0 = N - M/2 on exactly the levels 0..M."""
     if basis.modes != 1:
         raise ValueError("su2_hp needs a 1-mode basis")
-    if int(M) != M or M < 1:
-        raise ValueError("M must be a positive integer")
-    M = int(M)
-    if not np.array_equal(np.sort(basis.occupations[:, 0]), np.arange(M + 1)):
-        raise ValueError(
-            f"su2_hp needs the basis to hold exactly levels 0..{M} (spin-M/2 block)"
-        )
-    w = lambda occ: np.sqrt(np.maximum(M - occ[:, 0], 0))
-    raising = {"J+": _monomial(basis, create=(0,), weight=w)}
-    lowering = {"J-": _monomial(basis, destroy=(0,), weight=w)}
-    diagonal = {
-        "J0": _monomial(basis, weight=lambda occ: occ[:, 0] - M / 2.0),
-        "N0": _monomial(basis, weight=lambda occ: M - occ[:, 0]),
-        "N1": _monomial(basis, weight=lambda occ: occ[:, 0]),
-    }
-    return _bundle("su2", "holstein_primakoff", basis, M, raising, lowering, diagonal)
+    return _rank_one(su_rp1_hp(basis, M), "su2", lambda occ: occ[:, 0] - M / 2.0)
 
 
 def su_r1_bilinear(basis: TruncatedBasis, M: float) -> AlgebraRealization:
@@ -152,19 +155,10 @@ def su_r1_bilinear(basis: TruncatedBasis, M: float) -> AlgebraRealization:
         raise ValueError("su_r1_bilinear needs at least 2 modes")
     if not M > 0:
         raise ValueError("M must be positive")
-    raising, lowering, diagonal = {}, {}, {}
-    for j in range(1, r + 1):
-        raising[f"K+{j}"] = _monomial(basis, create=(0, j))
-        lowering[f"K-{j}"] = _monomial(basis, destroy=(0, j))
-    for j in range(1, r + 1):
-        for k in range(1, r + 1):
-            if j == k:
-                continue
-            group = raising if j > k else lowering
-            group[f"K{j}{k}"] = _monomial(basis, create=(j,), destroy=(k,))
-    for j in range(r + 1):
-        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[:, j])
-    return _bundle("su_r1", "bilinear", basis, M, raising, lowering, diagonal)
+    raising = {f"K+{j}": _monomial(basis, create=(0, j)) for j in range(1, r + 1)}
+    lowering = {f"K-{j}": _monomial(basis, destroy=(0, j)) for j in range(1, r + 1)}
+    return _r_family("su_r1", "bilinear", basis, M, raising, lowering,
+                     lambda occ: occ[:, 0])
 
 
 def su_r1_hp(basis: TruncatedBasis, M: float) -> AlgebraRealization:
@@ -177,20 +171,10 @@ def su_r1_hp(basis: TruncatedBasis, M: float) -> AlgebraRealization:
     if not M > 0:
         raise ValueError("M must be positive")
     w = lambda occ: np.sqrt(M + occ.sum(axis=1))
-    raising, lowering, diagonal = {}, {}, {}
-    for j in range(1, r + 1):
-        raising[f"K+{j}"] = _monomial(basis, create=(j - 1,), weight=w)
-        lowering[f"K-{j}"] = _monomial(basis, destroy=(j - 1,), weight=w)
-    for j in range(1, r + 1):
-        for k in range(1, r + 1):
-            if j == k:
-                continue
-            group = raising if j > k else lowering
-            group[f"K{j}{k}"] = _monomial(basis, create=(j - 1,), destroy=(k - 1,))
-    diagonal["N0"] = _monomial(basis, weight=lambda occ: M - 1 + occ.sum(axis=1))
-    for j in range(1, r + 1):
-        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[:, j - 1])
-    return _bundle("su_r1", "holstein_primakoff", basis, M, raising, lowering, diagonal)
+    raising = {f"K+{j}": _monomial(basis, create=(j - 1,), weight=w) for j in range(1, r + 1)}
+    lowering = {f"K-{j}": _monomial(basis, destroy=(j - 1,), weight=w) for j in range(1, r + 1)}
+    return _r_family("su_r1", "holstein_primakoff", basis, M, raising, lowering,
+                     lambda occ: M - 1 + occ.sum(axis=1))
 
 
 def su_rp1_bilinear(basis: TruncatedBasis, M: int) -> AlgebraRealization:
@@ -200,16 +184,10 @@ def su_rp1_bilinear(basis: TruncatedBasis, M: int) -> AlgebraRealization:
         raise ValueError("su_rp1_bilinear needs at least 2 modes")
     if int(M) != M or M < 1:
         raise ValueError("M must be a positive integer")
-    raising, lowering, diagonal = {}, {}, {}
-    for j in range(r + 1):
-        for k in range(r + 1):
-            if j == k:
-                continue
-            group = raising if j > k else lowering
-            group[f"J{j}{k}"] = _monomial(basis, create=(j,), destroy=(k,))
-    for j in range(r + 1):
-        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[:, j])
-    return _bundle("su_rp1", "bilinear", basis, int(M), raising, lowering, diagonal)
+    raising = {f"J{j}0": _monomial(basis, create=(j,), destroy=(0,)) for j in range(1, r + 1)}
+    lowering = {f"J0{j}": _monomial(basis, create=(0,), destroy=(j,)) for j in range(1, r + 1)}
+    return _r_family("su_rp1", "bilinear", basis, int(M), raising, lowering,
+                     lambda occ: occ[:, 0])
 
 
 def su_rp1_hp(basis: TruncatedBasis, M: int) -> AlgebraRealization:
@@ -228,20 +206,10 @@ def su_rp1_hp(basis: TruncatedBasis, M: int) -> AlgebraRealization:
             f"su_rp1_hp needs exactly the {expected} states with total occupation <= {M}"
         )
     w = lambda occ: np.sqrt(np.maximum(M - occ.sum(axis=1), 0))
-    raising, lowering, diagonal = {}, {}, {}
-    for j in range(1, r + 1):
-        raising[f"J{j}0"] = _monomial(basis, create=(j - 1,), weight=w)
-        lowering[f"J0{j}"] = _monomial(basis, destroy=(j - 1,), weight=w)
-    for j in range(1, r + 1):
-        for k in range(1, r + 1):
-            if j == k:
-                continue
-            group = raising if j > k else lowering
-            group[f"J{j}{k}"] = _monomial(basis, create=(j - 1,), destroy=(k - 1,))
-    diagonal["N0"] = _monomial(basis, weight=lambda occ: M - occ.sum(axis=1))
-    for j in range(1, r + 1):
-        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[:, j - 1])
-    return _bundle("su_rp1", "holstein_primakoff", basis, M, raising, lowering, diagonal)
+    raising = {f"J{j}0": _monomial(basis, create=(j - 1,), weight=w) for j in range(1, r + 1)}
+    lowering = {f"J0{j}": _monomial(basis, destroy=(j - 1,), weight=w) for j in range(1, r + 1)}
+    return _r_family("su_rp1", "holstein_primakoff", basis, M, raising, lowering,
+                     lambda occ: M - occ.sum(axis=1))
 
 
 # --- structure relations -------------------------------------------------
@@ -251,19 +219,17 @@ def su_rp1_hp(basis: TruncatedBasis, M: int) -> AlgebraRealization:
 # generator, and the empty tuple the identity.
 
 
-def _su11_relations():
-    return [
-        ("[K+,K-] + 2 K0", [(1, ("K+", "K-")), (-1, ("K-", "K+")), (2, ("K0",))]),
-        ("[K0,K+] - K+", [(1, ("K0", "K+")), (-1, ("K+", "K0")), (-1, ("K+",))]),
-        ("[K0,K-] + K-", [(1, ("K0", "K-")), (-1, ("K-", "K0")), (1, ("K-",))]),
-    ]
+def _rank_one_relations(up, down, cartan, sign):
+    """su(1,1) with sign +1, su(2) with sign -1: [up,down] = -2 sign cartan.
 
-
-def _su2_relations():
+    The Cartan generator raises by one under ``up`` and lowers by one under
+    ``down`` in both.
+    """
     return [
-        ("[J+,J-] - 2 J0", [(1, ("J+", "J-")), (-1, ("J-", "J+")), (-2, ("J0",))]),
-        ("[J0,J+] - J+", [(1, ("J0", "J+")), (-1, ("J+", "J0")), (-1, ("J+",))]),
-        ("[J0,J-] + J-", [(1, ("J0", "J-")), (-1, ("J-", "J0")), (1, ("J-",))]),
+        (f"[{up},{down}] {'+' if sign > 0 else '-'} 2 {cartan}",
+         [(1, (up, down)), (-1, (down, up)), (2 * sign, (cartan,))]),
+        (f"[{cartan},{up}] - {up}", [(1, (cartan, up)), (-1, (up, cartan)), (-1, (up,))]),
+        (f"[{cartan},{down}] + {down}", [(1, (cartan, down)), (-1, (down, cartan)), (1, (down,))]),
     ]
 
 
@@ -336,9 +302,9 @@ def _su_rp1_relations(r):
 
 def relations_for(realization: AlgebraRealization):
     if realization.algebra == "su11":
-        return _su11_relations()
+        return _rank_one_relations("K+", "K-", "K0", 1)
     if realization.algebra == "su2":
-        return _su2_relations()
+        return _rank_one_relations("J+", "J-", "J0", -1)
     if realization.algebra == "su_r1":
         return _su_r1_relations(realization.rank)
     if realization.algebra == "su_rp1":

@@ -91,6 +91,17 @@ def _parse_float_list(key, value):
         raise ValueError(f"{key} must be comma-separated numbers, got {value!r}") from None
 
 
+def _whole(key, value):
+    """``value`` as an int; ValueError naming ``key`` unless it is a non-negative integer.
+
+    Refuses 2.5, true, "3", NaN and inf rather than truncating them.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or int(value) != value or value < 0):
+        raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fockbench",
@@ -211,20 +222,18 @@ def _cmd_state(args) -> int:
 
     spec = st.StateSpec(family, params, thetas)
     tail_tol = float(_merged(args, config, "tail_tol", st.DEFAULT_TAIL_TOL))
-    guard = _merged(args, config, "guard", 0)
-    if (isinstance(guard, bool) or not isinstance(guard, (int, float))
-            or not math.isfinite(guard) or int(guard) != guard or guard < 0):
-        raise ValueError(f"guard must be a non-negative integer, got {guard!r}")
+    guard = _whole("guard", _merged(args, config, "guard", 0))
     cutoff = _merged(args, config, "cutoff")
     if cutoff is not None:
+        cutoff = _whole("cutoff", cutoff)
         if guard:
             raise ValueError("guard and cutoff conflict: a guard widens the automatic "
                              "cutoff, so give one or the other")
         rule = Cutoff.total if family in ("multinomial", "neg_multinomial") else Cutoff.per_mode
-        basis = enumerate_basis(spec.modes, rule(int(cutoff)))
+        basis = enumerate_basis(spec.modes, rule(cutoff))
         psi = st.build_state(spec, basis, tail_tol=tail_tol)
     else:
-        psi = st.build_state(spec, tail_tol=tail_tol, guard=int(guard))
+        psi = st.build_state(spec, tail_tol=tail_tol, guard=guard)
 
     deficit = st.norm_deficit(psi, family)
     base = str(_merged(args, config, "out", "fockbench"))
@@ -494,7 +503,7 @@ def _cmd_simulate(args) -> int:
     if seed is None:
         raise ValueError("--seed is required (sampling must be reproducible)")
     params = dist.NegBinomialParams(float(eta2), float(m_value))
-    result = dist.waiting_time_simulate(params, int(trials), int(seed))
+    result = dist.waiting_time_simulate(params, _whole("trials", trials), _whole("seed", seed))
     text = "n,p,p_hat,stderr\n" + _render_rows("%d,%.17g,%.17g,%.17g\n", "", result.n,
                                                  result.p, result.p_hat, result.stderr)
     out = _merged(args, config, "out")

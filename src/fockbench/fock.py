@@ -21,8 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-OccupationVector = tuple  # tuple of non-negative ints, one entry per mode
-
 MAX_BASIS_STATES = 2_000_000
 
 
@@ -121,10 +119,6 @@ class TruncatedBasis:
         )
 
     @property
-    def size(self):
-        return len(self)
-
-    @property
     def states(self) -> tuple:
         """The occupation rows as a tuple of int tuples (built once, then cached)."""
         if self._states is None:
@@ -188,9 +182,6 @@ class TruncatedBasis:
 
     def contains(self, occ) -> bool:
         return len(occ) == self.modes and int(self.rank(occ)[0]) >= 0
-
-    def state(self, i) -> OccupationVector:
-        return tuple(self.occupations[i].tolist())
 
     @property
     def totals(self) -> np.ndarray:

@@ -39,8 +39,23 @@ from .fock import (
 DISPLACEMENT_GUARD = 16  # extra levels above the series cutoff for unitary routes
 
 
-def _raising_label(realization):
-    return "K+" if realization.algebra == "su11" else "J+"
+def _ladder(realization, reduced=False):
+    """(raising, lowering, Cartan) labels of an su11 or su2 realization.
+
+    Any other realization raises ValueError, and so does a bilinear one when
+    ``reduced`` asks for the single-mode form.
+    """
+    if realization.algebra not in ("su11", "su2") or (
+            reduced and realization.form != "holstein_primakoff"):
+        raise ValueError(f"expected {'a reduced' if reduced else 'an'} su11 or su2 "
+                         f"realization, got {realization.algebra} {realization.form}")
+    letter = "K" if realization.algebra == "su11" else "J"
+    return letter + "+", letter + "-", letter + "0"
+
+
+def _rotation(zeta, raising):
+    """zeta X - zeta* X^dag: the displacement (or rotation) generator of the ladder X."""
+    return zeta * raising - np.conj(zeta) * raising.adjoint()
 
 
 def exp_form_state(realization: AlgebraRealization, eta_c: complex) -> StateVector:
@@ -50,14 +65,12 @@ def exp_form_state(realization: AlgebraRealization, eta_c: complex) -> StateVect
     su(2):   (1-|z|^2)^{M/2} exp(tau J+) |0> with tau = z/sqrt(1-|z|^2).
     Requires a reduced (single-mode) su11 or su2 realization.
     """
-    if realization.form != "holstein_primakoff" or realization.algebra not in ("su11", "su2"):
-        raise ValueError("exp_form_state needs a reduced su11 or su2 realization")
+    up, _, _ = _ladder(realization, reduced=True)
     z = complex(eta_c)
     if abs(z) >= 1.0:
         raise ValueError("|eta_c| must be below 1")
     coeff = z if realization.algebra == "su11" else z / math.sqrt(1.0 - abs(z) ** 2)
-    psi = apply_exponential(coeff * realization.raising[_raising_label(realization)],
-                            vacuum_state(realization.basis))
+    psi = apply_exponential(coeff * realization.raising[up], vacuum_state(realization.basis))
     prefactor = (1.0 - abs(z) ** 2) ** (realization.M / 2.0)
     return StateVector(psi.basis, prefactor * psi.amplitudes)
 
@@ -121,13 +134,10 @@ def displacement_state(realization: AlgebraRealization, eta: float, theta: float
     basis.  More than ``leak_tol`` of that mass (or of series-truncation norm
     drift) raises -- enlarge the basis with a guard band instead.
     """
-    if realization.form != "holstein_primakoff" or realization.algebra not in ("su11", "su2"):
-        raise ValueError("displacement_state needs a reduced su11 or su2 realization")
-    label = _raising_label(realization)
+    label, _, _ = _ladder(realization, reduced=True)
     zeta = displacement_zeta(realization.algebra, eta, theta)
-    raising = realization.raising[label]
-    generator = zeta * raising - np.conj(zeta) * raising.adjoint()
-    psi = apply_exponential(generator, vacuum_state(realization.basis))
+    psi = apply_exponential(_rotation(zeta, realization.raising[label]),
+                            vacuum_state(realization.basis))
     leakage = displacement_leakage(realization, psi, label)
     if leakage > leak_tol:
         raise ValueError(
@@ -146,7 +156,7 @@ def displacement_leakage(realization: AlgebraRealization, psi: StateVector,
     reading reduces to the series norm drift alone.
     """
     if label is None:
-        label = _raising_label(realization)
+        label, _, _ = _ladder(realization)
     boundary = realization.lossy[label]
     pressed = float(np.sum(np.abs(psi.amplitudes[boundary]) ** 2))
     return max(pressed, abs(1.0 - psi.norm2()))
@@ -162,12 +172,7 @@ def disentangled_product(realization: AlgebraRealization, zeta: complex) -> Line
     Returns the three-factor product as an operator for entrywise comparison
     with the one-shot exponential.
     """
-    if realization.algebra == "su2":
-        plus, minus, diag = "J+", "J-", "J0"
-    elif realization.algebra == "su11":
-        plus, minus, diag = "K+", "K-", "K0"
-    else:
-        raise ValueError("disentangled_product needs an su11 or su2 realization")
+    plus, minus, diag = _ladder(realization)
     z = complex(zeta)
     if z == 0:
         return identity_op(realization.basis)
@@ -186,9 +191,8 @@ def disentangled_product(realization: AlgebraRealization, zeta: complex) -> Line
 
 def disentangling_identity_check(realization: AlgebraRealization, zeta: complex) -> dict:
     """Entrywise residual between exp(zeta K+ - h.c.) and its three-factor product."""
-    raising = realization.raising[_raising_label(realization)]
-    generator = complex(zeta) * raising - np.conj(complex(zeta)) * raising.adjoint()
-    whole = op_exponential(generator)
+    up, _, _ = _ladder(realization)
+    whole = op_exponential(_rotation(complex(zeta), realization.raising[up]))
     product = disentangled_product(realization, zeta)
     residual = float(abs(whole.matrix - product.matrix).max())
     return {"algebra": realization.algebra, "M": realization.M,
@@ -249,9 +253,7 @@ def _rotation_angles(eta):
 def _apply_rotation(raising, angle, phase, psi):
     if angle == 0.0:
         return psi.copy()
-    generator = (angle * cmath.exp(1j * phase)) * raising \
-        - (angle * cmath.exp(-1j * phase)) * raising.adjoint()
-    return apply_exponential(generator, psi)
+    return apply_exponential(_rotation(angle * cmath.exp(1j * phase), raising), psi)
 
 
 def _rotation_chain(eta, thetas, M, basis, compact):
@@ -360,10 +362,8 @@ def dynamical_binomial(drive: TwoLevelDrive, t: float, M: int) -> StateVector:
     M = int(M)
     basis = enumerate_basis(2, Cutoff.shell(M))
     real = su2_bilinear(basis, M)
-    angle = drive.eta * t
-    generator = (angle * cmath.exp(1j * drive.theta)) * real.raising["J+"] \
-        - (angle * cmath.exp(-1j * drive.theta)) * real.lowering["J-"]
-    return apply_exponential(generator, basis_state(basis, (M, 0)))
+    zeta = drive.eta * t * cmath.exp(1j * drive.theta)
+    return apply_exponential(_rotation(zeta, real.raising["J+"]), basis_state(basis, (M, 0)))
 
 
 def dynamical_binomial_target(drive: TwoLevelDrive, t: float, M: int) -> StateVector:

@@ -337,3 +337,23 @@ def test_zero_guard_with_cutoff_is_accepted(tmp_path):
     proc = run_cli("state", "--family", "nbs", "--eta2", "0.5", "--M", "2", "--guard", "0",
                    "--cutoff", "60", "--out", str(tmp_path / "z"))
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("simulate", {"trials": 2.5}, "trials"),
+    ("simulate", {"seed": 7.9}, "seed"),
+    ("simulate", {"trials": True}, "trials"),
+    ("simulate", {"seed": "7"}, "seed"),
+    ("state", {"cutoff": 40.7}, "cutoff"),
+    ("state", {"cutoff": -1}, "cutoff"),
+])
+def test_non_integer_config_counts_exit_two(tmp_path, command, config, key):
+    # truncating 2.5 trials to 2 would run a different experiment than the one asked for
+    base = ({"eta2": 0.3, "M": 3, "trials": 1000, "seed": 11} if command == "simulate"
+            else {"family": "nbs", "eta2": 0.5, "M": 2})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**base, **config}))
+    proc = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert f"{key} must be a non-negative integer, got {config[key]!r}" in proc.stderr
+    assert list(tmp_path.iterdir()) == [cfg]
