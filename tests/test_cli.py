@@ -357,3 +357,51 @@ def test_non_integer_config_counts_exit_two(tmp_path, command, config, key):
     assert proc.returncode == 2, proc.stderr
     assert f"{key} must be a non-negative integer, got {config[key]!r}" in proc.stderr
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+_RESIDUAL = ["name", "max_residual", "tolerance", "passed"]
+_FIDELITY = ["name", "min_fidelity", "tolerance", "passed"]
+_RELATIONS = ["name", "max_residual", "relations", "states_checked", "tolerance", "passed"]
+_RESOLUTION = ["r", "M", "nodes", "max_entry_residual", "trace_residual", "worst_entry",
+               "tolerance", "passed", "name"]
+_SLICING = ["alphas", "M", "max_rel_error", "compared", "name", "tolerance", "passed"]
+_TREND = ["name", "values", "passed"]
+
+# suite -> (check name, keys in report order, tolerance or None) for every check
+SUITE_REPORTS = {
+    "algebra": [(f"{alg}_{form}_relations{rank}", _RELATIONS, 1e-12)
+                for alg, rank in (("su11", ""), ("su2", ""), ("su_r1", "_r2"), ("su_rp1", "_r2"))
+                for form in ("bilinear", "reduced")]
+               + [(f"intertwining_{kind}_r{r}_M3", _RELATIONS, 1e-12)
+                  for r in (1, 2) for kind in ("noncompact", "compact")],
+    "disentangle": [(f"three_factor_product_M{m}", _RESIDUAL, 1e-12) for m in (1, 2, 4)]
+                   + [(f"displacement_route_eta2_{case}", _FIDELITY, 1e-8)
+                      for case in ("0.3_M2.0", "0.6_M2.5")],
+    "measure": [(f"resolution_r{r}_M{m}", _RESOLUTION, 1e-8 if r == 1 else 1e-4)
+                for r, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2))]
+               + [("slicing_M2_modes2", _SLICING, 1e-12), ("slicing_M3_modes3", _SLICING, 1e-12)],
+    "limits": [(f"{kind}_{family}", _TREND, None) for family in ("binomial", "neg_binomial")
+               for kind in ("tv_distance", "contraction_fidelity")],
+    "identity": [("ladder_weight_identity_su11_M3.0", _RESIDUAL + ["n_max"], 1e-13),
+                 ("ladder_weight_identity_su11_M2.5", _RESIDUAL + ["n_max"], 1e-12),
+                 ("ladder_weight_identity_su2_M3", _RESIDUAL + ["n_max"], 1e-13)],
+    "dynamical": [("two_level_drive_M1", _FIDELITY, 1e-10), ("two_level_drive_M3", _FIDELITY, 1e-10),
+                  ("classical_current_drive", _FIDELITY, 1e-8)],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_REPORTS))
+def test_every_verify_suite_reports_its_checks(capsys, suite):
+    # in-process, so all six suites cost well under a second together
+    from fockbench import cli
+
+    assert cli.main(["verify", suite]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["schema"] == "fockbench.verify/1" and report["suite"] == suite
+    assert report["passed"] is True
+    expected = SUITE_REPORTS[suite]
+    assert [check["name"] for check in report["checks"]] == [name for name, _, _ in expected]
+    for check, (name, keys, tol) in zip(report["checks"], expected):
+        assert sorted(check) == sorted(keys), name
+        assert check.get("tolerance") == tol, name
+        assert check["passed"] is True, name
