@@ -14,7 +14,8 @@ Exit codes: 0 success, 2 usage or parameter error, 3 verification failure,
 1 internal error.  The environment variable FOCKBENCH_THREADS caps the
 thread count of the underlying linear-algebra libraries; it must take
 effect before numpy is first imported, so this module imports the numeric
-submodules lazily inside the command handlers.
+submodules lazily inside the command handlers.  ``verify`` renders the check
+records that ``checks.SUITES`` builds; the suites themselves live there.
 """
 
 from __future__ import annotations
@@ -102,6 +103,15 @@ def _whole(key, value):
     return int(value)
 
 
+def _real(key, value):
+    """``value`` as a float; ValueError naming ``key`` for true, "3" or any non-number.
+
+    Range checks (finite, positive, ...) stay with the parameter classes."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fockbench",
@@ -175,6 +185,16 @@ def _merged(args, config, key, default=None):
     return default
 
 
+def _emit(out, text):
+    """Write ``text`` to the file ``out`` and say so, or to stdout when ``out`` is empty."""
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
+
+
 # --- state -----------------------------------------------------------------
 
 
@@ -199,29 +219,25 @@ def _cmd_state(args) -> int:
     if family == "coherent":
         if alpha2 is None:
             raise ValueError("--alpha2 is required for the coherent family")
-        params = dist.PoissonParams(float(alpha2))
+        params = dist.PoissonParams(_real("alpha2", alpha2))
     else:
         if eta2_raw is None:
             raise ValueError(f"--eta2 is required for the {family_raw} family")
         if m_value is None:
             raise ValueError(f"--M is required for the {family_raw} family")
         eta2 = _parse_float_list("eta2", eta2_raw)
-        if family == "binomial":
+        m_value = _real("M", m_value)
+        if family in ("binomial", "neg_binomial"):
             if len(eta2) != 1:
-                raise ValueError("binomial takes a single eta^2 value")
-            params = dist.BinomialParams(eta2[0], m_value)
-        elif family == "neg_binomial":
-            if len(eta2) != 1:
-                raise ValueError("neg_binomial takes a single eta^2 value")
-            params = dist.NegBinomialParams(eta2[0], float(m_value))
-        elif family == "multinomial":
-            params = dist.MultinomialParams(tuple(math.sqrt(e) for e in eta2), m_value)
+                raise ValueError(f"{family} takes a single eta^2 value")
+            law = dist.BinomialParams if family == "binomial" else dist.NegBinomialParams
+            params = law(eta2[0], m_value)
         else:
-            params = dist.NegMultinomialParams(tuple(math.sqrt(e) for e in eta2),
-                                               float(m_value))
+            law = dist.MultinomialParams if family == "multinomial" else dist.NegMultinomialParams
+            params = law(tuple(math.sqrt(e) for e in eta2), m_value)
 
     spec = st.StateSpec(family, params, thetas)
-    tail_tol = float(_merged(args, config, "tail_tol", st.DEFAULT_TAIL_TOL))
+    tail_tol = _real("tail_tol", _merged(args, config, "tail_tol", st.DEFAULT_TAIL_TOL))
     guard = _whole("guard", _merged(args, config, "guard", 0))
     cutoff = _merged(args, config, "cutoff")
     if cutoff is not None:
@@ -277,212 +293,20 @@ def _cmd_state(args) -> int:
 # --- verify ----------------------------------------------------------------
 
 
-def _suite_algebra():
-    from . import algebra as alg
-    from .fock import Cutoff, enumerate_basis
-
-    checks = []
-
-    def record(name, reports, tol=1e-12):
-        residuals = [rep["max_residual"] for rep in reports if rep["max_residual"] is not None]
-        counted = sum(rep.get("interior_count", rep.get("checked_count", 0)) for rep in reports)
-        worst = max(residuals) if residuals else 0.0
-        checks.append({
-            "name": name,
-            "max_residual": worst,
-            "relations": len(reports),
-            "states_checked": counted,
-            "tolerance": tol,
-            "passed": bool(worst <= tol and counted > 0),
-        })
-
-    record("su11_bilinear_relations",
-           alg.verify_algebra(alg.su11_bilinear(enumerate_basis(2, Cutoff.total(12)), 2.0)))
-    record("su11_reduced_relations",
-           alg.verify_algebra(alg.su11_hp(enumerate_basis(1, Cutoff.per_mode(14)), 2.5)))
-    record("su2_bilinear_relations",
-           alg.verify_algebra(alg.su2_bilinear(enumerate_basis(2, Cutoff.shell(3)), 3)))
-    record("su2_reduced_relations",
-           alg.verify_algebra(alg.su2_hp(enumerate_basis(1, Cutoff.per_mode(3)), 3)))
-    record("su_r1_bilinear_relations_r2",
-           alg.verify_algebra(alg.su_r1_bilinear(enumerate_basis(3, Cutoff.total(8)), 2.0)))
-    record("su_r1_reduced_relations_r2",
-           alg.verify_algebra(alg.su_r1_hp(enumerate_basis(2, Cutoff.total(8)), 2.0)))
-    record("su_rp1_bilinear_relations_r2",
-           alg.verify_algebra(alg.su_rp1_bilinear(enumerate_basis(3, Cutoff.shell(3)), 3)))
-    record("su_rp1_reduced_relations_r2",
-           alg.verify_algebra(alg.su_rp1_hp(enumerate_basis(2, Cutoff.total(3)), 3)))
-
-    for rank, m in ((1, 3), (2, 3)):
-        reduced = enumerate_basis(rank, Cutoff.total(5))
-        parent = enumerate_basis(rank + 1, Cutoff.total(m - 1 + 2 * 5))
-        sub = alg.ConstraintSubspace(parent, reduced, m, "su_r1")
-        record(f"intertwining_noncompact_r{rank}_M{m}",
-               alg.intertwining_check(alg.su_r1_bilinear(parent, float(m)),
-                                      alg.su_r1_hp(reduced, float(m)), sub))
-        reduced_c = enumerate_basis(rank, Cutoff.total(m))
-        parent_c = enumerate_basis(rank + 1, Cutoff.shell(m))
-        sub_c = alg.ConstraintSubspace(parent_c, reduced_c, m, "su_rp1")
-        record(f"intertwining_compact_r{rank}_M{m}",
-               alg.intertwining_check(alg.su_rp1_bilinear(parent_c, m),
-                                      alg.su_rp1_hp(reduced_c, m), sub_c))
-    return checks
-
-
-def _suite_disentangle():
-    from . import generation as gen
-    from .algebra import su2_hp
-    from .fock import Cutoff, enumerate_basis
-
-    checks = []
-    zetas = (0.35, 0.3 + 0.4j, 1.1j, -0.8 + 0.2j)
-    for m in (1, 2, 4):
-        basis = enumerate_basis(1, Cutoff.per_mode(m))
-        real = su2_hp(basis, m)
-        worst = max(gen.disentangling_identity_check(real, z)["max_residual"] for z in zetas)
-        checks.append({"name": f"three_factor_product_M{m}", "max_residual": worst,
-                       "tolerance": 1e-12, "passed": bool(worst <= 1e-12)})
-    for eta2, m in ((0.3, 2.0), (0.6, 2.5)):
-        rep = gen.path_equivalence("neg_binomial", eta2, m, theta=0.7)
-        fid = min(rep["fidelity_exp_vs_series"], rep["fidelity_disp_vs_series"])
-        checks.append({"name": f"displacement_route_eta2_{eta2}_M{m}",
-                       "min_fidelity": fid, "tolerance": 1e-8,
-                       "passed": bool(fid >= 1.0 - 1e-8)})
-    return checks
-
-
-def _suite_measure(rank=None, m_value=None, nodes=None):
-    from . import measure as meas
-
-    checks = []
-
-    def record(rep):
-        rep = dict(rep)
-        rep["name"] = f"resolution_r{rep['r']}_M{rep['M']}"
-        checks.append(rep)
-
-    if rank is not None:
-        spec = meas.MeasureSpec(rank, 1 if m_value is None else m_value, nodes, nodes)
-        record(meas.resolution_check(spec, tolerance=1e-8 if spec.r == 1 else 1e-4))
-        return checks
-    if m_value is not None:
-        raise ValueError("--M sets the shell of a --r override; pass --r with it")
-
-    for rr, mm, tol in ((1, 1, 1e-8), (1, 2, 1e-8), (1, 3, 1e-8), (2, 1, 1e-4), (2, 2, 1e-4)):
-        record(meas.resolution_check(meas.MeasureSpec(rr, mm, nodes, nodes), tolerance=tol))
-    for alphas, mm in (((1.0, 1.0), 2), ((0.8, 1.1, 0.6), 3)):
-        rep = meas.slicing_check(alphas, mm)
-        rep["name"] = f"slicing_M{mm}_modes{len(alphas)}"
-        rep["tolerance"] = 1e-12
-        rep["passed"] = bool(rep["max_rel_error"] <= 1e-12)
-        checks.append(rep)
-    return checks
-
-
-def _suite_limits():
-    from . import distributions as dist
-    from . import generation as gen
-
-    checks = []
-    m_values = (10, 100, 1000)
-    for family in ("binomial", "neg_binomial"):
-        tvs = [dist.poisson_limit_distance(family, m, 1.0) for m in m_values]
-        decreasing = all(a > b for a, b in zip(tvs, tvs[1:]))
-        checks.append({"name": f"tv_distance_{family}", "values": tvs,
-                       "passed": bool(decreasing and tvs[-1] < 0.05)})
-        rows = gen.contraction_check(family, m_values, 1.0)
-        fids = [row["fidelity"] for row in rows]
-        increasing = all(a < b for a, b in zip(fids, fids[1:]))
-        checks.append({"name": f"contraction_fidelity_{family}", "values": fids,
-                       "passed": bool(increasing and fids[-1] >= 0.999)})
-    return checks
-
-
-def _suite_identity():
-    from . import generation as gen
-
-    checks = []
-    # absolute residuals scale with the weight product sqrt(n! Gamma(M+n)/Gamma(M)),
-    # so the longer chain gets a correspondingly wider (still ~1e-16 relative) gate
-    for m, variant, n_max, tol in ((3.0, "su11", 4, 1e-13), (2.5, "su11", 6, 1e-12),
-                                   (3, "su2", 4, 1e-13)):
-        reports = gen.operator_identity_check(m, n_max, variant)
-        worst = max(rep["residual"] for rep in reports)
-        checks.append({"name": f"ladder_weight_identity_{variant}_M{m}",
-                       "max_residual": worst, "n_max": n_max,
-                       "tolerance": tol, "passed": bool(worst <= tol)})
-    return checks
-
-
-def _suite_dynamical():
-    import cmath
-
-    from . import distributions as dist
-    from . import generation as gen
-    from . import states as st
-    from .fock import Cutoff, enumerate_basis, fidelity
-
-    checks = []
-    drive = gen.TwoLevelDrive(1.0, 0.6)
-    for m in (1, 3):
-        fids = []
-        for t in (0.5, math.pi / 4):
-            psi = gen.dynamical_binomial(drive, t, m)
-            fids.append(fidelity(psi, gen.dynamical_binomial_target(drive, t, m)))
-        worst = min(fids)
-        checks.append({"name": f"two_level_drive_M{m}", "min_fidelity": worst,
-                       "tolerance": 1e-10, "passed": bool(worst >= 1.0 - 1e-10)})
-    current = gen.ClassicalCurrent(((0.0, 0.7, 0.9 + 0.4j), (0.7, 1.5, -0.3 + 1.1j)), 1.3)
-    basis = enumerate_basis(1, Cutoff.per_mode(45))
-    fids = []
-    for t in (0.7, 1.5):
-        psi = gen.dynamical_coherent(current, t, basis)
-        alpha = gen.coherent_amplitude(current, t)
-        spec = st.StateSpec("coherent", dist.PoissonParams(abs(alpha) ** 2),
-                            (cmath.phase(alpha),))
-        fids.append(fidelity(psi, st.coherent_state(spec, basis)))
-    worst = min(fids)
-    checks.append({"name": "classical_current_drive", "min_fidelity": worst,
-                   "tolerance": 1e-8, "passed": bool(worst >= 1.0 - 1e-8)})
-    return checks
-
-
 def _cmd_verify(args) -> int:
-    config = _load_config(args.config)
-    suite = args.suite
-    if suite != "measure":
-        for key in ("r", "M", "nodes"):
-            if _merged(args, config, key) is not None:
-                raise ValueError(f"--{key} applies only to the measure suite, not {suite}")
-    if suite == "algebra":
-        checks = _suite_algebra()
-    elif suite == "disentangle":
-        checks = _suite_disentangle()
-    elif suite == "measure":
-        checks = _suite_measure(_merged(args, config, "r"),
-                                _merged(args, config, "M"),
-                                _merged(args, config, "nodes"))
-    elif suite == "limits":
-        checks = _suite_limits()
-    elif suite == "identity":
-        checks = _suite_identity()
-    else:
-        checks = _suite_dynamical()
-    report = {
-        "schema": "fockbench.verify/1",
-        "suite": suite,
-        "passed": bool(all(check["passed"] for check in checks)),
-        "checks": checks,
-    }
-    text = json.dumps(report, indent=2)
-    out = _merged(args, config, "out")
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {out}")
-    else:
-        print(text)
-    return 0 if report["passed"] else 3
+    from . import checks
+
+    config, suite = _load_config(args.config), args.suite
+    overrides = {key: value for key in ("r", "M", "nodes")
+                 if (value := _merged(args, config, key)) is not None}
+    if overrides and suite != "measure":
+        raise ValueError(f"--{next(iter(overrides))} applies only to the measure suite, "
+                         f"not {suite}")
+    records = checks.SUITES[suite](**overrides)
+    passed = all(record["passed"] for record in records)
+    report = {"schema": "fockbench.verify/1", "suite": suite, "passed": passed, "checks": records}
+    _emit(_merged(args, config, "out"), json.dumps(report, indent=2) + "\n")
+    return 0 if passed else 3
 
 
 # --- simulate ----------------------------------------------------------------
@@ -502,17 +326,11 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--trials is required")
     if seed is None:
         raise ValueError("--seed is required (sampling must be reproducible)")
-    params = dist.NegBinomialParams(float(eta2), float(m_value))
+    params = dist.NegBinomialParams(_real("eta2", eta2), _real("M", m_value))
     result = dist.waiting_time_simulate(params, _whole("trials", trials), _whole("seed", seed))
     text = "n,p,p_hat,stderr\n" + _render_rows("%d,%.17g,%.17g,%.17g\n", "", result.n,
                                                  result.p, result.p_hat, result.stderr)
-    out = _merged(args, config, "out")
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(text)
+    _emit(_merged(args, config, "out"), text)
     return 0
 
 
@@ -529,10 +347,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_simulate(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failure path

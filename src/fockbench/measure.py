@@ -37,8 +37,9 @@ BLOCK_ROWS = 64  # rows of the quadrature result formed at a time
 
 
 def _whole(name, value, low, high=math.inf):
-    """``value`` as an int in [low, high]; ValueError for NaN, inf, 2.5, "3", ..."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+    """``value`` as an int in [low, high]; ValueError for NaN, inf, 2.5, "3", true, ..."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)
             and low <= value <= high and value == int(value)):
         raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
     return int(value)
@@ -141,7 +142,7 @@ def _shell_quadrature(spec: MeasureSpec, basis: TruncatedBasis):
         yield out
 
 
-def resolution_check(spec: MeasureSpec, tolerance: float = None) -> dict:
+def resolution_check(spec: MeasureSpec) -> dict:
     """Quadrature of the overcompleteness integral against the shell identity.
 
     Accumulates integral dmu(xi) |xi><xi| over C^r with the nested radial
@@ -165,7 +166,7 @@ def resolution_check(spec: MeasureSpec, tolerance: float = None) -> dict:
         flat = int(np.argmax(diff))
         if diff.flat[flat] > worst:  # strict: the first maximum in row-major order wins
             worst, worst_at = float(diff.flat[flat]), divmod(start * d + flat, d)
-    report = {
+    return {
         "r": spec.r,
         "M": spec.M,
         "nodes": {"radial": spec.nodes_radial, "angular": spec.nodes_angular},
@@ -174,10 +175,6 @@ def resolution_check(spec: MeasureSpec, tolerance: float = None) -> dict:
         "worst_entry": {"row": basis.occupations[worst_at[0]].tolist(),
                         "col": basis.occupations[worst_at[1]].tolist()},
     }
-    if tolerance is not None:
-        report["tolerance"] = float(tolerance)
-        report["passed"] = bool(report["max_entry_residual"] <= tolerance)
-    return report
 
 
 def slicing_check(alphas, M: int) -> dict:

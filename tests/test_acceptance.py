@@ -9,21 +9,8 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from fockbench.algebra import (
-    ConstraintSubspace,
-    intertwining_check,
-    su2_bilinear,
-    su2_hp,
-    su11_bilinear,
-    su11_hp,
-    su_r1_bilinear,
-    su_r1_hp,
-    su_rp1_bilinear,
-    su_rp1_hp,
-    verify_algebra,
-)
+from fockbench import checks
 from fockbench.distributions import (
     BinomialParams,
     MultinomialParams,
@@ -34,7 +21,6 @@ from fockbench.distributions import (
     multinomial_pmf,
     neg_binomial_pmf,
     neg_multinomial_pmf,
-    poisson_limit_distance,
     poisson_pmf,
     waiting_time_simulate,
 )
@@ -42,16 +28,10 @@ from fockbench.fock import Cutoff, enumerate_basis, fidelity
 from fockbench.generation import (
     ClassicalCurrent,
     TwoLevelDrive,
-    coherent_amplitude,
-    contraction_check,
-    dynamical_binomial,
-    dynamical_binomial_target,
-    dynamical_coherent,
     path_equivalence,
     sequential_ms,
     sequential_nms,
 )
-from fockbench.measure import MeasureSpec, resolution_check
 from fockbench.states import (
     StateSpec,
     auto_basis,
@@ -116,51 +96,30 @@ def test_criterion_1_modulus_square_law():
 def test_criterion_2_algebra_suite():
     budget = 10.0
     start = time.time()
-    worst = 0.0
-
-    def worst_of(reports, key="max_residual"):
-        vals = [r[key] for r in reports if r[key] is not None]
-        assert vals
-        return max(vals)
-
-    pairs = [
-        verify_algebra(su11_bilinear(enumerate_basis(2, Cutoff.total(12)), 3.0)),
-        verify_algebra(su11_hp(enumerate_basis(1, Cutoff.per_mode(14)), 3.0)),
-        verify_algebra(su2_bilinear(enumerate_basis(2, Cutoff.shell(5)), 5)),
-        verify_algebra(su2_hp(enumerate_basis(1, Cutoff.per_mode(5)), 5)),
-        verify_algebra(su_r1_bilinear(enumerate_basis(3, Cutoff.total(8)), 2.0)),
-        verify_algebra(su_r1_hp(enumerate_basis(2, Cutoff.total(6)), 2.0)),
-        verify_algebra(su_rp1_bilinear(enumerate_basis(3, Cutoff.shell(3)), 3)),
-        verify_algebra(su_rp1_hp(enumerate_basis(2, Cutoff.total(3)), 3)),
-    ]
-    for reports in pairs:
-        worst = max(worst, worst_of(reports))
-
+    records = checks.algebra_relations((
+        ("su11_bilinear", 2, Cutoff.total(12), 3.0),
+        ("su11_hp", 1, Cutoff.per_mode(14), 3.0),
+        ("su2_bilinear", 2, Cutoff.shell(5), 5),
+        ("su2_hp", 1, Cutoff.per_mode(5), 5),
+        ("su_r1_bilinear", 3, Cutoff.total(8), 2.0),
+        ("su_r1_hp", 2, Cutoff.total(6), 2.0),
+        ("su_rp1_bilinear", 3, Cutoff.shell(3), 3),
+        ("su_rp1_hp", 2, Cutoff.total(3), 3),
+    ))
     # intertwining on full shells for (r, M) = (1, 3) and (2, 3)
-    for r, M in ((1, 3), (2, 3)):
-        reduced = enumerate_basis(r, Cutoff.total(5) if r > 1 else Cutoff.per_mode(5))
-        parent = enumerate_basis(r + 1, Cutoff.total(M - 1 + 10))
-        sub = ConstraintSubspace(parent, reduced, M=M, kind="su_r1")
-        mk_bi = su11_bilinear if r == 1 else su_r1_bilinear
-        mk_hp = su11_hp if r == 1 else su_r1_hp
-        reports = intertwining_check(mk_bi(parent, float(M)), mk_hp(reduced, float(M)), sub)
-        worst = max(worst, worst_of(reports))
-
-        shell_reduced = enumerate_basis(r, Cutoff.total(M))
-        shell_parent = enumerate_basis(r + 1, Cutoff.shell(M))
-        sub = ConstraintSubspace(shell_parent, shell_reduced, M=M, kind="su_rp1")
-        mk_bi = su2_bilinear if r == 1 else su_rp1_bilinear
-        mk_hp = su2_hp if r == 1 else su_rp1_hp
-        if r == 1:
-            shell_reduced = enumerate_basis(1, Cutoff.per_mode(M))
-            sub = ConstraintSubspace(shell_parent, shell_reduced, M=M, kind="su_rp1")
-        reports = intertwining_check(mk_bi(shell_parent, M), mk_hp(shell_reduced, M), sub)
-        worst = max(worst, worst_of(reports))
-
+    records += checks.intertwinings((
+        (1, "su11_bilinear", "su11_hp", Cutoff.total(12), Cutoff.per_mode(5), 3.0),
+        (1, "su2_bilinear", "su2_hp", Cutoff.shell(3), Cutoff.per_mode(3), 3),
+        (2, "su_r1_bilinear", "su_r1_hp", Cutoff.total(12), Cutoff.total(5), 3.0),
+        (2, "su_rp1_bilinear", "su_rp1_hp", Cutoff.shell(3), Cutoff.total(3), 3),
+    ))
+    worst = max(rec["max_residual"] for rec in records)
+    passed = all(rec["passed"] for rec in records)  # each also counted some states
     elapsed = time.time() - start
-    ok = worst <= 1e-12 and elapsed < budget
+    ok = passed and worst <= 1e-12 and elapsed < budget
     _report(2, ok, elapsed, budget,
             f"8 realizations + 4 intertwinings, worst residual {worst:.2e}")
+    assert passed
     assert worst <= 1e-12
     assert elapsed < budget
 
@@ -216,23 +175,20 @@ def test_criterion_3_path_equivalence():
 def test_criterion_4_resolution_of_unity():
     budget = 120.0
     start = time.time()
-    worst_r1 = max(
-        resolution_check(MeasureSpec(r=1, M=M, nodes_radial=64, nodes_angular=64))
-        ["max_entry_residual"]
-        for M in (1, 2, 3)
-    )
-    worst_r2 = max(
-        resolution_check(MeasureSpec(r=2, M=M, nodes_radial=24, nodes_angular=24))
-        ["max_entry_residual"]
-        for M in (1, 2)
-    )
-    worst_high = max(resolution_check(MeasureSpec(r=r, M=M))["max_entry_residual"]
-                     for r, M in ((3, 6), (5, 8)))
+    records = checks.resolutions([(1, M, 64, 1e-8) for M in (1, 2, 3)]
+                                 + [(2, M, 24, 1e-4) for M in (1, 2)]
+                                 + [(3, 6, None, 1e-4), (5, 8, None, 1e-4)])
+    worst_r1, worst_r2, worst_high = (
+        max(rec["max_entry_residual"] for rec in records if rec["r"] in ranks)
+        for ranks in ((1,), (2,), (3, 5)))
+    passed = all(rec["passed"] for rec in records)
     elapsed = time.time() - start
-    ok = worst_r1 <= 1e-8 and worst_r2 <= 1e-4 and worst_high <= 1e-4 and elapsed < budget
+    ok = passed and worst_r1 <= 1e-8 and worst_r2 <= 1e-4 and worst_high <= 1e-4 \
+        and elapsed < budget
     _report(4, ok, elapsed, budget,
             f"r=1 residual {worst_r1:.2e} (<=1e-8), r=2 residual {worst_r2:.2e} (<=1e-4), "
             f"r=3,5 residual {worst_high:.2e} (<=1e-4)")
+    assert passed
     assert worst_r1 <= 1e-8
     assert worst_r2 <= 1e-4
     assert worst_high <= 1e-4
@@ -242,19 +198,16 @@ def test_criterion_4_resolution_of_unity():
 def test_criterion_5_poisson_limits_and_contraction():
     budget = 10.0
     start = time.time()
-    details = []
-    ok = True
-    for family in ("binomial", "neg_binomial"):
-        tv = [poisson_limit_distance(family, M, 1.0) for M in (10, 100, 1000)]
-        ok &= tv[0] > tv[1] > tv[2] and tv[2] < 0.05
-        rows = contraction_check(family, (10, 100, 1000), alpha2=1.0)
-        fids = [row["fidelity"] for row in rows]
-        ok &= fids[0] < fids[1] < fids[2] and fids[2] >= 0.999
-        details.append(f"{family}: TV {tv[2]:.4f}, fid {fids[2]:.6f}")
+    # TV distances fall below 0.05 and fidelities rise to at least 0.999
+    records = checks.limits(("binomial", "neg_binomial"), (10, 100, 1000), 1.0,
+                            tv_below=0.05, fidelity_from=0.999)
+    details = [f"{tv['name'].removeprefix('tv_distance_')}: TV {tv['values'][2]:.4f}, "
+               f"fid {fid['values'][2]:.6f}" for tv, fid in zip(records[::2], records[1::2])]
+    passed = all(rec["passed"] for rec in records)
     elapsed = time.time() - start
-    ok = ok and elapsed < budget
+    ok = passed and elapsed < budget
     _report(5, ok, elapsed, budget, "; ".join(details))
-    assert ok
+    assert passed
     assert elapsed < budget
 
 
@@ -282,31 +235,22 @@ def test_criterion_6_waiting_time_monte_carlo():
 def test_criterion_7_dynamical_generation():
     budget = 5.0
     start = time.time()
-    worst_binomial = 1.0
-    drive = TwoLevelDrive(eta=0.8, theta=0.5)
-    for M in (1, 3):
-        for t in (0.3, math.pi / 4, 1.1):
-            psi = dynamical_binomial(drive, t, M)
-            target = dynamical_binomial_target(drive, t, M)
-            worst_binomial = min(worst_binomial, fidelity(psi, target))
-
+    records = checks.two_level_drives(TwoLevelDrive(eta=0.8, theta=0.5), (1, 3),
+                                      (0.3, math.pi / 4, 1.1), tol=1e-10)
     current = ClassicalCurrent(
         segments=((0.0, 0.7, 0.9 + 0.4j), (0.7, 1.5, -0.3 + 1.1j)), omega=1.3
     )
-    basis = enumerate_basis(1, Cutoff.per_mode(45))
-    worst_coherent = 1.0
-    for t in (0.4, 0.7, 1.5):
-        psi = dynamical_coherent(current, t, basis)
-        alpha = coherent_amplitude(current, t)
-        spec = StateSpec("coherent", PoissonParams(abs(alpha) ** 2),
-                         (float(np.angle(alpha)),))
-        target = build_state(spec, basis=basis)
-        worst_coherent = min(worst_coherent, fidelity(psi, target))
-
+    records.append(checks.current_drive(current, enumerate_basis(1, Cutoff.per_mode(45)),
+                                        (0.4, 0.7, 1.5), tol=1e-8))
+    worst_binomial = min(rec["min_fidelity"] for rec in records[:-1])
+    worst_coherent = records[-1]["min_fidelity"]
+    passed = all(rec["passed"] for rec in records)
     elapsed = time.time() - start
-    ok = worst_binomial >= 1 - 1e-10 and worst_coherent >= 1 - 1e-8 and elapsed < budget
+    ok = passed and worst_binomial >= 1 - 1e-10 and worst_coherent >= 1 - 1e-8 \
+        and elapsed < budget
     _report(7, ok, elapsed, budget,
             f"two-level fid 1-{1 - worst_binomial:.2e}, current fid 1-{1 - worst_coherent:.2e}")
+    assert passed
     assert worst_binomial >= 1 - 1e-10
     assert worst_coherent >= 1 - 1e-8
     assert elapsed < budget

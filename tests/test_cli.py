@@ -196,6 +196,8 @@ def test_verify_measure_beyond_rank_two_passes(args):
     ({"M": 3}, (), "pass --r with it"),
     ({}, ("--r", "1", "--nodes", "1000000000"), "nodes_radial must be an integer"),
     ({}, ("--r", "10", "--M", "30"), "exceeds the limit"),
+    ({"r": True}, (), "r must be an integer"),
+    ({"r": 1, "M": True}, (), "M must be an integer"),
 ])
 def test_bad_measure_input_exits_two(tmp_path, config, flags, message):
     cfg = tmp_path / "cfg.json"
@@ -356,6 +358,25 @@ def test_non_integer_config_counts_exit_two(tmp_path, command, config, key):
     proc = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert proc.returncode == 2, proc.stderr
     assert f"{key} must be a non-negative integer, got {config[key]!r}" in proc.stderr
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("state", {"family": "binomial", "eta2": 0.5, "M": "3"}, "M"),
+    ("state", {"family": "ms", "eta2": [0.3, 0.2], "M": "3"}, "M"),
+    ("state", {"family": "coherent", "alpha2": True}, "alpha2"),
+    ("state", {"family": "nbs", "eta2": 0.5, "M": True}, "M"),
+    ("state", {"family": "nbs", "eta2": 0.5, "M": 2, "tail_tol": "1e-12"}, "tail_tol"),
+    ("simulate", {"eta2": 0.3, "M": True, "trials": 1000, "seed": 11}, "M"),
+    ("simulate", {"eta2": "0.3", "M": 3, "trials": 1000, "seed": 11}, "eta2"),
+])
+def test_non_numeric_real_config_exits_two(tmp_path, command, config, key):
+    # true is not 1.0 and "3" is not 3: a scalar key takes a JSON number
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    proc = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert f"{key} must be a number, got {config[key]!r}" in proc.stderr
     assert list(tmp_path.iterdir()) == [cfg]
 
 

@@ -88,16 +88,14 @@ def test_projector_requires_complete_shell():
 
 def test_resolution_rank_one():
     for M in (1, 2, 3):
-        report = resolution_check(MeasureSpec(r=1, M=M), tolerance=1e-8)
-        assert report["passed"]
+        report = resolution_check(MeasureSpec(r=1, M=M))
         assert report["max_entry_residual"] <= 1e-8
         assert report["trace_residual"] <= 1e-8
 
 
 def test_resolution_rank_two():
     for M in (1, 2):
-        report = resolution_check(MeasureSpec(r=2, M=M), tolerance=1e-4)
-        assert report["passed"]
+        report = resolution_check(MeasureSpec(r=2, M=M))
         assert report["max_entry_residual"] <= 1e-4
 
 
@@ -186,6 +184,7 @@ def test_node_floor_enforced():
     {"r": 1, "M": 2, "nodes_radial": 8.5}, {"r": 1, "M": 2, "nodes_angular": math.inf},
     {"r": 1, "M": 2, "nodes_radial": 1001}, {"r": 1, "M": 2, "nodes_angular": 10 ** 9},
     {"r": 10 ** 4, "M": 1},  # default radial nodes (M + r) / 2 past the ceiling
+    {"r": True, "M": 2}, {"r": 1, "M": True}, {"r": 1, "M": 2, "nodes_radial": True},
 ])
 def test_spec_rejects_bad_fields(fields):
     with pytest.raises(ValueError):
