@@ -148,7 +148,7 @@ def current_drive(current, basis, times, tol=1e-8):
         spec = st.StateSpec("coherent", dist.PoissonParams(abs(alpha) ** 2),
                             (cmath.phase(alpha),))
         fids.append(fock.fidelity(gen.dynamical_coherent(current, t, basis),
-                                  st.build_state(spec, basis)))
+                                  st.coherent_state(spec, basis)))
     return _record("classical_current_drive", "min_fidelity", min(fids), tol)
 
 
