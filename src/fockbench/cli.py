@@ -104,10 +104,9 @@ def _whole(key, value):
 
 
 def _real(key, value):
-    """``value`` as a float; ValueError naming ``key`` for true, "3" or any non-number.
-
-    Range checks (finite, positive, ...) stay with the parameter classes."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """``value`` as a float; ValueError naming ``key`` for true, "3", 10**400 or any non-number."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, int) and abs(value) > sys.float_info.max):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
 

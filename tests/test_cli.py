@@ -366,6 +366,7 @@ def test_non_integer_config_counts_exit_two(tmp_path, command, config, key):
     ("state", {"family": "ms", "eta2": [0.3, 0.2], "M": "3"}, "M"),
     ("state", {"family": "coherent", "alpha2": True}, "alpha2"),
     ("state", {"family": "nbs", "eta2": 0.5, "M": True}, "M"),
+    ("state", {"family": "nbs", "eta2": 0.5, "M": 10 ** 400}, "M"),
     ("state", {"family": "nbs", "eta2": 0.5, "M": 2, "tail_tol": "1e-12"}, "tail_tol"),
     ("simulate", {"eta2": 0.3, "M": True, "trials": 1000, "seed": 11}, "M"),
     ("simulate", {"eta2": "0.3", "M": 3, "trials": 1000, "seed": 11}, "eta2"),
@@ -387,6 +388,7 @@ _RESOLUTION = ["r", "M", "nodes", "max_entry_residual", "trace_residual", "worst
                "tolerance", "passed", "name"]
 _SLICING = ["alphas", "M", "max_rel_error", "compared", "name", "tolerance", "passed"]
 _TREND = ["name", "values", "passed"]
+_LADDER = ["name", "max_residual", "n_max", "tolerance", "passed"]
 
 # suite -> (check name, keys in report order, tolerance or None) for every check
 SUITE_REPORTS = {
@@ -403,11 +405,10 @@ SUITE_REPORTS = {
                + [("slicing_M2_modes2", _SLICING, 1e-12), ("slicing_M3_modes3", _SLICING, 1e-12)],
     "limits": [(f"{kind}_{family}", _TREND, None) for family in ("binomial", "neg_binomial")
                for kind in ("tv_distance", "contraction_fidelity")],
-    "identity": [("ladder_weight_identity_su11_M3.0", _RESIDUAL + ["n_max"], 1e-13),
-                 ("ladder_weight_identity_su11_M2.5", _RESIDUAL + ["n_max"], 1e-12),
-                 ("ladder_weight_identity_su2_M3", _RESIDUAL + ["n_max"], 1e-13)],
-    "dynamical": [("two_level_drive_M1", _FIDELITY, 1e-10), ("two_level_drive_M3", _FIDELITY, 1e-10),
-                  ("classical_current_drive", _FIDELITY, 1e-8)],
+    "identity": [(f"ladder_weight_identity_{case}", _LADDER, tol)
+                 for case, tol in (("su11_M3.0", 1e-13), ("su11_M2.5", 1e-12), ("su2_M3", 1e-13))],
+    "dynamical": [(f"two_level_drive_M{m}", _FIDELITY, 1e-10) for m in (1, 3)]
+                 + [("classical_current_drive", _FIDELITY, 1e-8)],
 }
 
 
@@ -423,6 +424,6 @@ def test_every_verify_suite_reports_its_checks(capsys, suite):
     expected = SUITE_REPORTS[suite]
     assert [check["name"] for check in report["checks"]] == [name for name, _, _ in expected]
     for check, (name, keys, tol) in zip(report["checks"], expected):
-        assert sorted(check) == sorted(keys), name
+        assert list(check) == keys, name
         assert check.get("tolerance") == tol, name
         assert check["passed"] is True, name
