@@ -1,11 +1,11 @@
 """The paper's identities as check records, and the suites ``fockbench verify`` runs.
 
-Each builder takes its grid and returns one record per check: a dict with its
-name, the measured value, the tolerance and ``passed``, which :func:`_passes`
-decides for every check.  ``SUITES`` builds each ``verify`` suite on its grids;
-the acceptance tests call the builders on their own.  Library functions are
-called through their modules (``alg.verify_algebra``), never bound here by
-name, so a tracer that patches module attributes sees every call.
+Each builder takes its grid and returns one record per check: name, measured
+value, the identity's tolerance (fixed in its builder) and ``passed``, which
+:func:`_passes` decides for every check.  ``SUITES`` builds each ``verify`` suite;
+the acceptance tests call the builders on their own grids.  Library functions are
+called through their modules (``alg.verify_algebra``), never bound here by name,
+so a tracer that patches module attributes sees every call.
 """
 
 from __future__ import annotations
@@ -19,15 +19,17 @@ from .fock import Cutoff
 
 
 def _passes(kind, value, bound):
-    """The verdict rule: ``min_fidelity`` at least 1 - ``bound``, ``falling`` / ``rising``
-    strictly monotone to a last value below / at least ``bound``, else at most ``bound``."""
+    """The verdict rule: ``max_residual`` at most ``bound``, ``min_fidelity`` at least 1 - bound,
+    ``falling`` / ``rising`` strictly monotone to a last value below / at least ``bound``."""
+    if kind == "max_residual":
+        return bool(value <= bound)
     if kind == "min_fidelity":
         return bool(value >= 1.0 - bound)
     if kind == "falling":
         return bool(all(a > b for a, b in zip(value, value[1:])) and value[-1] < bound)
     if kind == "rising":
         return bool(all(a < b for a, b in zip(value, value[1:])) and value[-1] >= bound)
-    return bool(value <= bound)
+    raise ValueError(f"unknown verdict rule {kind!r}")
 
 
 def _record(name, key, value, tol, **fields):
@@ -36,17 +38,17 @@ def _record(name, key, value, tol, **fields):
             "passed": _passes(key, value, tol)}
 
 
-def _relations(name, reports, tol):
-    """Worst residual of per-relation reports; a check that counted no state fails."""
+def _relations(name, reports):
+    """Worst residual of per-relation reports, at most 1e-12; one that counted no state fails."""
     residuals = [rep["max_residual"] for rep in reports if rep["max_residual"] is not None]
     counted = sum(rep.get("interior_count", rep.get("checked_count", 0)) for rep in reports)
-    record = _record(name, "max_residual", max(residuals, default=0.0), tol,
+    record = _record(name, "max_residual", max(residuals, default=0.0), 1e-12,
                      relations=len(reports), states_checked=counted)
     record["passed"] = record["passed"] and counted > 0
     return record
 
 
-def algebra_relations(grid, tol=1e-12):
+def algebra_relations(grid):
     """Structure relations of each (constructor, modes, cutoff, M) realization."""
     records = []
     for constructor, modes, cutoff, m in grid:
@@ -54,13 +56,12 @@ def algebra_relations(grid, tol=1e-12):
         form = "bilinear" if real.form == "bilinear" else "reduced"
         rank = f"_r{real.rank}" if real.algebra.startswith("su_") else ""
         records.append(_relations(f"{real.algebra}_{form}_relations{rank}",
-                                  alg.verify_algebra(real), tol))
+                                  alg.verify_algebra(real)))
     return records
 
 
-def intertwinings(grid, tol=1e-12):
-    """Bilinear against reduced generators on the constraint shell, per (r, bilinear,
-    reduced, parent cutoff, reduced cutoff, M)."""
+def intertwinings(grid):
+    """Bilinear against reduced generators on the shell, per (r, bilinear, reduced, cutoffs, M)."""
     records = []
     for r, bilinear, reduced, parent_cutoff, reduced_cutoff, m in grid:
         parent = fock.enumerate_basis(r + 1, parent_cutoff)
@@ -69,58 +70,53 @@ def intertwinings(grid, tol=1e-12):
         kind = "compact" if big.algebra in ("su2", "su_rp1") else "noncompact"
         sub = alg.ConstraintSubspace(parent, small, m, "su_rp1" if kind == "compact" else "su_r1")
         records.append(_relations(f"intertwining_{kind}_r{r}_M{sub.M}",
-                                  alg.intertwining_check(big, real, sub), tol))
+                                  alg.intertwining_check(big, real, sub)))
     return records
 
 
-def three_factor_products(ms, zetas, tol=1e-12):
+def three_factor_products(ms, zetas):
     """The su(2) displacement against its raising-diagonal-lowering factors, per M."""
-    records = []
-    for m in ms:
-        real = alg.su2_hp(fock.enumerate_basis(1, Cutoff.per_mode(m)), m)
-        worst = max(gen.disentangling_identity_check(real, z)["max_residual"] for z in zetas)
-        records.append(_record(f"three_factor_product_M{m}", "max_residual", worst, tol))
-    return records
+    reals = [alg.su2_hp(fock.enumerate_basis(1, Cutoff.per_mode(m)), m) for m in ms]
+    return [_record(f"three_factor_product_M{m}", "max_residual", max(
+        gen.disentangling_identity_check(real, z)["max_residual"] for z in zetas), 1e-12)
+            for m, real in zip(ms, reals)]
 
 
-def displacement_routes(grid, theta, tol=1e-8):
+def displacement_routes(grid, theta):
     """Displacement and exponential routes against the series, per (eta2, M)."""
-    records = []
-    for eta2, m in grid:
-        rep = gen.path_equivalence("neg_binomial", eta2, m, theta=theta)
-        records.append(_record(f"displacement_route_eta2_{eta2}_M{m}", "min_fidelity", min(
-            rep["fidelity_exp_vs_series"], rep["fidelity_disp_vs_series"]), tol))
-    return records
+    reps = [gen.path_equivalence("neg_binomial", eta2, m, theta=theta) for eta2, m in grid]
+    return [_record(f"displacement_route_eta2_{eta2}_M{m}", "min_fidelity",
+                    min(rep["fidelity_exp_vs_series"], rep["fidelity_disp_vs_series"]), 1e-8)
+            for (eta2, m), rep in zip(grid, reps)]
 
 
 def resolutions(grid):
-    """Quadrature of the shell identity, per (r, M, nodes, tol); nodes None is the default."""
-    records = []
-    for r, m, nodes, tol in grid:
-        rep = meas.resolution_check(meas.MeasureSpec(r, m, nodes, nodes))
-        rep.update(tolerance=float(tol), passed=_passes("max", rep["max_entry_residual"], tol),
+    """Quadrature of the shell identity to 1e-8 at r = 1, 1e-4 above, per (r, M, nodes)."""
+    reps = [meas.resolution_check(meas.MeasureSpec(r, m, nodes, nodes)) for r, m, nodes in grid]
+    for rep in reps:
+        tol = 1e-8 if rep["r"] == 1 else 1e-4
+        rep.update(tolerance=tol, passed=_passes("max_residual", rep["max_entry_residual"], tol),
                    name=f"resolution_r{rep['r']}_M{rep['M']}")
-        records.append(rep)
-    return records
+    return reps
 
 
-def slicings(grid, tol=1e-12):
+def slicings(grid):
     """Product-Poisson laws sliced to a shell against the multinomial, per (alphas, M)."""
-    return [{**rep, "name": f"slicing_M{rep['M']}_modes{len(rep['alphas'])}", "tolerance": tol,
-             "passed": _passes("max", rep["max_rel_error"], tol)}
+    return [{**rep, "name": f"slicing_M{rep['M']}_modes{len(rep['alphas'])}",
+             "tolerance": 1e-12, "passed": _passes("max_residual", rep["max_rel_error"], 1e-12)}
             for rep in (meas.slicing_check(alphas, m) for alphas, m in grid)]
 
 
-def limits(families, m_values, alpha2, tv_below=0.05, fidelity_from=0.999):
-    """TV distances to Poisson fall below ``tv_below``; fidelities rise to ``fidelity_from``."""
+def limits(families, m_values, alpha2):
+    """TV distances to Poisson fall below 0.05; contraction fidelities rise to 0.999."""
     records = []
     for family in families:
         tvs = [dist.poisson_limit_distance(family, m, alpha2) for m in m_values]
         fids = [row["fidelity"] for row in gen.contraction_check(family, m_values, alpha2)]
         records += [{"name": f"tv_distance_{family}", "values": tvs,
-                     "passed": _passes("falling", tvs, tv_below)},
+                     "passed": _passes("falling", tvs, 0.05)},
                     {"name": f"contraction_fidelity_{family}", "values": fids,
-                     "passed": _passes("rising", fids, fidelity_from)}]
+                     "passed": _passes("rising", fids, 0.999)}]
     return records
 
 
@@ -132,33 +128,31 @@ def ladder_identities(grid):
             for m, variant, n_max, tol in grid]
 
 
-def two_level_drives(drive, ms, times, tol=1e-10):
+def two_level_drives(drive, ms, times):
     """Two-level transfer against its closed-form binomial target, per M."""
     return [_record(f"two_level_drive_M{m}", "min_fidelity", min(
         fock.fidelity(gen.dynamical_binomial(drive, t, m),
-                      gen.dynamical_binomial_target(drive, t, m)) for t in times), tol)
+                      gen.dynamical_binomial_target(drive, t, m)) for t in times), 1e-10)
             for m in ms]
 
 
-def current_drive(current, basis, times, tol=1e-8):
+def current_drive(current, basis, times):
     """Classical-current evolution against the coherent state of its amplitude."""
     fids = []
     for t in times:
         alpha = gen.coherent_amplitude(current, t)
-        spec = st.StateSpec("coherent", dist.PoissonParams(abs(alpha) ** 2),
-                            (cmath.phase(alpha),))
+        spec = st.StateSpec("coherent", dist.PoissonParams(abs(alpha) ** 2), (cmath.phase(alpha),))
         fids.append(fock.fidelity(gen.dynamical_coherent(current, t, basis),
                                   st.coherent_state(spec, basis)))
-    return _record("classical_current_drive", "min_fidelity", min(fids), tol)
+    return _record("classical_current_drive", "min_fidelity", min(fids), 1e-8)
 
 
 def _measure(r=None, M=None, nodes=None):
     if r is None and M is not None:
         raise ValueError("--M sets the shell of a --r override; pass --r with it")
     if r is not None:
-        return resolutions([(r, 1 if M is None else M, nodes, 1e-8 if r == 1 else 1e-4)])
-    return (resolutions([(rr, mm, nodes, 1e-8 if rr == 1 else 1e-4)
-                         for rr, mm in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2))])
+        return resolutions([(r, 1 if M is None else M, nodes)])
+    return (resolutions([(rr, mm, nodes) for rr, mm in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2))])
             + slicings((((1.0, 1.0), 2), ((0.8, 1.1, 0.6), 3))))
 
 
@@ -171,9 +165,8 @@ SUITES = {
     )) + intertwinings([row for r in (1, 2) for row in (
         (r, "su_r1_bilinear", "su_r1_hp", Cutoff.total(12), Cutoff.total(5), 3.0),
         (r, "su_rp1_bilinear", "su_rp1_hp", Cutoff.shell(3), Cutoff.total(3), 3))]),
-    "disentangle": lambda: (
-        three_factor_products((1, 2, 4), (0.35, 0.3 + 0.4j, 1.1j, -0.8 + 0.2j))
-        + displacement_routes(((0.3, 2.0), (0.6, 2.5)), theta=0.7)),
+    "disentangle": lambda: three_factor_products((1, 2, 4), (0.35, 0.3 + 0.4j, 1.1j, -0.8 + 0.2j))
+        + displacement_routes(((0.3, 2.0), (0.6, 2.5)), theta=0.7),
     "measure": _measure,
     "limits": lambda: limits(("binomial", "neg_binomial"), (10, 100, 1000), 1.0),
     # absolute residuals scale with the weight product sqrt(n! Gamma(M+n)/Gamma(M)),

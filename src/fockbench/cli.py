@@ -226,14 +226,18 @@ def _cmd_state(args) -> int:
             raise ValueError(f"--M is required for the {family_raw} family")
         eta2 = _parse_float_list("eta2", eta2_raw)
         m_value = _real("M", m_value)
-        if family in ("binomial", "neg_binomial"):
+        if family == "binomial":
             if len(eta2) != 1:
-                raise ValueError(f"{family} takes a single eta^2 value")
-            law = dist.BinomialParams if family == "binomial" else dist.NegBinomialParams
-            params = law(eta2[0], m_value)
+                raise ValueError("binomial takes a single eta^2 value")
+            params = dist.BinomialParams(eta2[0], m_value)
+        elif family == "neg_binomial":
+            if len(eta2) != 1:
+                raise ValueError("neg_binomial takes a single eta^2 value")
+            params = dist.NegBinomialParams(eta2[0], m_value)
+        elif family == "multinomial":
+            params = dist.MultinomialParams(tuple(math.sqrt(e) for e in eta2), m_value)
         else:
-            law = dist.MultinomialParams if family == "multinomial" else dist.NegMultinomialParams
-            params = law(tuple(math.sqrt(e) for e in eta2), m_value)
+            params = dist.NegMultinomialParams(tuple(math.sqrt(e) for e in eta2), m_value)
 
     spec = st.StateSpec(family, params, thetas)
     tail_tol = _real("tail_tol", _merged(args, config, "tail_tol", st.DEFAULT_TAIL_TOL))
@@ -346,7 +350,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_simulate(args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failure path

@@ -1,5 +1,7 @@
 import inspect
 
+import pytest
+
 from fockbench import checks, cli
 
 
@@ -15,3 +17,9 @@ def test_checks_calls_the_library_through_its_modules():
     borrowed = [name for name, value in vars(checks).items()
                 if inspect.isfunction(value) and value.__module__ != checks.__name__]
     assert borrowed == []
+
+
+def test_unknown_verdict_rule_is_refused():
+    # a misspelt rule must not fall through to some default comparison
+    with pytest.raises(ValueError, match="max_resid"):
+        checks._passes("max_resid", 0.0, 1e-12)
