@@ -9,8 +9,10 @@ such a basis; operators are complex CSR matrices, and every ladder monomial
 among them is computed on the whole occupation array at once and has at most
 one nonzero per column.  Ladder operators silently drop any transition that would
 leave the basis, so truncation error shows up only as missing tail mass,
-never as an exception.  One truncated-Taylor series computes both the action
-exp(A)|psi> and the small whole-operator exponentials.
+never as an exception.  The action exp(A)|psi> of a skew-Hermitian generator
+(a rotation or -i dt H) is a Chebyshev expansion; a truncated-Taylor series
+computes the action of any other generator and the small whole-operator
+exponentials.
 """
 
 from __future__ import annotations
@@ -451,6 +453,14 @@ def commutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     return a @ b - b @ a
 
 
+def _one_norm(mat):
+    """||mat||_1, the largest absolute column sum; ValueError when it is not finite."""
+    norm = float(abs(mat).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise ValueError("generator norm is not finite")
+    return norm
+
+
 def _series_exponential(mat, block):
     """exp(mat) @ block, for a dense or sparse ``mat`` and a vector or matrix ``block``.
 
@@ -459,20 +469,40 @@ def _series_exponential(mat, block):
     Taylor series summed until its term is at most 1e-15 of the running sum
     (2-norm for a vector, Frobenius for a matrix).
     """
-    steps = max(1, math.ceil(abs(mat).sum(axis=0).max()))
+    steps = max(1, math.ceil(_one_norm(mat)))
     scaled = mat / steps
-    out = block
+    out = block.astype(complex)
     for _ in range(steps):
         term, k = out, 0
         while True:
             k += 1
             term = scaled @ term
             term /= k
-            out = out + term
+            out += term
             # squared norms (vdot flattens a matrix to its Frobenius norm); a NaN stops too
             if not np.vdot(term, term).real > 1e-30 * np.vdot(out, out).real:
                 break
     return out
+
+
+def _bessel_j(x):
+    """J_0(x), J_1(x), ... for x > 0, up to the first order k > x with |J_k(x)| < 1e-16.
+
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started well
+    past that order (the turning region around k = x is O(x^{1/3}) wide),
+    rescaled before it can overflow and normalised by J_0 + 2 sum J_{2k} = 1.
+    """
+    if x < 2e-16:  # J_1(x) = x/2 is below the cutoff already and J_0(x) rounds to 1
+        return np.ones(1)
+    start = int(x + 20 * x ** (1 / 3)) + 30
+    j = [0.0, 1.0]  # J_{start+1}, J_start, ... downward
+    for k in range(start, 0, -1):
+        j.append(2 * k / x * j[-1] - j[-2])
+        if abs(j[-1]) > 1e150:
+            j = [v / abs(j[-1]) for v in j]
+    j = np.array(j[::-1])
+    j /= j[0] + 2 * j[2::2].sum()
+    return j[:np.argmax((np.arange(len(j)) > x) & (np.abs(j) < 1e-16))]
 
 
 def op_exponential(a: LinearOperator) -> LinearOperator:
@@ -485,6 +515,38 @@ def apply_exponential(a: LinearOperator, psi: StateVector) -> StateVector:
     """exp(a) |psi> without forming the exponential: sparse products on the vector."""
     _check_same_basis(a, psi)
     return StateVector(psi.basis, _series_exponential(a.matrix, psi.amplitudes))
+
+
+def apply_skew_exponential(a: LinearOperator, psi: StateVector) -> StateVector:
+    """exp(a) |psi> for a skew-Hermitian ``a`` (a^H = -a), by Chebyshev expansion.
+
+    Tal-Ezer and Kosloff (J. Chem. Phys. 81 (1984) 3967): rho = ||a||_1 bounds
+    the spectrum of the Hermitian i*a, and exp(a) = J_0(rho) + 2 sum_k (-i)^k
+    J_k(rho) T_k(i*a/rho).  Folding (-i)^k into the Chebyshev recurrence
+    leaves phi_{k+1} = (2/rho) a phi_k + phi_{k-1}, one sparse product per
+    term, with phi_0 = psi and phi_1 = (a/rho) psi.  The terms are fixed by
+    rho alone (:func:`_bessel_j`); no norm is tested in the loop.  ``a`` must
+    be skew-Hermitian by construction (a rotation generator, or -i dt H);
+    that is not checked here, and any other generator gives a wrong result.
+    """
+    _check_same_basis(a, psi)
+    mat = a.matrix
+    rho = _one_norm(mat)
+    if rho == 0.0:
+        return psi.copy()
+    j = _bessel_j(rho)
+    scaled = mat * (2.0 / rho)
+    prev, cur = None, psi.amplitudes
+    out = j[0] * cur
+    for c in 2 * j[1:]:
+        nxt = scaled @ cur
+        if prev is None:
+            nxt *= 0.5  # phi_1 = (a/rho) psi
+        else:
+            nxt += prev
+        out += c * nxt
+        prev, cur = cur, nxt
+    return StateVector(psi.basis, out)
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

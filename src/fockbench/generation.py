@@ -26,6 +26,7 @@ from .fock import (
     _monomial,
     annihilation_op,
     apply_exponential,
+    apply_skew_exponential,
     basis_state,
     creation_op,
     enumerate_basis,
@@ -51,6 +52,16 @@ def _ladder(realization, reduced=False):
                          f"realization, got {realization.algebra} {realization.form}")
     letter = "K" if realization.algebra == "su11" else "J"
     return letter + "+", letter + "-", letter + "0"
+
+
+def _check_finite(name, *values):
+    """ValueError naming ``name`` unless every value is a finite real or complex number."""
+    try:
+        finite = all(cmath.isfinite(v) for v in values)
+    except OverflowError:  # an integer beyond float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite")
 
 
 def _rotation(zeta, raising):
@@ -136,8 +147,8 @@ def displacement_state(realization: AlgebraRealization, eta: float, theta: float
     """
     label, _, _ = _ladder(realization, reduced=True)
     zeta = displacement_zeta(realization.algebra, eta, theta)
-    psi = apply_exponential(_rotation(zeta, realization.raising[label]),
-                            vacuum_state(realization.basis))
+    psi = apply_skew_exponential(_rotation(zeta, realization.raising[label]),
+                                 vacuum_state(realization.basis))
     leakage = displacement_leakage(realization, psi, label)
     if leakage > leak_tol:
         raise ValueError(
@@ -253,7 +264,7 @@ def _rotation_angles(eta):
 def _apply_rotation(raising, angle, phase, psi):
     if angle == 0.0:
         return psi.copy()
-    return apply_exponential(_rotation(angle * cmath.exp(1j * phase), raising), psi)
+    return apply_skew_exponential(_rotation(angle * cmath.exp(1j * phase), raising), psi)
 
 
 def _rotation_chain(eta, thetas, M, basis, compact):
@@ -281,6 +292,7 @@ def _rotation_chain(eta, thetas, M, basis, compact):
 
 
 def _check_chain_args(eta, thetas, basis):
+    _check_finite("eta", *eta)
     eta = tuple(float(e) for e in eta)
     if not eta:
         raise ValueError("eta must have at least one component")
@@ -290,6 +302,7 @@ def _check_chain_args(eta, thetas, basis):
         raise ValueError("eta components must be non-negative")
     if sum(e * e for e in eta) >= 1.0:
         raise ValueError("sum of eta_j^2 must be below 1")
+    _check_finite("thetas", *(thetas or ()))
     thetas = tuple(float(t) for t in thetas) if thetas else (0.0,) * len(eta)
     if len(thetas) != len(eta):
         raise ValueError("thetas must match eta in length")
@@ -308,6 +321,7 @@ def sequential_nms(eta, thetas, M: float, basis) -> StateVector:
     truncation leakage exactly as for the direct series constructor.
     """
     eta, thetas = _check_chain_args(eta, thetas, basis)
+    _check_finite("M", M)
     if not M > 0:
         raise ValueError("M must be positive")
     return _rotation_chain(eta, thetas, M, basis, compact=False)
@@ -322,6 +336,7 @@ def sequential_ms(eta, thetas, M: int, basis) -> StateVector:
     sum(n) <= M; the clamped square-root weight annihilates exactly at the
     shell boundary, so no mass ever leaves it.
     """
+    _check_finite("M", M)
     if int(M) != M or M < 1:
         raise ValueError("M must be a positive integer")
     M = int(M)
@@ -344,6 +359,8 @@ class TwoLevelDrive:
     theta: float = 0.0
 
     def __post_init__(self):
+        _check_finite("eta", self.eta)
+        _check_finite("theta", self.theta)
         if self.eta <= 0:
             raise ValueError("eta must be positive")
 
@@ -357,13 +374,15 @@ def dynamical_binomial(drive: TwoLevelDrive, t: float, M: int) -> StateVector:
     """
     if int(M) != M or M < 1:
         raise ValueError("M must be a positive integer")
+    _check_finite("t", t)
     if t < 0:
         raise ValueError("t must be non-negative")
     M = int(M)
     basis = enumerate_basis(2, Cutoff.shell(M))
     real = su2_bilinear(basis, M)
     zeta = drive.eta * t * cmath.exp(1j * drive.theta)
-    return apply_exponential(_rotation(zeta, real.raising["J+"]), basis_state(basis, (M, 0)))
+    return apply_skew_exponential(_rotation(zeta, real.raising["J+"]),
+                                  basis_state(basis, (M, 0)))
 
 
 def dynamical_binomial_target(drive: TwoLevelDrive, t: float, M: int) -> StateVector:
@@ -392,6 +411,8 @@ class ClassicalCurrent:
         segs = tuple((float(a), float(b), complex(c)) for a, b, c in self.segments)
         if not segs:
             raise ValueError("at least one segment is required")
+        _check_finite("segments", *(v for seg in segs for v in seg))
+        _check_finite("omega", self.omega)
         if abs(segs[0][0]) > 1e-15:
             raise ValueError("the first segment must start at t = 0")
         for (a0, b0, _), (a1, _, _) in zip(segs, segs[1:]):
@@ -434,6 +455,7 @@ def dynamical_coherent(current: ClassicalCurrent, t: float, basis) -> StateVecto
     """
     if basis.modes != 1:
         raise ValueError("dynamical_coherent needs a 1-mode basis")
+    _check_finite("t", t)
     if t < 0 or t > current.t_end + 1e-12:
         raise ValueError("t outside the driven window")
     a = annihilation_op(basis, 0)
@@ -445,7 +467,7 @@ def dynamical_coherent(current: ClassicalCurrent, t: float, basis) -> StateVecto
         if hi <= t0:
             break
         h = current.omega * nop + j * ad + np.conj(j) * a
-        psi = apply_exponential((-1j * (hi - t0)) * h, psi)
+        psi = apply_skew_exponential((-1j * (hi - t0)) * h, psi)
     frame = np.exp(1j * current.omega * basis.totals * t)
     return StateVector(basis, frame * psi.amplitudes)
 

@@ -1,0 +1,142 @@
+"""The Chebyshev action against the Taylor series, and the generators that may use it.
+
+``apply_skew_exponential`` is exact only for skew-Hermitian generators, and it
+is chosen by how a generator was built, with no run-time test.  So the tests
+here check three things: it agrees with ``_series_exponential`` on the
+generators the library builds, those generators are skew-Hermitian exactly,
+and the one non-normal route (exp(tau K+)) never reaches it.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
+
+from fockbench import fock, generation
+from fockbench.algebra import su2_hp, su11_hp
+from fockbench.fock import (
+    Cutoff,
+    StateVector,
+    _monomial,
+    _series_exponential,
+    annihilation_op,
+    apply_skew_exponential,
+    creation_op,
+    enumerate_basis,
+    number_op,
+)
+from fockbench.generation import _rotation
+
+
+def _pump(basis, M, compact):
+    """b_1^dag sqrt(M -+ N), the chains' pump ladder."""
+    if compact:
+        weight = lambda occ: np.sqrt(np.maximum(M - occ.sum(axis=1), 0.0))
+    else:
+        weight = lambda occ: np.sqrt(M + occ.sum(axis=1))
+    return _monomial(basis, create=(0,), weight=weight)[0]
+
+
+def _transfer(basis, j):
+    """b_{j+1}^dag b_j, the chains' transfer ladder."""
+    return _monomial(basis, create=(j,), destroy=(j - 1,))[0]
+
+
+def _drive(basis, omega, j, dt):
+    """-i dt (omega N + j a^dag + j* a), built as dynamical_coherent builds it."""
+    h = omega * number_op(basis, 0) + j * creation_op(basis, 0) + np.conj(j) * annihilation_op(
+        basis, 0)
+    return (-1j * dt) * h
+
+
+def _random_state(basis, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    return StateVector(basis, amps / np.linalg.norm(amps))
+
+
+def _assert_matches_taylor(gen, psi):
+    out = apply_skew_exponential(gen, psi)
+    reference = _series_exponential(gen.matrix, psi.amplitudes)
+    assert np.abs(out.amplitudes - reference).max() <= 1e-13
+    assert abs(out.norm2() - psi.norm2()) <= 1e-14
+
+
+_zetas = hs.builds(cmath.rect, hs.floats(0.0, 1.5), hs.floats(-math.pi, math.pi))
+
+
+@given(rank=hs.integers(1, 3), cutoff=hs.integers(1, 10), compact=hs.booleans(),
+       M=hs.integers(1, 6), real_M=hs.floats(0.1, 6.0), step=hs.integers(0, 2),
+       zeta=_zetas, seed=hs.integers(0, 2**32 - 1))
+def test_chebyshev_matches_taylor_on_chain_rotations(rank, cutoff, compact, M, real_M, step,
+                                                      zeta, seed):
+    basis = enumerate_basis(rank, Cutoff.total(cutoff))
+    if step == 0 or rank == 1:
+        ladder = _pump(basis, M if compact else real_M, compact)
+    else:
+        ladder = _transfer(basis, min(step, rank - 1))
+    _assert_matches_taylor(_rotation(zeta, ladder), _random_state(basis, seed))
+
+
+@given(levels=hs.integers(1, 30), omega=hs.floats(0.0, 3.0),
+       j=hs.builds(cmath.rect, hs.floats(0.0, 2.0), hs.floats(-math.pi, math.pi)),
+       dt=hs.floats(1e-3, 2.0), seed=hs.integers(0, 2**32 - 1))
+def test_chebyshev_matches_taylor_on_current_drives(levels, omega, j, dt, seed):
+    basis = enumerate_basis(1, Cutoff.per_mode(levels))
+    _assert_matches_taylor(_drive(basis, omega, j, dt), _random_state(basis, seed))
+
+
+def _skew_hermitian_exactly(gen):
+    return (gen.matrix + gen.adjoint().matrix).count_nonzero() == 0
+
+
+def test_exp_form_route_never_reaches_chebyshev(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("exp(tau K+) is not normal; it must stay on the Taylor series")
+
+    monkeypatch.setattr(fock, "apply_skew_exponential", refuse)
+    monkeypatch.setattr(generation, "apply_skew_exponential", refuse)
+    real = su11_hp(enumerate_basis(1, Cutoff.per_mode(30)), 2.0)
+    assert generation.exp_form_state(real, 0.5 * cmath.exp(0.3j)).norm2() > 0
+    compact = su2_hp(enumerate_basis(1, Cutoff.per_mode(4)), 4)
+    assert generation.exp_form_state(compact, 0.4).norm2() > 0
+
+
+_ETA = tuple(math.sqrt(e) for e in (0.09, 0.06, 0.05))
+
+
+# the rotation and drive routes on the bases that verify and the benchmark use
+@pytest.mark.parametrize("route", [
+    lambda: generation.sequential_nms(_ETA, (0.2, 0.9, 1.7), 2.0,
+                                      enumerate_basis(3, Cutoff.total(16))),
+    lambda: generation.sequential_nms(_ETA, (-0.4, 2.2, 0.1), 2.0,
+                                      enumerate_basis(3, Cutoff.total(20))),
+    lambda: generation.sequential_ms(tuple(math.sqrt(e) for e in (0.2, 0.2, 0.1)),
+                                     (0.3, 0.6, 0.9), 16, enumerate_basis(3, Cutoff.total(16))),
+    lambda: generation.displacement_state(
+        su11_hp(enumerate_basis(1, Cutoff.per_mode(60)), 2.0), math.sqrt(0.3), 0.4),
+    lambda: generation.displacement_state(
+        su2_hp(enumerate_basis(1, Cutoff.per_mode(5)), 5), math.sqrt(0.6), -1.1),
+    lambda: generation.dynamical_binomial(generation.TwoLevelDrive(1.0, 0.6), 0.5, 3),
+    lambda: generation.dynamical_coherent(
+        generation.ClassicalCurrent(((0.0, 0.7, 0.9 + 0.4j), (0.7, 1.5, -0.3 + 1.1j)), 1.3),
+        1.5, enumerate_basis(1, Cutoff.per_mode(45))),
+])
+def test_rotation_and_drive_routes_pass_exactly_skew_hermitian_generators(monkeypatch, route):
+    def refuse(*args):
+        raise AssertionError("a skew-Hermitian generator must take the Chebyshev route")
+
+    generators = []
+
+    def record(gen, psi):
+        generators.append(gen)
+        return apply_skew_exponential(gen, psi)
+
+    monkeypatch.setattr(fock, "apply_exponential", refuse)
+    monkeypatch.setattr(generation, "apply_exponential", refuse)
+    monkeypatch.setattr(generation, "apply_skew_exponential", record)
+    assert abs(route().norm2() - 1.0) <= 1e-12
+    assert generators and all(_skew_hermitian_exactly(gen) for gen in generators)

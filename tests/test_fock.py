@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,9 +8,11 @@ import scipy.linalg
 from fockbench.fock import (
     Cutoff,
     LinearOperator,
+    _bessel_j,
     _column_images,
     annihilation_op,
     apply_exponential,
+    apply_skew_exponential,
     basis_state,
     commutator,
     creation_op,
@@ -173,6 +178,48 @@ def test_apply_exponential_matches_matrix_route():
     via_vec = apply_exponential(op, psi)
     via_mat = op_exponential(op) @ psi
     np.testing.assert_allclose(via_vec.amplitudes, via_mat.amplitudes, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-20, 1e-6, 1e-3, 0.1, 1.0, 3.7, 10.0, 31.4, 100.0, 299.9])
+def test_bessel_coefficients_match_mpmath(x):
+    j = _bessel_j(x)
+    with mpmath.workdps(40):
+        reference = [float(mpmath.besselj(k, x)) for k in range(len(j) + 1)]
+    assert np.abs(j - reference[:-1]).max() <= 1e-15
+    # the series stops at the first order past x whose coefficient is below 1e-16
+    cutoff = len(j)
+    assert cutoff > x and abs(reference[cutoff]) < 1.1e-16
+    assert all(abs(v) >= 1e-16 for k, v in enumerate(reference[:cutoff]) if k > x)
+
+
+def test_skew_exponential_of_zero_generator_returns_the_input():
+    basis = enumerate_basis(2, Cutoff.total(4))
+    psi = vacuum_state(basis)
+    psi.amplitudes[3] = 0.5j
+    out = apply_skew_exponential(0.0 * creation_op(basis, 1), psi)
+    assert out is not psi and out.amplitudes is not psi.amplitudes
+    assert np.array_equal(out.amplitudes, psi.amplitudes)
+
+
+def test_skew_exponential_matches_dense_rotation():
+    basis = enumerate_basis(1, Cutoff.per_mode(12))
+    adag = creation_op(basis, 0)
+    zeta = 0.9 - 0.4j
+    gen = zeta * adag - np.conj(zeta) * adag.adjoint()
+    psi = vacuum_state(basis)
+    expect = scipy.linalg.expm(gen.matrix.toarray()) @ psi.amplitudes
+    out = apply_skew_exponential(gen, psi)
+    np.testing.assert_allclose(out.amplitudes, expect, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("route", [apply_exponential, apply_skew_exponential])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_exponentials_refuse_a_non_finite_generator(route, bad):
+    basis = enumerate_basis(1, Cutoff.per_mode(4))
+    mat = np.zeros((5, 5), dtype=complex)
+    mat[1, 0], mat[0, 1] = bad, -bad
+    with pytest.raises(ValueError, match="generator norm is not finite"):
+        route(LinearOperator(basis, mat), vacuum_state(basis))
 
 
 def test_state_vector_normalization_and_inner():

@@ -256,6 +256,36 @@ def test_sequential_chain_rejects_overstrength():
         sequential_nms((0.8, 0.7), (0.0, 0.0), 2.0, basis)
 
 
+_CHAIN_BASIS = enumerate_basis(2, Cutoff.total(8))
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: sequential_nms((0.4, 0.3), (0.0, 0.0), math.inf, _CHAIN_BASIS), "M"),
+    (lambda: sequential_nms((0.4, 0.3), (0.0, 0.0), math.nan, _CHAIN_BASIS), "M"),
+    (lambda: sequential_ms((0.4, 0.3), (0.0, 0.0), math.inf, _CHAIN_BASIS), "M"),
+    (lambda: sequential_ms((0.4, 0.3), (0.0, 0.0), math.nan, _CHAIN_BASIS), "M"),
+    (lambda: sequential_nms((0.4, 0.3), (math.nan, 0.0), 2.0, _CHAIN_BASIS), "thetas"),
+    (lambda: sequential_nms((0.4, 0.3), (0.0, math.inf), 2.0, _CHAIN_BASIS), "thetas"),
+    (lambda: sequential_ms((0.4, 0.3), (-math.inf, 0.0), 8, _CHAIN_BASIS), "thetas"),
+    (lambda: sequential_nms((0.4, math.nan), (0.0, 0.0), 2.0, _CHAIN_BASIS), "eta"),
+    (lambda: sequential_nms((math.nan, 0.3), (0.0, 0.0), 2.0, _CHAIN_BASIS), "eta"),
+    (lambda: sequential_ms((math.inf, 0.3), (0.0, 0.0), 8, _CHAIN_BASIS), "eta"),
+    (lambda: ClassicalCurrent(((0.0, 1.0, 0.5),), math.nan), "omega"),
+    (lambda: ClassicalCurrent(((0.0, 1.0, 0.5),), math.inf), "omega"),
+    (lambda: ClassicalCurrent(((0.0, 1.0, complex(0.5, math.nan)),), 1.0), "segments"),
+    (lambda: ClassicalCurrent(((0.0, math.inf, 0.5),), 1.0), "segments"),
+    (lambda: TwoLevelDrive(math.nan), "eta"),
+    (lambda: TwoLevelDrive(math.inf), "eta"),
+    (lambda: TwoLevelDrive(1.0, math.nan), "theta"),
+    (lambda: dynamical_binomial(TwoLevelDrive(1.0), math.inf, 2), "t"),
+    (lambda: dynamical_coherent(ClassicalCurrent(((0.0, 1.0, 0.5),), 0.0), math.nan,
+                                enumerate_basis(1, Cutoff.per_mode(8))), "t"),
+])
+def test_generator_inputs_refuse_non_finite_values_by_name(build, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        build()
+
+
 # --- dynamical generation -----------------------------------------------------
 
 def test_two_level_evolution_half_transfer():
