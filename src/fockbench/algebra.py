@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import LinearOperator, TruncatedBasis, _column_images, _monomial
+from .fock import LinearOperator, TruncatedBasis, _column_images, _monomial, _row_totals
 
 @dataclass
 class AlgebraRealization:
@@ -170,11 +170,11 @@ def su_r1_hp(basis: TruncatedBasis, M: float) -> AlgebraRealization:
     r = basis.modes
     if not M > 0:
         raise ValueError("M must be positive")
-    w = lambda occ: np.sqrt(M + occ.sum(axis=1))
+    w = lambda occ: np.sqrt(M + _row_totals(occ))
     raising = {f"K+{j}": _monomial(basis, create=(j - 1,), weight=w) for j in range(1, r + 1)}
     lowering = {f"K-{j}": _monomial(basis, destroy=(j - 1,), weight=w) for j in range(1, r + 1)}
     return _r_family("su_r1", "holstein_primakoff", basis, M, raising, lowering,
-                     lambda occ: M - 1 + occ.sum(axis=1))
+                     lambda occ: M - 1 + _row_totals(occ))
 
 
 def su_rp1_bilinear(basis: TruncatedBasis, M: int) -> AlgebraRealization:
@@ -205,11 +205,11 @@ def su_rp1_hp(basis: TruncatedBasis, M: int) -> AlgebraRealization:
         raise ValueError(
             f"su_rp1_hp needs exactly the {expected} states with total occupation <= {M}"
         )
-    w = lambda occ: np.sqrt(np.maximum(M - occ.sum(axis=1), 0))
+    w = lambda occ: np.sqrt(np.maximum(M - _row_totals(occ), 0))
     raising = {f"J{j}0": _monomial(basis, create=(j - 1,), weight=w) for j in range(1, r + 1)}
     lowering = {f"J0{j}": _monomial(basis, destroy=(j - 1,), weight=w) for j in range(1, r + 1)}
     return _r_family("su_rp1", "holstein_primakoff", basis, M, raising, lowering,
-                     lambda occ: M - occ.sum(axis=1))
+                     lambda occ: M - _row_totals(occ))
 
 
 # --- structure relations -------------------------------------------------
@@ -403,7 +403,7 @@ class ConstraintSubspace:
         if self.parent.modes != self.reduced.modes + 1:
             raise ValueError("parent must have exactly one more mode than the reduced space")
         occ = self.reduced.occupations
-        totals = occ.sum(axis=1)
+        totals = self.reduced.totals
         n0 = self.M - 1 + totals if self.kind == "su_r1" else self.M - totals
         rows = self.parent.rank(np.column_stack((n0, occ)))
         if (rows < 0).any():

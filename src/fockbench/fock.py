@@ -4,15 +4,16 @@ Bases are finite slices of the occupation-number lattice, held as one
 (size, modes) int64 occupation array in graded lexicographic order (total
 occupation ascending, then lexicographic within each total).  A vectorised
 rank, built from per-basis tables of bounded-composition counts, maps any
-occupation rows back to their indices.  States are dense complex vectors over
-such a basis; operators are complex CSR matrices, and every ladder monomial
-among them is computed on the whole occupation array at once and has at most
-one nonzero per column.  Ladder operators silently drop any transition that would
-leave the basis, so truncation error shows up only as missing tail mass,
-never as an exception.  The action exp(A)|psi> of a skew-Hermitian generator
-(a rotation or -i dt H) is a Chebyshev expansion; a truncated-Taylor series
-computes the action of any other generator and the small whole-operator
-exponentials.
+occupation rows back to their indices, one table lookup per mode column.
+States are dense complex vectors over such a basis; operators are complex CSR
+matrices, and every ladder monomial among them is computed on the whole
+occupation array at once and has at most one nonzero per column.  A rotation
+generator zeta X - zeta* X^dag is built in one pass from its ladder's CSR
+arrays.  Ladder operators silently drop any transition that would leave the
+basis, so truncation error shows up only as missing tail mass, never as an
+exception.  The action exp(A)|psi> of a skew-Hermitian generator (a rotation
+or -i dt H) is a Chebyshev expansion; a truncated-Taylor series computes the
+action of any other generator and the small whole-operator exponentials.
 """
 
 from __future__ import annotations
@@ -82,6 +83,14 @@ class Cutoff:
         return cls(d["kind"], d["value"])
 
 
+def _row_totals(occ):
+    """Total occupation of each row of an (n, modes) int64 array, one column add at a time."""
+    total = occ[:, 0].copy()
+    for j in range(1, occ.shape[1]):
+        total += occ[:, j]
+    return total
+
+
 class TruncatedBasis:
     """A graded-lexicographically ordered slice of the Fock lattice.
 
@@ -135,7 +144,7 @@ class TruncatedBasis:
         with parts <= bound and total below k, a row's lex rank within its
         total is sum_j Q[r-1-j][rem_j + 1] - Q[r-1-j][rem_{j+1} + 1], and the
         Q[r][total] states of lower totals come first (none for a shell).
-        Returned flat, with the offset of each row.
+        Row k of the returned table serves rem_{r-1-k}, the last mode first.
         """
         if self._rank_table is None:
             r, bound = self.modes, self.cutoff.value
@@ -152,27 +161,42 @@ class TruncatedBasis:
             table = inner[:-1] - inner[1:]
             if self.cutoff.kind != "shell":
                 table[-1] += q[r, :-1]
-            self._rank_table = (table.ravel(), np.arange(r) * (top + 1))
+            self._rank_table = table
         return self._rank_table
 
     def rank(self, occ) -> np.ndarray:
-        """Graded-lex index of each occupation row, -1 for rows outside the basis."""
+        """Graded-lex index of each occupation row, -1 for rows outside the basis.
+
+        ``occ`` is one row or an array of rows, each ``modes`` wide; any other
+        width raises ValueError.  The table lookups run column by column, last
+        mode first, carrying the suffix total ``rem``, the largest entry seen
+        (as unsigned, so a negative entry exceeds every bound) and the rank.
+        """
         occ = np.asarray(occ)
+        width = occ.shape[-1] if occ.ndim else 0
+        if width != self.modes:
+            raise ValueError(f"occupation rows have {width} entries, the basis has "
+                             f"{self.modes} modes")
         if occ.dtype.kind == "f":  # a non-integral entry lies outside every basis
             whole = np.isfinite(occ) & (np.round(occ) == occ) & (np.abs(occ) < 2.0**62)
             occ = np.where(whole, occ, -1)
-        occ = occ.astype(np.int64, copy=False).reshape(-1, self.modes)
-        flat, offsets = self._table()
-        rem = occ[:, ::-1].cumsum(axis=1)  # rem_j in column r-1-j, the total last
-        value = self.cutoff.value
-        # the unsigned view sends negative occupations above every bound
-        inside = np.maximum.reduce(occ.view(np.uint64), axis=1) <= value
-        if self.cutoff.kind == "total":
-            inside &= rem[:, -1] <= value
-        elif self.cutoff.kind == "shell":
-            inside &= rem[:, -1] == value
+        cols = occ.astype(np.int64, copy=False).reshape(-1, self.modes).T
+        unsigned = cols.view(np.uint64)
+        table = self._table()
+        rem = cols[-1].copy()
+        largest = unsigned[-1].copy()
         # rows outside the basis may index anywhere; clip keeps the lookup in bounds
-        found = np.add.reduce(flat.take(rem + offsets, mode="clip"), axis=1)
+        found = table[0].take(rem, mode="clip")
+        for k in range(2, self.modes + 1):
+            rem += cols[-k]
+            np.maximum(largest, unsigned[-k], out=largest)
+            found += table[k - 1].take(rem, mode="clip")
+        value = self.cutoff.value
+        inside = largest <= value
+        if self.cutoff.kind == "total":
+            inside &= rem <= value
+        elif self.cutoff.kind == "shell":
+            inside &= rem == value
         return np.where(inside, found, -1)
 
     def index_of(self, occ) -> int:
@@ -187,7 +211,7 @@ class TruncatedBasis:
 
     @property
     def totals(self) -> np.ndarray:
-        return self.occupations.sum(axis=1)
+        return _row_totals(self.occupations)
 
 
 def enumerate_basis(modes: int, cutoff: Cutoff, max_states: int = MAX_BASIS_STATES) -> TruncatedBasis:
@@ -341,7 +365,8 @@ def _column_map(d, source, target, weight):
     each column, holds at most one entry, and the pairs are already in CSR
     order.
     """
-    indptr = np.searchsorted(target, np.arange(d + 1))  # entries in the rows above each row
+    indptr = np.zeros(d + 1, dtype=np.int64)  # entries in the rows above each row
+    np.cumsum(np.bincount(target, minlength=d), out=indptr[1:])
     return sp.csr_array((np.asarray(weight, dtype=complex), source, indptr), shape=(d, d))
 
 
@@ -366,7 +391,7 @@ def _monomial(basis, create=(), destroy=(), weight=None):
         for k in set(destroy):
             alive = alive & (occ[:, k] >= destroy.count(k))
         source = np.flatnonzero(alive)
-        rows = occ[source]
+        rows = occ.take(source, axis=0)
     else:
         source = np.arange(d)
         rows = occ.copy() if create else occ
@@ -412,6 +437,38 @@ def _column_images(op):
     return target, weight
 
 
+def _rotation(zeta, raising):
+    """zeta X - zeta* X^dag: the rotation (or displacement) generator of the ladder X.
+
+    Built in one pass from X's CSR arrays.  X holds at most one entry per row
+    and per column, off the diagonal, as every raising or transfer monomial
+    does (any other X raises ValueError).  So row i of the generator holds
+    X's entry of row i, then the X^dag entry that X's entry in column i
+    mirrors, written -conj(zeta w), which equals -(zeta* w*) exactly.
+    """
+    mat = raising.matrix
+    d = mat.shape[0]
+    per_row = np.diff(mat.indptr)
+    per_col = np.bincount(mat.indices, minlength=d)
+    rows = np.flatnonzero(per_row)  # the row of each entry, in storage order
+    cols = mat.indices
+    if per_row.max(initial=0) > 1 or per_col.max(initial=0) > 1 or (rows == cols).any():
+        raise ValueError("a rotation needs a ladder with at most one entry per row and "
+                         "per column, none on the diagonal")
+    up = mat.data * zeta
+    indptr = np.zeros(d + 1, dtype=cols.dtype)
+    np.cumsum(per_row + per_col, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=cols.dtype)
+    data = np.empty(indptr[-1], dtype=complex)
+    at_up = indptr[rows]
+    at_down = indptr[cols] + per_row[cols]
+    indices[at_up] = cols
+    data[at_up] = up
+    indices[at_down] = rows
+    data[at_down] = -np.conj(up)
+    return LinearOperator(raising.basis, sp.csr_array((data, indices, indptr), shape=(d, d)))
+
+
 def identity_op(basis: TruncatedBasis) -> LinearOperator:
     return LinearOperator(basis, sp.eye_array(len(basis), dtype=complex, format="csr"))
 
@@ -454,8 +511,16 @@ def commutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
 
 
 def _one_norm(mat):
-    """||mat||_1, the largest absolute column sum; ValueError when it is not finite."""
-    norm = float(abs(mat).sum(axis=0).max())
+    """||mat||_1, the largest absolute column sum; ValueError when it is not finite.
+
+    A CSR ``mat`` has its columns summed by ``bincount`` over its stored
+    entries, in storage order, as ``abs(mat).sum(axis=0)`` sums them.
+    """
+    if isinstance(mat, np.ndarray):
+        sums = np.abs(mat).sum(axis=0)
+    else:
+        sums = np.bincount(mat.indices, np.abs(mat.data), minlength=mat.shape[1])
+    norm = float(sums.max())
     if not math.isfinite(norm):
         raise ValueError("generator norm is not finite")
     return norm
@@ -538,7 +603,7 @@ def apply_skew_exponential(a: LinearOperator, psi: StateVector) -> StateVector:
     scaled = mat * (2.0 / rho)
     prev, cur = None, psi.amplitudes
     out = j[0] * cur
-    for c in 2 * j[1:]:
+    for c in (2 * j[1:]).tolist():  # a float factor is cheaper than a numpy scalar
         nxt = scaled @ cur
         if prev is None:
             nxt *= 0.5  # phi_1 = (a/rho) psi

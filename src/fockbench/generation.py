@@ -24,6 +24,8 @@ from .fock import (
     LinearOperator,
     StateVector,
     _monomial,
+    _rotation,
+    _row_totals,
     annihilation_op,
     apply_exponential,
     apply_skew_exponential,
@@ -62,11 +64,6 @@ def _check_finite(name, *values):
         finite = False
     if not finite:
         raise ValueError(f"{name} must be finite")
-
-
-def _rotation(zeta, raising):
-    """zeta X - zeta* X^dag: the displacement (or rotation) generator of the ladder X."""
-    return zeta * raising - np.conj(zeta) * raising.adjoint()
 
 
 def exp_form_state(realization: AlgebraRealization, eta_c: complex) -> StateVector:
@@ -109,7 +106,7 @@ def operator_identity_check(M: float, n_max: int, variant: str = "su11") -> list
         ladder = real.raising["K+"]
     reports = []
     lhs = vacuum_state(basis)
-    levels = basis.rank(np.arange(1, n_max + 1))
+    levels = basis.rank(np.arange(1, n_max + 1)[:, None])
     for n in range(1, n_max + 1):
         lhs = ladder.apply(lhs)
         scalar = 1.0
@@ -276,10 +273,10 @@ def _rotation_chain(eta, thetas, M, basis, compact):
     strength = math.sqrt(sum(e * e for e in eta))
     if compact:
         pump_angle = math.asin(strength)
-        w = lambda occ: np.sqrt(np.maximum(M - occ.sum(axis=1), 0.0))
+        w = lambda occ: np.sqrt(np.maximum(M - _row_totals(occ), 0.0))
     else:
         pump_angle = math.atanh(strength)
-        w = lambda occ: np.sqrt(M + occ.sum(axis=1))
+        w = lambda occ: np.sqrt(M + _row_totals(occ))
     # successive rotations compose phases down the chain, so each internal
     # rotation carries the increment over the previous mode's phase
     phases = [thetas[0]] + [thetas[j] - thetas[j - 1] for j in range(1, len(thetas))]

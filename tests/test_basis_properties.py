@@ -22,22 +22,23 @@ from fockbench.fock import (
 )
 
 # largest cutoff value per (kind, modes) that keeps a basis below ~1000 states
-LIMITS = {"per_mode": {1: 40, 2: 15, 3: 7, 4: 4},
-          "total": {1: 40, 2: 30, 3: 12, 4: 8},
-          "shell": {1: 40, 2: 40, 3: 25, 4: 12}}
+# and the reference box of (value + 1)^modes occupations below ~5e4
+LIMITS = {"per_mode": {1: 40, 2: 15, 3: 7, 4: 4, 5: 3, 6: 2},
+          "total": {1: 40, 2: 30, 3: 12, 4: 8, 5: 5, 6: 4},
+          "shell": {1: 40, 2: 40, 3: 25, 4: 12, 5: 6, 6: 5}}
 
 
 @hs.composite
-def bases(draw):
-    modes = draw(hs.integers(1, 4))
+def bases(draw, max_modes=4):
+    modes = draw(hs.integers(1, max_modes))
     kind = draw(hs.sampled_from(sorted(LIMITS)))
     value = draw(hs.integers(0, LIMITS[kind][modes]))
     return enumerate_basis(modes, Cutoff(kind, value))
 
 
 def reference_order(basis):
-    top = basis.cutoff.value * (basis.modes if basis.cutoff.kind == "per_mode" else 1)
-    box = itertools.product(range(top + 1), repeat=basis.modes)
+    # no entry of any admitted state exceeds the cutoff value
+    box = itertools.product(range(basis.cutoff.value + 1), repeat=basis.modes)
     return sorted((occ for occ in box if basis.cutoff.admits(occ)), key=lambda o: (sum(o), o))
 
 
@@ -47,17 +48,35 @@ def test_enumeration_is_graded_lex_over_admitted_states(basis):
     assert len(basis) == basis.cutoff.size(basis.modes)
 
 
-@given(bases(), hs.data())
+# entries no basis holds: huge or extreme integers, and floats that are
+# non-integral, non-finite or at least 2^62
+_HUGE = [2**62, 2**63 - 1, -2**63]
+_ODD_FLOATS = [0.5, -0.5, 2.25, 2.0**62, 2.0**63, -2.0**62, math.nan, math.inf, -math.inf]
+
+
+def _reference_rank(index, row):
+    key = tuple(int(v) if float(v).is_integer() else v for v in row)
+    return index.get(key, -1)
+
+
+@given(bases(max_modes=6), hs.data())
 def test_rank_inverts_enumeration_and_flags_outsiders(basis, data):
     assert np.array_equal(basis.rank(basis.occupations), np.arange(len(basis)))
     index = {occ: i for i, occ in enumerate(reference_order(basis))}
-    hi = basis.cutoff.value * basis.modes + 3
-    rows = data.draw(hs.lists(hs.lists(hs.integers(-3, hi), min_size=basis.modes,
-                                       max_size=basis.modes), min_size=1, max_size=20))
-    expected = [index.get(tuple(row), -1) for row in rows]
-    assert basis.rank(rows).tolist() == expected
-    for row, want in zip(rows, expected):
-        assert basis.contains(row) == (want >= 0)
+    hi = basis.cutoff.value * basis.modes + 3  # reaches over every total bound
+    entry = hs.integers(-3, hi)
+
+    def rows(entries):
+        return data.draw(hs.lists(hs.lists(entries, min_size=basis.modes, max_size=basis.modes),
+                                  min_size=1, max_size=20))
+
+    int_rows = rows(hs.one_of(entry, entry, entry, hs.sampled_from(_HUGE)))
+    float_rows = rows(hs.one_of(entry.map(float), hs.sampled_from(_ODD_FLOATS)))
+    for drawn in (int_rows, float_rows):
+        expected = [_reference_rank(index, row) for row in drawn]
+        assert basis.rank(drawn).tolist() == expected
+        for row, want in zip(drawn, expected):
+            assert basis.contains(row) == (want >= 0)
 
 
 def _weight(kind):

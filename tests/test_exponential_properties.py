@@ -16,11 +16,13 @@ from hypothesis import given
 from hypothesis import strategies as hs
 
 from fockbench import fock, generation
-from fockbench.algebra import su2_hp, su11_hp
+from fockbench.algebra import su2_hp, su11_hp, su_r1_hp, su_rp1_hp
 from fockbench.fock import (
     Cutoff,
+    LinearOperator,
     StateVector,
     _monomial,
+    _one_norm,
     _series_exponential,
     annihilation_op,
     apply_skew_exponential,
@@ -89,6 +91,59 @@ def test_chebyshev_matches_taylor_on_current_drives(levels, omega, j, dt, seed):
     _assert_matches_taylor(_drive(basis, omega, j, dt), _random_state(basis, seed))
 
 
+def _arithmetic_rotation(zeta, ladder):
+    """zeta X - zeta* X^dag by operator arithmetic, the reference for fock._rotation."""
+    return zeta * ladder - np.conj(zeta) * ladder.adjoint()
+
+
+def _column_sum_norm(mat):
+    return float(abs(mat).sum(axis=0).max())
+
+
+@given(rank=hs.integers(1, 3), cutoff=hs.integers(1, 10),
+       ladder=hs.sampled_from(["pump", "compact pump", "transfer", "su_r1_hp", "su_rp1_hp"]),
+       M=hs.integers(1, 6), real_M=hs.floats(0.1, 6.0), mode=hs.integers(1, 3), zeta=_zetas)
+def test_one_pass_rotation_equals_operator_arithmetic(rank, cutoff, ladder, M, real_M, mode,
+                                                      zeta):
+    basis = enumerate_basis(rank, Cutoff.total(M if ladder == "su_rp1_hp" else cutoff))
+    mode = min(mode, rank)
+    if ladder == "pump":
+        x = _pump(basis, real_M, compact=False)
+    elif ladder == "compact pump":
+        x = _pump(basis, M, compact=True)
+    elif ladder == "transfer" and rank > 1:
+        x = _transfer(basis, min(mode, rank - 1))
+    elif ladder == "transfer":  # rank one has no transfer: the su(1,1) ladder
+        x = su11_hp(basis, real_M).raising["K+"]
+    elif ladder == "su_rp1_hp":
+        x = su_rp1_hp(basis, M).raising[f"J{mode}0"]
+    else:
+        x = su_r1_hp(basis, real_M).raising[f"K+{mode}"]
+    gen = _rotation(zeta, x)
+    reference = _arithmetic_rotation(zeta, x)
+    assert np.array_equal(gen.matrix.toarray(), reference.matrix.toarray())
+    # the bincount column sums add in the order abs(mat).sum(axis=0) does
+    assert _one_norm(gen.matrix) == _column_sum_norm(gen.matrix)
+    assert _one_norm(gen.matrix) == _column_sum_norm(reference.matrix)
+    assert _one_norm(x.matrix) == _column_sum_norm(x.matrix)
+
+
+def test_rotation_refuses_all_but_one_entry_per_row_and_column_off_the_diagonal():
+    basis = enumerate_basis(1, Cutoff.per_mode(2))
+    for entries in ([(2, 0), (2, 1)],  # two entries in row 2
+                    [(1, 0), (2, 0)],  # two entries in column 0
+                    [(0, 0), (2, 1)]):  # an entry on the diagonal
+        dense = np.zeros((3, 3), dtype=complex)
+        for row, col in entries:
+            dense[row, col] = 1.0
+        with pytest.raises(ValueError, match="one entry per row"):
+            _rotation(0.5j, LinearOperator(basis, dense))
+    with pytest.raises(ValueError, match="one entry per row"):
+        _rotation(0.5, number_op(enumerate_basis(2, Cutoff.total(3)), 1))
+    empty = _rotation(0.5, LinearOperator(basis, np.zeros((3, 3))))
+    assert empty.matrix.nnz == 0
+
+
 def _skew_hermitian_exactly(gen):
     return (gen.matrix + gen.adjoint().matrix).count_nonzero() == 0
 
@@ -140,3 +195,16 @@ def test_rotation_and_drive_routes_pass_exactly_skew_hermitian_generators(monkey
     monkeypatch.setattr(generation, "apply_skew_exponential", record)
     assert abs(route().norm2() - 1.0) <= 1e-12
     assert generators and all(_skew_hermitian_exactly(gen) for gen in generators)
+
+
+@pytest.mark.parametrize("chain", [
+    lambda: generation.sequential_nms(_ETA, (0.2, 0.9, 1.7), 2.0,
+                                      enumerate_basis(3, Cutoff.total(16))),
+    lambda: generation.sequential_ms(tuple(math.sqrt(e) for e in (0.2, 0.2, 0.1)),
+                                     (0.3, 0.6, 0.9), 16, enumerate_basis(3, Cutoff.total(16))),
+])
+def test_chains_at_969_states_match_the_arithmetic_generator_bit_for_bit(monkeypatch, chain):
+    fast = chain().amplitudes
+    monkeypatch.setattr(generation, "_rotation", _arithmetic_rotation)
+    monkeypatch.setattr(fock, "_one_norm", lambda mat: _column_sum_norm(mat))
+    assert np.array_equal(chain().amplitudes, fast)

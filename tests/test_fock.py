@@ -68,6 +68,25 @@ def test_index_round_trip():
     assert basis.rank([[0, 1], [0.5, 1], [9, 9], [-1, 1]]).tolist() == [1, -1, -1, -1]
 
 
+def test_rank_refuses_rows_of_the_wrong_width():
+    two = enumerate_basis(2, Cutoff.total(6))
+    with pytest.raises(ValueError, match="4 entries, the basis has 2 modes"):
+        two.rank([[1, 2, 0, 0], [0, 0, 1, 1]])
+    three = enumerate_basis(3, Cutoff.total(6))
+    with pytest.raises(ValueError, match="2 entries, the basis has 3 modes"):
+        three.rank([[1, 2], [0, 0], [1, 1]])
+    one = enumerate_basis(1, Cutoff.per_mode(6))
+    with pytest.raises(ValueError, match="3 entries, the basis has 1 modes"):
+        one.rank(np.arange(3))  # three levels are three rows of one entry, not one row
+    with pytest.raises(ValueError, match="0 entries"):
+        one.rank(2)
+    # one row of the basis width, a column of rows, and no rows at all still rank
+    assert three.rank([0, 1, 0]).tolist() == [three.index_of((0, 1, 0))]
+    assert one.rank(np.arange(3)[:, None]).tolist() == [0, 1, 2]
+    empty = three.rank(np.zeros((0, 3), dtype=np.int64))
+    assert empty.shape == (0,) and empty.dtype == np.int64
+
+
 def test_state_cap_enforced():
     with pytest.raises(ValueError):
         enumerate_basis(2, Cutoff.per_mode(9), max_states=50)
