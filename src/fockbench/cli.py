@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -111,6 +112,7 @@ def _real(key, value):
     return float(value)
 
 
+@functools.cache  # built once per process; parse_args fills a fresh namespace each call
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fockbench",

@@ -13,7 +13,8 @@ arrays.  Ladder operators silently drop any transition that would leave the
 basis, so truncation error shows up only as missing tail mass, never as an
 exception.  The action exp(A)|psi> of a skew-Hermitian generator (a rotation
 or -i dt H) is a Chebyshev expansion; a truncated-Taylor series computes the
-action of any other generator and the small whole-operator exponentials.
+action of any other generator, in one pass for a nilpotent ladder, and the
+small whole exponentials, which are dense arrays.
 """
 
 from __future__ import annotations
@@ -526,15 +527,32 @@ def _one_norm(mat):
     return norm
 
 
+def _strictly_triangular(mat):
+    """Whether ``mat`` (dense or CSR) is zero on and above, or on and below, its diagonal.
+
+    Such a matrix is nilpotent.  Every raising or lowering ladder monomial is
+    one in graded order: it shifts each occupation by one fixed vector, so it
+    moves every state strictly up the order or strictly down it.
+    """
+    if isinstance(mat, np.ndarray):
+        return not np.triu(mat).any() or not np.tril(mat).any()
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    return bool((mat.indices < rows).all() or (mat.indices > rows).all())
+
+
 def _series_exponential(mat, block):
     """exp(mat) @ block, for a dense or sparse ``mat`` and a vector or matrix ``block``.
 
     The truncated-Taylor action of Al-Mohy and Higham (SIAM J. Sci. Comput.
-    33 (2011) 488) with a fixed schedule: ceil(||mat||_1) substeps, each a
-    Taylor series summed until its term is at most 1e-15 of the running sum
-    (2-norm for a vector, Frobenius for a matrix).
+    33 (2011) 488) with a fixed schedule: substeps, each a Taylor series
+    summed until its term is at most 1e-15 of the running sum (2-norm for a
+    vector, Frobenius for a matrix).  A strictly triangular (nilpotent)
+    ``mat`` takes one pass: its series is a polynomial of degree below d, so
+    the term vanishes exactly within d products.  Any other ``mat`` takes
+    ceil(||mat||_1) substeps.
     """
-    steps = max(1, math.ceil(_one_norm(mat)))
+    norm = _one_norm(mat)  # refuses a non-finite generator on either schedule
+    steps = 1 if _strictly_triangular(mat) else max(1, math.ceil(norm))
     scaled = mat / steps
     out = block.astype(complex)
     for _ in range(steps):
@@ -570,10 +588,15 @@ def _bessel_j(x):
     return j[:np.argmax((np.arange(len(j)) > x) & (np.abs(j) < 1e-16))]
 
 
-def op_exponential(a: LinearOperator) -> LinearOperator:
-    """The whole exponential exp(a), summed densely; meant for small bases."""
-    identity = np.eye(len(a.basis), dtype=complex)
-    return LinearOperator(a.basis, _series_exponential(a.matrix.toarray(), identity))
+def op_exponential(a: LinearOperator, scale: complex = 1.0) -> np.ndarray:
+    """The whole exponential exp(scale * a) as a dense d x d array; meant for small bases.
+
+    ``scale`` multiplies ``a``'s dense matrix, which costs less than scaling
+    its CSR form; the series then runs on that array with the identity as its
+    block.  The result is an array, not an operator: CSR is the form of
+    generators, and a dense exponential is none.
+    """
+    return _series_exponential(scale * a.matrix.toarray(), np.eye(len(a.basis), dtype=complex))
 
 
 def apply_exponential(a: LinearOperator, psi: StateVector) -> StateVector:

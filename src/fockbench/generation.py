@@ -21,7 +21,6 @@ from . import states as st
 from .algebra import AlgebraRealization, su2_bilinear, su2_hp, su11_hp
 from .fock import (
     Cutoff,
-    LinearOperator,
     StateVector,
     _monomial,
     _rotation,
@@ -33,7 +32,6 @@ from .fock import (
     creation_op,
     enumerate_basis,
     fidelity,
-    identity_op,
     number_op,
     op_exponential,
     vacuum_state,
@@ -170,20 +168,21 @@ def displacement_leakage(realization: AlgebraRealization, psi: StateVector,
     return max(pressed, abs(1.0 - psi.norm2()))
 
 
-def disentangled_product(realization: AlgebraRealization, zeta: complex) -> LinearOperator:
+def disentangled_product(realization: AlgebraRealization, zeta: complex) -> np.ndarray:
     """Raising x diagonal x lowering factorization of the displacement exponential.
 
     su(2):  exp(zeta J+ - zeta* J-) = exp(tau J+) exp(ln(1+|tau|^2) J0) exp(-tau* J-)
             with tau = (zeta/|zeta|) tan|zeta|;
     su(1,1): same shape with tau = (zeta/|zeta|) tanh|zeta| and middle factor
             exp(ln(1-|tau|^2) K0).
-    Returns the three-factor product as an operator for entrywise comparison
-    with the one-shot exponential.
+    Returns the three-factor product as a dense d x d array (the identity for
+    zeta = 0), for entrywise comparison with the one-shot exponential.  The
+    outer factors are nilpotent ladders, whose series take one pass.
     """
     plus, minus, diag = _ladder(realization)
     z = complex(zeta)
     if z == 0:
-        return identity_op(realization.basis)
+        return np.eye(len(realization.basis), dtype=complex)
     phase = z / abs(z)
     if realization.algebra == "su2":
         tau = phase * math.tan(abs(z))
@@ -191,9 +190,9 @@ def disentangled_product(realization: AlgebraRealization, zeta: complex) -> Line
     else:
         tau = phase * math.tanh(abs(z))
         middle_log = math.log1p(-abs(tau) ** 2)
-    first = op_exponential(tau * realization.op(plus))
-    middle = op_exponential(middle_log * realization.op(diag))
-    last = op_exponential(-np.conj(tau) * realization.op(minus))
+    first = op_exponential(realization.op(plus), tau)
+    middle = op_exponential(realization.op(diag), middle_log)
+    last = op_exponential(realization.op(minus), -tau.conjugate())
     return first @ middle @ last
 
 
@@ -201,8 +200,7 @@ def disentangling_identity_check(realization: AlgebraRealization, zeta: complex)
     """Entrywise residual between exp(zeta K+ - h.c.) and its three-factor product."""
     up, _, _ = _ladder(realization)
     whole = op_exponential(_rotation(complex(zeta), realization.raising[up]))
-    product = disentangled_product(realization, zeta)
-    residual = float(abs(whole.matrix - product.matrix).max())
+    residual = float(abs(whole - disentangled_product(realization, zeta)).max())
     return {"algebra": realization.algebra, "M": realization.M,
             "zeta": complex(zeta), "max_residual": residual}
 

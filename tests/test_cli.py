@@ -427,3 +427,29 @@ def test_every_verify_suite_reports_its_checks(capsys, suite):
         assert list(check) == keys, name
         assert check.get("tolerance") == tol, name
         assert check["passed"] is True, name
+
+
+def test_back_to_back_calls_carry_no_flags(capsys, tmp_path):
+    # main parses every call with one parser; no flag of a call may reach the next
+    from fockbench import cli
+
+    assert cli.main(["verify", "measure", "--r", "2", "--M", "1"]) == 0
+    assert [check["name"] for check in json.loads(capsys.readouterr().out)["checks"]] == [
+        "resolution_r2_M1"]
+    assert cli.main(["verify", "measure"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [check["name"] for check in report["checks"]] == [
+        name for name, _, _ in SUITE_REPORTS["measure"]]
+
+    def cutoff(*flags):
+        base = str(tmp_path / "nbs")
+        assert cli.main(["state", "--family", "nbs", "--eta2", "0.5", "--M", "1",
+                         "--out", base, *flags]) == 0
+        capsys.readouterr()
+        with open(base + "_state.json", encoding="utf-8") as handle:
+            return json.load(handle)["cutoff"]
+
+    automatic = cutoff()
+    wider = automatic["value"] + 5
+    assert cutoff("--cutoff", str(wider)) == {"kind": "per_mode", "value": wider}
+    assert cutoff() == automatic

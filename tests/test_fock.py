@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fockbench.algebra import su2_hp, su11_hp
 from fockbench.fock import (
     Cutoff,
     LinearOperator,
     _bessel_j,
     _column_images,
+    _one_norm,
+    _rotation,
+    _series_exponential,
+    _strictly_triangular,
     annihilation_op,
     apply_exponential,
     apply_skew_exponential,
@@ -146,7 +151,7 @@ def test_op_exponential_matches_scipy():
     d = len(basis)
     mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     mat *= 2.0 / np.linalg.norm(mat, 1)
-    ours = op_exponential(LinearOperator(basis, mat)).matrix.toarray()
+    ours = op_exponential(LinearOperator(basis, mat))
     ref = scipy.linalg.expm(mat)
     np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
 
@@ -159,14 +164,14 @@ def test_op_exponential_inverse_pair():
     mat *= 4.5 / np.linalg.norm(mat, 1)
     fwd = op_exponential(LinearOperator(basis, mat))
     back = op_exponential(LinearOperator(basis, -mat))
-    resid = np.max(np.abs((fwd @ back).matrix.toarray() - np.eye(d)))
+    resid = np.max(np.abs(fwd @ back - np.eye(d)))
     assert resid < 1e-11
 
 
 def test_op_exponential_zero_is_identity():
     basis = enumerate_basis(2, Cutoff.total(3))
     out = op_exponential(LinearOperator(basis, np.zeros((len(basis), len(basis)))))
-    assert np.array_equal(out.matrix.toarray(), np.eye(len(basis)))
+    assert np.array_equal(out, np.eye(len(basis)))
 
 
 def test_op_exponential_nilpotent_terminates_exactly():
@@ -183,7 +188,82 @@ def test_op_exponential_nilpotent_terminates_exactly():
         power = adag.matrix.toarray() @ power
         fact *= k
         expect += power / fact
-    np.testing.assert_allclose(out.matrix.toarray(), expect, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out, expect, rtol=0, atol=1e-15)
+
+
+def _taylor_polynomial(mat):
+    """sum_k mat^k / k! for a nilpotent ``mat``, term by term until a power vanishes."""
+    total = np.eye(len(mat), dtype=complex)
+    term = total
+    for k in range(1, len(mat) + 1):
+        term = mat @ term / k
+        total = total + term
+    assert not term.any()
+    return total
+
+
+def _random_strictly_triangular(d, lower):
+    rng = np.random.default_rng(31)
+    mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return np.tril(mat, -1) if lower else np.triu(mat, 1)
+
+
+@pytest.mark.parametrize("generator", [
+    lambda: creation_op(enumerate_basis(1, Cutoff.per_mode(9)), 0),
+    lambda: 0.8 * su2_hp(enumerate_basis(1, Cutoff.per_mode(4)), 4).op("J+"),
+    lambda: (-0.6 + 0.5j) * su2_hp(enumerate_basis(1, Cutoff.per_mode(6)), 6).op("J-"),
+    lambda: (0.5 - 0.3j) * su11_hp(enumerate_basis(1, Cutoff.per_mode(12)), 2.5).op("K+"),
+    lambda: (0.7 + 0.2j) * su11_hp(enumerate_basis(1, Cutoff.per_mode(12)), 2.5).op("K-"),
+    lambda: LinearOperator(enumerate_basis(1, Cutoff.per_mode(7)),
+                           _random_strictly_triangular(8, lower=True)),
+    lambda: LinearOperator(enumerate_basis(1, Cutoff.per_mode(7)),
+                           _random_strictly_triangular(8, lower=False)),
+])
+def test_op_exponential_of_a_nilpotent_generator_is_its_taylor_polynomial(generator):
+    op = generator()
+    dense = op.matrix.toarray()
+    assert _strictly_triangular(op.matrix) and _strictly_triangular(dense)
+    expect = _taylor_polynomial(dense)
+    out = op_exponential(op)
+    assert np.abs(out - expect).max() <= 1e-15 * np.abs(expect).max()
+
+
+def test_op_exponential_scale_multiplies_the_generator():
+    real = su2_hp(enumerate_basis(1, Cutoff.per_mode(4)), 4)
+    for label, scale in (("J+", 0.3 - 0.8j), ("J0", math.log1p(0.5)), ("J-", -1.2)):
+        op = real.op(label)
+        assert np.array_equal(op_exponential(op, scale), op_exponential(scale * op))
+
+
+def _substep_series(mat, block):
+    """The Taylor action with ceil(||mat||_1) substeps for every ``mat``, nilpotent or not."""
+    steps = max(1, math.ceil(_one_norm(mat)))
+    scaled = mat / steps
+    out = block.astype(complex)
+    for _ in range(steps):
+        term, k = out, 0
+        while True:
+            k += 1
+            term = scaled @ term
+            term /= k
+            out += term
+            if not np.vdot(term, term).real > 1e-30 * np.vdot(out, out).real:
+                break
+    return out
+
+
+def test_rotation_and_diagonal_generators_keep_their_substeps_bit_for_bit():
+    real = su11_hp(enumerate_basis(1, Cutoff.per_mode(30)), 2.5)
+    rotation = _rotation(1.1 - 0.6j, real.raising["K+"]).matrix
+    diagonal = (0.9 * real.op("K0")).matrix
+    psi = vacuum_state(real.basis).amplitudes + 0.25
+    identity = np.eye(len(real.basis), dtype=complex)
+    for mat in (rotation, diagonal):
+        assert not _strictly_triangular(mat) and _one_norm(mat) > 2
+        assert np.array_equal(_series_exponential(mat, psi), _substep_series(mat, psi))
+        dense = mat.toarray()
+        assert np.array_equal(_series_exponential(dense, identity),
+                              _substep_series(dense, identity))
 
 
 def test_apply_exponential_matches_matrix_route():
@@ -195,8 +275,8 @@ def test_apply_exponential_matches_matrix_route():
     op = LinearOperator(basis, mat)
     psi = vacuum_state(basis)
     via_vec = apply_exponential(op, psi)
-    via_mat = op_exponential(op) @ psi
-    np.testing.assert_allclose(via_vec.amplitudes, via_mat.amplitudes, rtol=0, atol=1e-12)
+    via_mat = op_exponential(op) @ psi.amplitudes
+    np.testing.assert_allclose(via_vec.amplitudes, via_mat, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-20, 1e-6, 1e-3, 0.1, 1.0, 3.7, 10.0, 31.4, 100.0, 299.9])

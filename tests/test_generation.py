@@ -13,7 +13,7 @@ from fockbench.distributions import (
     binomial_pmf,
     neg_binomial_pmf,
 )
-from fockbench.fock import Cutoff, basis_state, enumerate_basis, fidelity
+from fockbench.fock import Cutoff, StateVector, basis_state, enumerate_basis, fidelity
 from fockbench.generation import (
     ClassicalCurrent,
     TwoLevelDrive,
@@ -84,6 +84,17 @@ def test_exp_form_rejects_unit_disk_boundary():
         exp_form_state(su11_hp(basis, 2.0), 1.0)
 
 
+def test_exp_form_matches_series_entrywise_on_an_80_state_basis():
+    # exp(eta K+) is nilpotent on the truncated basis, so its series takes one
+    # pass and each level gets its single term, with no substep rounding
+    spec = StateSpec("neg_binomial", NegBinomialParams(0.6, 2.5), (0.7,))
+    basis = auto_basis(spec, tail_tol=1e-12, guard=16)
+    assert len(basis) == 80
+    series = build_state(spec, basis=basis)
+    exp_form = exp_form_state(su11_hp(basis, 2.5), math.sqrt(0.6) * cmath.exp(0.7j))
+    assert np.abs(exp_form.amplitudes - series.amplitudes).max() <= 1e-14
+
+
 # --- displacement form --------------------------------------------------------
 
 def test_displacement_parameter_maps():
@@ -147,7 +158,7 @@ def test_disentangling_identity_noncompact():
     basis = enumerate_basis(1, Cutoff.per_mode(40))
     real = su11_hp(basis, 2.0)
     fac = disentangled_product(real, 0.4 + 0.1j)
-    psi = fac @ basis_state(basis, (0,))
+    psi = StateVector(basis, fac @ basis_state(basis, (0,)).amplitudes)
     spec = StateSpec("neg_binomial", NegBinomialParams(math.tanh(abs(0.4 + 0.1j)) ** 2, 2.0),
                      (cmath.phase(0.4 + 0.1j),))
     target = build_state(spec, basis=basis)
@@ -157,7 +168,7 @@ def test_disentangling_identity_noncompact():
 def test_disentangled_product_zero_is_identity():
     basis = enumerate_basis(1, Cutoff.per_mode(4))
     prod = disentangled_product(su2_hp(basis, 4), 0.0)
-    np.testing.assert_allclose(prod.matrix.toarray(), np.eye(5), atol=0)
+    np.testing.assert_allclose(prod, np.eye(5), atol=0)
 
 
 # --- route equivalence --------------------------------------------------------
@@ -168,6 +179,12 @@ def test_path_equivalence_noncompact():
     assert rep["fidelity_disp_vs_series"] >= 1 - 1e-8
     assert rep["fidelity_disp_vs_exp"] >= 1 - 1e-8
     assert rep["norm_leakage"] < 1e-8
+
+
+def test_path_equivalence_near_critical_exp_route_is_exact_to_roundoff():
+    rep = path_equivalence("neg_binomial", 0.97, 2.0)
+    assert rep["cutoff"] == 1036
+    assert 1 - rep["fidelity_exp_vs_series"] <= 1e-14
 
 
 def test_path_equivalence_compact():
