@@ -12,8 +12,8 @@ of the truncated basis -- so truncation artifacts never masquerade as algebra
 violations.  ``ConstraintSubspace`` transports states between the two
 pictures and ``intertwining_check`` confirms the generators agree under that
 transport.  Every generator sends a basis state to at most one basis state,
-so neither check forms an operator product: both walk those images, read off
-the generators' matrices, column by column.
+so neither check forms an operator product: both walk those images, read
+from the generators' column maps, column by column, and build no matrix.
 """
 
 from __future__ import annotations
@@ -23,17 +23,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import LinearOperator, TruncatedBasis, _column_images, _monomial, _row_totals
+from .fock import LinearOperator, TruncatedBasis, _monomial, _row_totals
 
 @dataclass
 class AlgebraRealization:
     """A named set of generators with truncation metadata.
 
-    ``raising``/``lowering``/``diagonal`` map generator labels to operators;
-    each operator's matrix is the only record of where the generator sends a
-    state and with what weight.  ``lossy[label][s]`` flags sources whose exact
-    image was dropped by truncation; it drives the interior-state masking in
-    :func:`verify_algebra` and :func:`intertwining_check`.
+    ``raising``/``lowering``/``diagonal`` map generator labels to operators,
+    each held as its column map (``target``, ``weight``), the record of where
+    the generator sends a state and with what weight.  ``lossy[label][s]``
+    flags sources whose exact image was dropped by truncation; it drives the
+    interior-state masking in :func:`verify_algebra` and
+    :func:`intertwining_check`.
     """
 
     algebra: str
@@ -318,8 +319,8 @@ def _images(realization, label):
     Each array has one extra slot at the end, a sink for "no image": a target
     of -1 indexes it, and it sends itself to -1 with weight 0 and no loss.
     """
-    target, weight = _column_images(realization.op(label))
-    return (np.append(target, -1), np.append(weight, 0),
+    op = realization.op(label)
+    return (np.append(op.target, -1), np.append(op.weight, 0),
             np.append(realization.lossy[label], False))
 
 
@@ -449,11 +450,10 @@ def intertwining_check(bilinear: AlgebraRealization, reduced: AlgebraRealization
     reports = []
     shared = [l for l in reduced.labels if l in set(bilinear.labels)]
     for label in shared:
-        target_b, weight_b = _column_images(bilinear.op(label))
-        target_r, weight_r = _column_images(reduced.op(label))
+        b, r = bilinear.op(label), reduced.op(label)
         checked = ~reduced.lossy[label] & ~bilinear.lossy[label][parent_rows]
         residual, worst, count = _worst_column(
-            [target_b[parent_rows], embedded[target_r]], [weight_b[parent_rows], -weight_r],
+            [b.target[parent_rows], embedded[r.target]], [b.weight[parent_rows], -r.weight],
             checked, reduced.basis.occupations)
         reports.append({"label": label, "max_residual": residual,
                         "worst_state": worst, "checked_count": count})

@@ -6,15 +6,15 @@ occupation ascending, then lexicographic within each total).  A vectorised
 rank, built from per-basis tables of bounded-composition counts, maps any
 occupation rows back to their indices, one table lookup per mode column.
 States are dense complex vectors over such a basis; operators are complex CSR
-matrices, and every ladder monomial among them is computed on the whole
-occupation array at once and has at most one nonzero per column.  A rotation
-generator zeta X - zeta* X^dag is built in one pass from its ladder's CSR
-arrays.  Ladder operators silently drop any transition that would leave the
-basis, so truncation error shows up only as missing tail mass, never as an
-exception.  The action exp(A)|psi> of a skew-Hermitian generator (a rotation
-or -i dt H) is a Chebyshev expansion; a truncated-Taylor series computes the
-action of any other generator, in one pass for a nilpotent ladder, and the
-small whole exponentials, which are dense arrays.
+matrices, except that every ladder monomial, computed on the whole occupation
+array at once, is held as its column map (one image per state) until a product
+needs its matrix.  A rotation generator zeta X - zeta* X^dag is built in one
+pass from its ladder's map.  Ladder operators silently drop any transition
+that would leave the basis, so truncation error shows up only as missing tail
+mass, never as an exception.  The action exp(A)|psi> of a skew-Hermitian
+generator (a rotation or -i dt H) is a Chebyshev expansion; a truncated-Taylor
+series computes the action of any other generator, in one pass for a
+nilpotent ladder, and the small whole exponentials, which are dense arrays.
 """
 
 from __future__ import annotations
@@ -308,24 +308,48 @@ def vacuum_state(basis: TruncatedBasis) -> StateVector:
     return basis_state(basis, (0,) * basis.modes)
 
 
-@dataclass
 class LinearOperator:
     """Operator over a truncated basis, held as a complex CSR matrix.
 
-    Dense input is accepted and converted.
+    Dense input is converted.  A ladder monomial is held instead as its column
+    map (:meth:`from_map`), and its ``matrix`` is built on first use and cached.
     """
 
-    basis: TruncatedBasis
-    matrix: sp.csr_array
+    target = weight = None  # the column map of an operator built from one
 
-    def __post_init__(self):
-        mat = self.matrix
-        if not (isinstance(mat, sp.csr_array) and mat.dtype == complex):
-            mat = sp.csr_array(mat, dtype=complex)
-        d = len(self.basis)
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix has shape {mat.shape}, expected ({d}, {d})")
-        self.matrix = mat
+    def __init__(self, basis: TruncatedBasis, matrix):
+        if not (isinstance(matrix, sp.csr_array) and matrix.dtype == complex):
+            matrix = sp.csr_array(matrix, dtype=complex)
+        if matrix.shape != (len(basis),) * 2:
+            raise ValueError(f"matrix has shape {matrix.shape}, expected {(len(basis),) * 2}")
+        self.basis, self._matrix = basis, matrix
+
+    @classmethod
+    def from_map(cls, basis: TruncatedBasis, target, weight) -> "LinearOperator":
+        """The operator sending state s to ``target[s]`` (-1: nowhere; not range-checked) with
+        ``weight[s]``, both copied into read-only arrays so the cached matrix matches them."""
+        d = len(basis)
+        target, weight = np.array(target, dtype=np.int64), np.array(weight, dtype=complex)
+        if target.shape != (d,) or weight.shape != (d,):
+            raise ValueError(f"a column map needs {d} targets and {d} weights")
+        target.flags.writeable = weight.flags.writeable = False
+        op = cls.__new__(cls)
+        op.basis, op.target, op.weight, op._matrix = basis, target, weight, None
+        return op
+
+    @property
+    def matrix(self) -> sp.csr_array:
+        """The CSR matrix; a map's entries go in by target, then by source, which is already
+        their order for a ladder monomial: it shifts all occupations by one fixed vector,
+        which keeps graded-lex order.  Each of its rows then holds at most one entry."""
+        if self._matrix is None:
+            d = len(self.target)
+            source = np.flatnonzero(self.target >= 0)
+            source = source[np.argsort(self.target[source], kind="stable")]
+            indptr = np.zeros(d + 1, dtype=np.int64)  # entries in the rows above each row
+            np.cumsum(np.bincount(self.target[source], minlength=d), out=indptr[1:])
+            self._matrix = sp.csr_array((self.weight[source], source, indptr), shape=(d, d))
+        return self._matrix
 
     def apply(self, psi: StateVector) -> StateVector:
         _check_same_basis(self, psi)
@@ -349,26 +373,14 @@ class LinearOperator:
         return LinearOperator(self.basis, self.matrix - other.matrix)
 
     def __mul__(self, scalar):
+        if self.target is not None:
+            return LinearOperator.from_map(self.basis, self.target, self.weight * complex(scalar))
         return LinearOperator(self.basis, self.matrix * complex(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
         return LinearOperator(self.basis, -self.matrix)
-
-
-def _column_map(d, source, target, weight):
-    """d x d CSR matrix sending basis state ``source[i]`` to ``target[i]`` with ``weight[i]``.
-
-    Both index arrays must ascend.  They do for every ladder monomial: it
-    shifts all occupations by one fixed vector, which keeps totals and
-    lexicographic comparisons, hence graded-lex order.  So each row, like
-    each column, holds at most one entry, and the pairs are already in CSR
-    order.
-    """
-    indptr = np.zeros(d + 1, dtype=np.int64)  # entries in the rows above each row
-    np.cumsum(np.bincount(target, minlength=d), out=indptr[1:])
-    return sp.csr_array((np.asarray(weight, dtype=complex), source, indptr), shape=(d, d))
 
 
 def _monomial(basis, create=(), destroy=(), weight=None):
@@ -380,10 +392,10 @@ def _monomial(basis, create=(), destroy=(), weight=None):
     square roots at representation boundaries).  The factors multiply in a
     fixed order -- each destroy sqrt(n), the weight, each create sqrt(n+1) --
     so every entry is the same float whatever the basis size.  Returns the
-    operator, whose matrix is the only record of where each state goes and
-    with what weight (:func:`_column_images` reads it back), and a boolean
-    ``lossy`` vector marking source states whose exact image falls outside
-    the basis with non-zero amplitude -- the one fact the matrix cannot hold.
+    operator, held as its column map (``target`` -1 and ``weight`` 0 for a
+    state sent nowhere), and a boolean ``lossy`` vector marking source states
+    whose exact image falls outside the basis with non-zero amplitude -- the
+    one fact the map cannot hold.
     """
     occ = basis.occupations
     d = len(occ)
@@ -410,53 +422,35 @@ def _monomial(basis, create=(), destroy=(), weight=None):
         rows[:, j] += 1
     if isinstance(amp, float):  # no factor at all: the identity
         amp = np.ones(d)
-    image = basis.rank(rows) if create or destroy else source.copy()
-    lost = image < 0
+    image = basis.rank(rows) if create or destroy else source
     lossy = np.zeros(d, dtype=bool)
-    lossy[source] = lost
-    if np.count_nonzero(lost):
-        source, image, amp = source[~lost], image[~lost], amp[~lost]
-    return LinearOperator(basis, _column_map(d, source, image, amp)), lossy
-
-
-def _column_images(op):
-    """Where ``op`` sends each basis state, and with what weight, read off its matrix.
-
-    Returns ``target`` (-1 for a state the operator annihilates or sends out
-    of the basis) and the complex ``weight`` (0 there).  Only operators with
-    at most one entry per column, as every ladder monomial has, have such a
-    map; any other raises ValueError.
-    """
-    mat = op.matrix
-    d = mat.shape[1]
-    if np.bincount(mat.indices, minlength=d).max() > 1:
-        raise ValueError("operator sends a basis state to more than one state")
+    lossy[source] = image < 0
     target = np.full(d, -1, dtype=np.int64)
-    target[mat.indices] = np.repeat(np.arange(d), np.diff(mat.indptr))
+    target[source] = image
     weight = np.zeros(d, dtype=complex)
-    weight[mat.indices] = mat.data
-    return target, weight
+    weight[source] = amp
+    weight[lossy] = 0.0  # an image outside the basis is none
+    return LinearOperator.from_map(basis, target, weight), lossy
 
 
 def _rotation(zeta, raising):
     """zeta X - zeta* X^dag: the rotation (or displacement) generator of the ladder X.
 
-    Built in one pass from X's CSR arrays.  X holds at most one entry per row
-    and per column, off the diagonal, as every raising or transfer monomial
-    does (any other X raises ValueError).  So row i of the generator holds
-    X's entry of row i, then the X^dag entry that X's entry in column i
-    mirrors, written -conj(zeta w), which equals -(zeta* w*) exactly.
+    Built in one pass from X's column map.  X must send no two states to one
+    state and none to itself, as every raising or transfer monomial does (any
+    other X raises ValueError).  So row i of the generator holds X's entry of
+    row i, then the X^dag entry that X's entry in column i mirrors, written
+    -conj(zeta w), which equals -(zeta* w*) exactly.
     """
-    mat = raising.matrix
-    d = mat.shape[0]
-    per_row = np.diff(mat.indptr)
-    per_col = np.bincount(mat.indices, minlength=d)
-    rows = np.flatnonzero(per_row)  # the row of each entry, in storage order
-    cols = mat.indices
-    if per_row.max(initial=0) > 1 or per_col.max(initial=0) > 1 or (rows == cols).any():
+    d = len(raising.target)
+    per_col = raising.target >= 0  # a map holds at most one entry per column
+    cols = np.flatnonzero(per_col)  # the column of each entry
+    rows = raising.target[cols]
+    per_row = np.bincount(rows, minlength=d)
+    if per_row.max(initial=0) > 1 or (rows == cols).any():
         raise ValueError("a rotation needs a ladder with at most one entry per row and "
                          "per column, none on the diagonal")
-    up = mat.data * zeta
+    up = raising.weight[cols] * zeta
     indptr = np.zeros(d + 1, dtype=cols.dtype)
     np.cumsum(per_row + per_col, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=cols.dtype)
@@ -479,8 +473,7 @@ def diagonal_op(basis: TruncatedBasis, values) -> LinearOperator:
     diag = np.asarray(values, dtype=complex)
     if diag.shape != (len(basis),):
         raise ValueError("diagonal length does not match basis size")
-    index = np.arange(len(basis))
-    return LinearOperator(basis, _column_map(len(basis), index, index, diag))
+    return LinearOperator.from_map(basis, np.arange(len(basis)), diag)
 
 
 def _check_mode(basis, mode):
@@ -591,12 +584,19 @@ def _bessel_j(x):
 def op_exponential(a: LinearOperator, scale: complex = 1.0) -> np.ndarray:
     """The whole exponential exp(scale * a) as a dense d x d array; meant for small bases.
 
-    ``scale`` multiplies ``a``'s dense matrix, which costs less than scaling
-    its CSR form; the series then runs on that array with the identity as its
-    block.  The result is an array, not an operator: CSR is the form of
-    generators, and a dense exponential is none.
+    ``a`` is densified from its CSR matrix, or from its column map by one
+    scatter (target -1 lands in a sink row, dropped).  ``scale`` multiplies
+    that dense array, which costs less than scaling a CSR form; the series then
+    runs on it with the identity as its block.  The result is an array, not an
+    operator: a dense exponential is no generator.
     """
-    return _series_exponential(scale * a.matrix.toarray(), np.eye(len(a.basis), dtype=complex))
+    d = len(a.basis)
+    dense = np.zeros((d + 1, d), dtype=complex)
+    if a.target is None:
+        dense[:d] = a.matrix.toarray()
+    else:
+        dense[a.target, np.arange(d)] = a.weight
+    return _series_exponential(scale * dense[:d], np.eye(d, dtype=complex))
 
 
 def apply_exponential(a: LinearOperator, psi: StateVector) -> StateVector:

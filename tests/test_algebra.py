@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from fockbench.algebra import (
     ConstraintSubspace,
@@ -17,7 +18,8 @@ from fockbench.algebra import (
     su_rp1_hp,
     verify_algebra,
 )
-from fockbench.fock import Cutoff, _column_images, basis_state, enumerate_basis
+from fockbench import checks, fock
+from fockbench.fock import Cutoff, LinearOperator, basis_state, enumerate_basis
 
 
 def _worst(reports):
@@ -110,11 +112,25 @@ def test_relations_listing_nonempty():
     assert len(rels) >= 3
 
 
+def _corrupt(real, label, column):
+    """Put into ``real`` a rebuilt raising record whose weight in ``column`` is 1.5x larger."""
+    op = real.raising[label]
+    weight = op.weight.copy()
+    weight[column] *= 1.5
+    real.raising[label] = LinearOperator.from_map(real.basis, op.target, weight)
+
+
+def _corrupted_k_plus():
+    """su11_hp with the K+ entry of column 2 (row 3) scaled by 1.5."""
+    real = su11_hp(enumerate_basis(1, Cutoff.per_mode(10)), 2.0)
+    assert real.op("K+").target[2] == 3
+    _corrupt(real, "K+", 2)
+    return real
+
+
 def test_corrupted_generator_fails_loudly():
-    # negative control: breaking one matrix entry must blow up the residual
-    basis = enumerate_basis(1, Cutoff.per_mode(10))
-    real = su11_hp(basis, 2.0)
-    real.op("K+").matrix[3, 2] *= 1.5
+    # negative control: breaking one entry of the record must blow up the residual
+    real = _corrupted_k_plus()
     reports = verify_algebra(real)
     assert _worst(reports) > 0.1
 
@@ -139,6 +155,45 @@ def test_every_generator_has_at_most_one_entry_per_column():
             assert real.op(label).matrix.nnz <= d, (real.algebra, real.form, label)
 
 
+def _map_csr(op):
+    """The CSR of a ladder map: its entries in source order, row pointers from a target count."""
+    d = len(op.target)
+    source = np.flatnonzero(op.target >= 0)
+    indptr = np.zeros(d + 1, dtype=np.int64)
+    np.cumsum(np.bincount(op.target[source], minlength=d), out=indptr[1:])
+    return scipy.sparse.csr_array((op.weight[source], source, indptr), shape=(d, d))
+
+
+def test_every_generator_matrix_is_its_column_map_built_once():
+    for real in _all_realizations():
+        d = len(real.basis)
+        for label in real.labels:
+            op = real.op(label)
+            want = _map_csr(op)
+            got = op.matrix
+            assert got is op.matrix, label
+            assert got.dtype == np.complex128 and got.shape == (d, d), label
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, name)
+            rows = np.repeat(np.arange(d), np.diff(got.indptr))
+            assert np.bincount(rows, minlength=d).max(initial=0) <= 1, label
+            assert np.bincount(got.indices, minlength=d).max(initial=0) <= 1, label
+            for field in (op.target, op.weight):
+                with pytest.raises(ValueError, match="read-only"):
+                    field[0] = field[0]
+
+
+def test_algebra_suite_builds_no_csr_matrix(monkeypatch):
+    expected = checks.SUITES["algebra"]()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify algebra built a CSR matrix")
+
+    monkeypatch.setattr(fock.sp, "csr_array", refuse)
+    assert checks.SUITES["algebra"]() == expected
+
+
 def _dense_reports(real):
     """verify_algebra's reports from dense matrix products and an explicit mask."""
     d = len(real.basis)
@@ -156,7 +211,7 @@ def _dense_reports(real):
             else:
                 a, b = labels
                 acc += coeff * (dense[a] @ dense[b])
-                target_b = _column_images(real.op(b))[0]
+                target_b = real.op(b).target
                 reached = target_b >= 0
                 second = np.ones(d, dtype=bool)
                 second[reached] = ~real.lossy[a][target_b[reached]]
@@ -175,8 +230,7 @@ def test_verify_algebra_matches_dense_reference():
 
 
 def test_verify_algebra_matches_dense_reference_on_corrupted_generator():
-    real = su11_hp(enumerate_basis(1, Cutoff.per_mode(10)), 2.0)
-    real.op("K+").matrix[3, 2] *= 1.5
+    real = _corrupted_k_plus()
     reports = verify_algebra(real)
     assert reports == _dense_reports(real)
     assert _worst(reports) > 0.1
@@ -245,7 +299,7 @@ def test_intertwining_corrupted_reduced_generator_fails_loudly():
     parent = enumerate_basis(3, Cutoff.total(M - 1 + 8))
     sub = ConstraintSubspace(parent, reduced, M=M, kind="su_r1")
     bilinear, hp = su_r1_bilinear(parent, float(M)), su_r1_hp(reduced, float(M))
-    hp.op("K+2").matrix.data[4] *= 1.5
+    _corrupt(hp, "K+2", np.flatnonzero(hp.op("K+2").target >= 0)[4])  # its 5th stored entry
     reports = intertwining_check(bilinear, hp, sub)
     assert reports == _dense_intertwining_reports(bilinear, hp, sub)
     assert _worst(reports) > 0.1

@@ -14,7 +14,6 @@ from hypothesis import strategies as hs
 
 from fockbench.fock import (
     Cutoff,
-    _column_images,
     _monomial,
     annihilation_op,
     creation_op,
@@ -98,7 +97,8 @@ def test_monomial_matches_per_state_loop(basis, data):
     destroy = tuple(data.draw(hs.lists(modes, max_size=2)))
     weight, weight_one = _weight(data.draw(hs.sampled_from(["none", "sqrt", "clamped"])))
     op, lossy = _monomial(basis, create=create, destroy=destroy, weight=weight)
-    target, _ = _column_images(op)
+    target = op.target
+    assert not op.weight[target < 0].any()  # a state sent nowhere carries no weight
     index = {occ: i for i, occ in enumerate(basis.states)}
     dense = op.matrix.toarray()
     expected = np.zeros_like(dense)

@@ -130,17 +130,13 @@ def test_one_pass_rotation_equals_operator_arithmetic(rank, cutoff, ladder, M, r
 
 def test_rotation_refuses_all_but_one_entry_per_row_and_column_off_the_diagonal():
     basis = enumerate_basis(1, Cutoff.per_mode(2))
-    for entries in ([(2, 0), (2, 1)],  # two entries in row 2
-                    [(1, 0), (2, 0)],  # two entries in column 0
-                    [(0, 0), (2, 1)]):  # an entry on the diagonal
-        dense = np.zeros((3, 3), dtype=complex)
-        for row, col in entries:
-            dense[row, col] = 1.0
+    for target in ([2, 2, -1],  # two sources onto state 2: two entries in row 2
+                   [0, 2, -1]):  # state 0 onto itself: an entry on the diagonal
         with pytest.raises(ValueError, match="one entry per row"):
-            _rotation(0.5j, LinearOperator(basis, dense))
+            _rotation(0.5j, LinearOperator.from_map(basis, target, [1.0, 1.0, 0.0]))
     with pytest.raises(ValueError, match="one entry per row"):
         _rotation(0.5, number_op(enumerate_basis(2, Cutoff.total(3)), 1))
-    empty = _rotation(0.5, LinearOperator(basis, np.zeros((3, 3))))
+    empty = _rotation(0.5, LinearOperator.from_map(basis, [-1, -1, -1], np.zeros(3)))
     assert empty.matrix.nnz == 0
 
 

@@ -10,7 +10,6 @@ from fockbench.fock import (
     Cutoff,
     LinearOperator,
     _bessel_j,
-    _column_images,
     _one_norm,
     _rotation,
     _series_exponential,
@@ -355,14 +354,37 @@ def test_operator_shape_validation():
         LinearOperator(basis, np.zeros((2, 2)))
 
 
-def test_column_images_read_the_ladder_map_and_refuse_two_entries():
+def test_ladder_record_is_its_column_map():
     basis = enumerate_basis(1, Cutoff.per_mode(2))
-    target, weight = _column_images(creation_op(basis, 0))
-    assert target.tolist() == [1, 2, -1]
-    assert weight.tolist() == [1.0, np.sqrt(2.0), 0.0]
-    both = creation_op(basis, 0) + annihilation_op(basis, 0)  # |1> goes to |0> and |2>
-    with pytest.raises(ValueError, match="more than one state"):
-        _column_images(both)
+    op = creation_op(basis, 0)
+    assert op.target.dtype == np.int64 and op.weight.dtype == np.complex128
+    assert op.target.tolist() == [1, 2, -1]
+    assert op.weight.tolist() == [1.0, np.sqrt(2.0), 0.0]
+    both = op + annihilation_op(basis, 0)  # |1> goes to |0> and |2>: no map, only a matrix
+    assert both.target is None and both.weight is None
+    assert both.matrix.nnz == 4
+
+
+@pytest.mark.parametrize("target, weight", [
+    ([1, 2], [1.0, 1.0, 0.0]),  # too few targets
+    ([1, 2, -1], [1.0, 1.0]),  # too few weights
+    ([[1, 2, -1]], [1.0, 1.0, 0.0]),  # targets of the wrong shape
+])
+def test_column_map_refuses_a_malformed_record(target, weight):
+    with pytest.raises(ValueError, match="column map needs 3 targets"):
+        LinearOperator.from_map(enumerate_basis(1, Cutoff.per_mode(2)), target, weight)
+
+
+def test_column_map_copies_its_input_and_builds_any_map_in_csr_order():
+    basis = enumerate_basis(1, Cutoff.per_mode(3))
+    target, weight = np.array([2, 0, 0, -1]), np.array([0.5, 1.0, 2.0, 0.0])
+    op = LinearOperator.from_map(basis, target, weight)
+    target[0], weight[0] = 3, 9.0  # the record keeps what it was given
+    dense = np.zeros((4, 4), dtype=complex)
+    dense[2, 0], dense[0, 1], dense[0, 2] = 0.5, 1.0, 2.0
+    assert np.array_equal(op.matrix.toarray(), dense)
+    assert op.matrix.has_sorted_indices
+    assert np.array_equal(op_exponential(op, 0.3), op_exponential(LinearOperator(basis, dense), 0.3))
 
 
 def test_serialization_round_trip():
