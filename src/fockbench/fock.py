@@ -8,9 +8,9 @@ occupation rows back to their indices, one table lookup per mode column.
 States are dense complex vectors over such a basis; operators are complex CSR
 matrices, except that every ladder monomial, computed on the whole occupation
 array at once, is held as its column map (one image per state) until a product
-needs its matrix.  A rotation generator zeta X - zeta* X^dag is built in one
-pass from its ladder's map.  Ladder operators silently drop any transition
-that would leave the basis, so truncation error shows up only as missing tail
+or an exponential needs its matrix.  A rotation generator zeta X - zeta* X^dag
+is built in one pass from its ladder's map.  Ladder operators silently drop any
+transition leaving the basis, so truncation error shows up only as missing tail
 mass, never as an exception.  The action exp(A)|psi> of a skew-Hermitian
 generator (a rotation or -i dt H) is a Chebyshev expansion; a truncated-Taylor
 series computes the action of any other generator, in one pass for a
@@ -326,12 +326,14 @@ class LinearOperator:
 
     @classmethod
     def from_map(cls, basis: TruncatedBasis, target, weight) -> "LinearOperator":
-        """The operator sending state s to ``target[s]`` (-1: nowhere; not range-checked) with
-        ``weight[s]``, both copied into read-only arrays so the cached matrix matches them."""
+        """The operator sending state s to ``target[s]`` (-1: nowhere) with ``weight[s]``, both
+        copied into read-only arrays, as the cached matrix's are, so the two cannot drift."""
         d = len(basis)
         target, weight = np.array(target, dtype=np.int64), np.array(weight, dtype=complex)
         if target.shape != (d,) or weight.shape != (d,):
             raise ValueError(f"a column map needs {d} targets and {d} weights")
+        if ((target < -1) | (target >= d)).any():
+            raise ValueError(f"a column map's targets must lie in [-1, {d})")
         target.flags.writeable = weight.flags.writeable = False
         op = cls.__new__(cls)
         op.basis, op.target, op.weight, op._matrix = basis, target, weight, None
@@ -349,6 +351,8 @@ class LinearOperator:
             indptr = np.zeros(d + 1, dtype=np.int64)  # entries in the rows above each row
             np.cumsum(np.bincount(self.target[source], minlength=d), out=indptr[1:])
             self._matrix = sp.csr_array((self.weight[source], source, indptr), shape=(d, d))
+            for part in (self._matrix.data, self._matrix.indices, self._matrix.indptr):
+                part.flags.writeable = False
         return self._matrix
 
     def apply(self, psi: StateVector) -> StateVector:
@@ -373,8 +377,6 @@ class LinearOperator:
         return LinearOperator(self.basis, self.matrix - other.matrix)
 
     def __mul__(self, scalar):
-        if self.target is not None:
-            return LinearOperator.from_map(self.basis, self.target, self.weight * complex(scalar))
         return LinearOperator(self.basis, self.matrix * complex(scalar))
 
     __rmul__ = __mul__
@@ -433,23 +435,28 @@ def _monomial(basis, create=(), destroy=(), weight=None):
     return LinearOperator.from_map(basis, target, weight), lossy
 
 
+_ROTATION_NEEDS = ("a rotation needs a ladder with at most one entry per row and per column, "
+                   "none on the diagonal")
+
+
 def _rotation(zeta, raising):
     """zeta X - zeta* X^dag: the rotation (or displacement) generator of the ladder X.
 
     Built in one pass from X's column map.  X must send no two states to one
     state and none to itself, as every raising or transfer monomial does (any
-    other X raises ValueError).  So row i of the generator holds X's entry of
-    row i, then the X^dag entry that X's entry in column i mirrors, written
-    -conj(zeta w), which equals -(zeta* w*) exactly.
+    other X, or one held only as a matrix, raises ValueError).  So row i of the
+    generator holds X's entry of row i, then the X^dag entry that X's entry in
+    column i mirrors, written -conj(zeta w), which equals -(zeta* w*) exactly.
     """
+    if raising.target is None:
+        raise ValueError(_ROTATION_NEEDS)
     d = len(raising.target)
     per_col = raising.target >= 0  # a map holds at most one entry per column
     cols = np.flatnonzero(per_col)  # the column of each entry
     rows = raising.target[cols]
     per_row = np.bincount(rows, minlength=d)
     if per_row.max(initial=0) > 1 or (rows == cols).any():
-        raise ValueError("a rotation needs a ladder with at most one entry per row and "
-                         "per column, none on the diagonal")
+        raise ValueError(_ROTATION_NEEDS)
     up = raising.weight[cols] * zeta
     indptr = np.zeros(d + 1, dtype=cols.dtype)
     np.cumsum(per_row + per_col, out=indptr[1:])
@@ -584,19 +591,12 @@ def _bessel_j(x):
 def op_exponential(a: LinearOperator, scale: complex = 1.0) -> np.ndarray:
     """The whole exponential exp(scale * a) as a dense d x d array; meant for small bases.
 
-    ``a`` is densified from its CSR matrix, or from its column map by one
-    scatter (target -1 lands in a sink row, dropped).  ``scale`` multiplies
-    that dense array, which costs less than scaling a CSR form; the series then
-    runs on it with the identity as its block.  The result is an array, not an
-    operator: a dense exponential is no generator.
+    ``scale`` multiplies ``a``'s dense matrix, which costs less than scaling
+    its CSR form; the series then runs on that array with the identity as its
+    block.  The result is an array, not an operator: a dense exponential is
+    no generator.
     """
-    d = len(a.basis)
-    dense = np.zeros((d + 1, d), dtype=complex)
-    if a.target is None:
-        dense[:d] = a.matrix.toarray()
-    else:
-        dense[a.target, np.arange(d)] = a.weight
-    return _series_exponential(scale * dense[:d], np.eye(d, dtype=complex))
+    return _series_exponential(scale * a.matrix.toarray(), np.eye(len(a.basis), dtype=complex))
 
 
 def apply_exponential(a: LinearOperator, psi: StateVector) -> StateVector:

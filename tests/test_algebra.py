@@ -179,7 +179,7 @@ def test_every_generator_matrix_is_its_column_map_built_once():
             rows = np.repeat(np.arange(d), np.diff(got.indptr))
             assert np.bincount(rows, minlength=d).max(initial=0) <= 1, label
             assert np.bincount(got.indices, minlength=d).max(initial=0) <= 1, label
-            for field in (op.target, op.weight):
+            for field in (op.target, op.weight, got.data, got.indices, got.indptr):
                 with pytest.raises(ValueError, match="read-only"):
                     field[0] = field[0]
 

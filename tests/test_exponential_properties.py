@@ -136,6 +136,9 @@ def test_rotation_refuses_all_but_one_entry_per_row_and_column_off_the_diagonal(
             _rotation(0.5j, LinearOperator.from_map(basis, target, [1.0, 1.0, 0.0]))
     with pytest.raises(ValueError, match="one entry per row"):
         _rotation(0.5, number_op(enumerate_basis(2, Cutoff.total(3)), 1))
+    held_as_matrix = LinearOperator(basis, np.diag([1.0, 1.0], k=-1))  # a ladder, but no map
+    with pytest.raises(ValueError, match="one entry per row"):
+        _rotation(0.5, held_as_matrix)
     empty = _rotation(0.5, LinearOperator.from_map(basis, [-1, -1, -1], np.zeros(3)))
     assert empty.matrix.nnz == 0
 

@@ -375,6 +375,15 @@ def test_column_map_refuses_a_malformed_record(target, weight):
         LinearOperator.from_map(enumerate_basis(1, Cutoff.per_mode(2)), target, weight)
 
 
+@pytest.mark.parametrize("target", [
+    [1, 3, -1],  # one past the basis
+    [1, 2, -2],  # below "nowhere"
+])
+def test_column_map_refuses_targets_outside_the_basis(target):
+    with pytest.raises(ValueError, match=r"targets must lie in \[-1, 3\)"):
+        LinearOperator.from_map(enumerate_basis(1, Cutoff.per_mode(2)), target, [1.0, 1.0, 0.0])
+
+
 def test_column_map_copies_its_input_and_builds_any_map_in_csr_order():
     basis = enumerate_basis(1, Cutoff.per_mode(3))
     target, weight = np.array([2, 0, 0, -1]), np.array([0.5, 1.0, 2.0, 0.0])
