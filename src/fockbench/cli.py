@@ -99,7 +99,8 @@ def _whole(key, value):
     Refuses 2.5, true, "3", NaN and inf rather than truncating them.
     """
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or int(value) != value or value < 0):
+            or isinstance(value, float) and not math.isfinite(value)
+            or int(value) != value or value < 0):
         raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
     return int(value)
 

@@ -21,6 +21,9 @@ from scipy.special import betainc, gammainc, gammaln, xlogy
 from .fock import Cutoff, enumerate_basis
 
 TAIL_MASS_POLICY = 1e-14  # infinite sums truncate once the tail mass beyond falls to this
+MAX_SAMPLER_DRAWS = 150_000_000  # waiting-time sampler budget, in draws (about 1.5 s)
+SAMPLER_CHUNK = 1 << 16  # float64 draws the sampler holds at a time (512 KiB)
+WAVE_DRAWS = 500  # interpreter cost of one sampler wave, counted in draws
 
 
 def _check_finite(**fields):
@@ -344,11 +347,18 @@ def waiting_time_simulate(p: NegBinomialParams, trials: int, seed: int) -> Waiti
     Each replicate runs Bernoulli trials with failure probability eta2 until
     the M-th success and records the failure count n.  All replicates advance
     in lockstep, one trial per wave, drawn from a single PCG64 stream, so the
-    output is a deterministic function of (seed, trials).  The live
-    replicates stay in their original order in one int64 array,
-    successes_left * 2**32 + failures, so wave k hands its k-th draw to the
-    k-th live replicate; finished replicates are binned and dropped each wave.
-    Requires integer M below 2**31.
+    output is a deterministic function of (seed, trials).  A live replicate
+    holds only the successes it still needs, in the smallest unsigned type
+    that holds M (one byte below 256); the live replicates stay in their
+    original order, so wave k hands its k-th draw to the k-th live replicate.
+    Draws come off the stream SAMPLER_CHUNK at a time into one buffer.  A
+    replicate that finishes in wave k had k - M failures, so the histogram is
+    the number of replicates that finish in each wave; finished replicates are
+    dropped after the wave.  No replicate can finish within min(left) - 1
+    waves of a check, and those waves skip the check.
+
+    Requires integer M below 2**31, and refuses a run whose expected cost,
+    (trials + WAVE_DRAWS) * M / (1 - eta2) draws, exceeds MAX_SAMPLER_DRAWS.
     """
     if int(p.M) != p.M:
         raise ValueError("waiting-time sampling needs integer M")
@@ -359,20 +369,42 @@ def waiting_time_simulate(p: NegBinomialParams, trials: int, seed: int) -> Waiti
         raise ValueError("trials must be positive")
     if seed is None:
         raise ValueError("a seed is required for reproducible sampling")
+    # each replicate takes M / (1 - eta2) trials on average, and every wave
+    # costs the interpreter about WAVE_DRAWS draws whatever its size; the clamp
+    # keeps an absurd trial count from overflowing the float conversion
+    draws = float(min(trials, 10**300) + WAVE_DRAWS) * M / (1.0 - p.eta2)
+    if draws > MAX_SAMPLER_DRAWS:
+        raise ValueError(f"trials = {trials} at M = {M}, eta2 = {p.eta2:.17g} costs about "
+                         f"{draws:.4g} draws; the limit is {MAX_SAMPLER_DRAWS:.4g}")
     rng = np.random.default_rng(int(seed))
-    live = np.full(trials, M << 32, dtype=np.int64)
-    finished = []
-    while live.size:
-        live += np.where(rng.random(live.size) < p.eta2, 1, -(1 << 32))
-        done = live < (1 << 32)  # no successes left: the low word is the failure count
-        if done.any():
-            finished.append(live[done])
-            live = live[~done]
-    failures = np.concatenate(finished)
+    left = np.full(trials, M, dtype=np.min_scalar_type(M))
+    buf = np.empty(min(trials, SAMPLER_CHUNK))
+    finished = []  # finished[n]: replicates whose M-th success came in wave M + n
+    wave, check = 0, M  # no replicate can finish before wave `check`
+    while left.size:
+        for start in range(0, left.size, buf.size):
+            part = left[start:start + buf.size]
+            draw = buf[:part.size]
+            rng.random(out=draw)
+            part -= draw >= p.eta2
+        wave += 1
+        if wave < check:
+            continue
+        low = int(left.min())
+        if low == 0:
+            kept = left[left != 0]
+            finished += [0] * (wave - M - len(finished))
+            finished.append(left.size - kept.size)
+            left = kept
+            if not left.size:
+                break
+            low = int(left.min())
+        check = wave + low
     # bins cover the law's effective support even when the sample never
     # reached it, so sparse tail bins still come with a usable yardstick
-    n_max = max(int(failures.max()), neg_binomial_cutoff(p, 1e-12))
-    counts = np.bincount(failures, minlength=n_max + 1)
+    n_max = max(len(finished) - 1, neg_binomial_cutoff(p, 1e-12))
+    counts = np.zeros(n_max + 1, dtype=np.intp)
+    counts[:len(finished)] = finished
     p_hat = counts / trials
     ns = np.arange(n_max + 1)
     exact = neg_binomial_pmf(p, ns)

@@ -8,6 +8,8 @@ the `simulate` CSV built from them, must agree exactly.
 """
 
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,3 +84,73 @@ def test_simulate_csv_bytes_match_reference_loop(tmp_path, monkeypatch, capsys,
 def test_order_at_or_above_two_to_the_31_is_refused():
     with pytest.raises(ValueError, match="below 2"):
         dist.waiting_time_simulate(dist.NegBinomialParams(0.5, 2.0**31), 10, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+def test_counts_match_reference_loop_across_draw_chunks(seed):
+    # three full draw chunks and a partial fourth in every early wave
+    _assert_same(0.35, 3, 3 * dist.SAMPLER_CHUNK + 5, seed)
+
+
+@pytest.mark.parametrize("eta2, trials", [(0.02, 300), (0.1, 500)])
+def test_counts_match_reference_loop_through_waves_without_finishers(eta2, trials):
+    # M = 200: the first 199 waves and the quiet waves after each drop skip
+    # the finisher check, and waves with no finisher still get their bin
+    for seed in (2, 29):
+        _assert_same(eta2, 200, trials, seed)
+
+
+@pytest.mark.parametrize("M, trials", [(255, 2000), (256, 2000), (256, 1)])
+def test_counts_match_reference_loop_at_the_byte_boundary(M, trials):
+    # M = 255 is the largest order held in one byte; 256 needs two
+    for seed in (4, 31):
+        _assert_same(0.3, M, trials, seed)
+
+
+def test_sampler_peak_memory_at_a_million_trials():
+    tracemalloc.start()
+    try:
+        dist.waiting_time_simulate(dist.NegBinomialParams(0.35, 3.0), 1_000_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
+def _cost(eta2, M, trials):
+    return (trials + dist.WAVE_DRAWS) * M / (1.0 - eta2)
+
+
+def test_budget_refuses_before_any_allocation_or_draw(monkeypatch):
+    class Drew(Exception):
+        pass
+
+    def no_draws(*args, **kwargs):
+        raise Drew
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(np, "full", no_draws)
+    at_limit = dist.MAX_SAMPLER_DRAWS // 2 - dist.WAVE_DRAWS
+    assert _cost(0.5, 1, at_limit) == dist.MAX_SAMPLER_DRAWS
+    with pytest.raises(Drew):  # the largest run allowed reaches the generator
+        dist.waiting_time_simulate(dist.NegBinomialParams(0.5, 1.0), at_limit, 1)
+    with pytest.raises(ValueError, match=re.escape(f"the limit is {dist.MAX_SAMPLER_DRAWS:.4g}")):
+        dist.waiting_time_simulate(dist.NegBinomialParams(0.5, 1.0), at_limit + 1, 1)
+
+
+@pytest.mark.parametrize("eta2, M, trials", [(0.3, 2_000_000_000, 1), (0.9999, 3, 1_000_000),
+                                             (0.35, 3, 10_000_000_000), (0.5, 1, 10**400)])
+def test_simulate_over_budget_exits_two_naming_the_estimate(capsys, eta2, M, trials):
+    argv = ["simulate", "--eta2", str(eta2), "--M", str(M), "--trials", str(trials),
+            "--seed", "1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    estimate = _cost(eta2, M, min(trials, 10**300))
+    assert f"costs about {estimate:.4g} draws" in err, err
+
+
+def test_budget_admits_every_input_the_tests_and_benchmark_run():
+    # the largest: the million-trial cases above and the benchmark's simulate op
+    for eta2, M, trials in [(0.9, 3, 1_000_000), (0.97, 1, 1_000_000), (0.35, 3, 1_000_000),
+                            (0.97, 7, 10_000)]:
+        assert 3 * _cost(eta2, M, trials) <= dist.MAX_SAMPLER_DRAWS
