@@ -24,6 +24,7 @@ TAIL_MASS_POLICY = 1e-14  # infinite sums truncate once the tail mass beyond fal
 MAX_SAMPLER_DRAWS = 150_000_000  # waiting-time sampler budget, in draws (about 1.5 s)
 SAMPLER_CHUNK = 1 << 16  # float64 draws the sampler holds at a time (512 KiB)
 WAVE_DRAWS = 500  # interpreter cost of one sampler wave, counted in draws
+ROW_DRAWS = 300  # cost of one exact-pmf row (pmf, stderr and a CSV line, about 3 us), in draws
 
 
 def _check_finite(**fields):
@@ -358,7 +359,8 @@ def waiting_time_simulate(p: NegBinomialParams, trials: int, seed: int) -> Waiti
     waves of a check, and those waves skip the check.
 
     Requires integer M below 2**31, and refuses a run whose expected cost,
-    (trials + WAVE_DRAWS) * M / (1 - eta2) draws, exceeds MAX_SAMPLER_DRAWS.
+    (trials + WAVE_DRAWS) * M / (1 - eta2) draws for the waves plus ROW_DRAWS per
+    row of the exact pmf (to its 1e-12 tail cutoff), exceeds MAX_SAMPLER_DRAWS.
     """
     if int(p.M) != p.M:
         raise ValueError("waiting-time sampling needs integer M")
@@ -369,13 +371,12 @@ def waiting_time_simulate(p: NegBinomialParams, trials: int, seed: int) -> Waiti
         raise ValueError("trials must be positive")
     if seed is None:
         raise ValueError("a seed is required for reproducible sampling")
-    # each replicate takes M / (1 - eta2) trials on average, and every wave
-    # costs the interpreter about WAVE_DRAWS draws whatever its size; the clamp
-    # keeps an absurd trial count from overflowing the float conversion
-    draws = float(min(trials, 10**300) + WAVE_DRAWS) * M / (1.0 - p.eta2)
+    rows = neg_binomial_cutoff(p, 1e-12) + 1
+    # the clamp keeps an absurd trial count from overflowing the float conversion
+    draws = float(min(trials, 10**300) + WAVE_DRAWS) * M / (1.0 - p.eta2) + rows * ROW_DRAWS
     if draws > MAX_SAMPLER_DRAWS:
-        raise ValueError(f"trials = {trials} at M = {M}, eta2 = {p.eta2:.17g} costs about "
-                         f"{draws:.4g} draws; the limit is {MAX_SAMPLER_DRAWS:.4g}")
+        raise ValueError(f"trials = {trials} at M = {M}, eta2 = {p.eta2:.17g} ({rows} pmf rows) "
+                         f"costs about {draws:.4g} draws; the limit is {MAX_SAMPLER_DRAWS:.4g}")
     rng = np.random.default_rng(int(seed))
     left = np.full(trials, M, dtype=np.min_scalar_type(M))
     buf = np.empty(min(trials, SAMPLER_CHUNK))
@@ -402,7 +403,7 @@ def waiting_time_simulate(p: NegBinomialParams, trials: int, seed: int) -> Waiti
         check = wave + low
     # bins cover the law's effective support even when the sample never
     # reached it, so sparse tail bins still come with a usable yardstick
-    n_max = max(len(finished) - 1, neg_binomial_cutoff(p, 1e-12))
+    n_max = max(len(finished) - 1, rows - 1)
     counts = np.zeros(n_max + 1, dtype=np.intp)
     counts[:len(finished)] = finished
     p_hat = counts / trials

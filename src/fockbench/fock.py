@@ -11,10 +11,9 @@ array at once, is held as its column map (one image per state) until a product
 or an exponential needs its matrix.  A rotation generator zeta X - zeta* X^dag
 is built in one pass from its ladder's map.  Ladder operators silently drop any
 transition leaving the basis, so truncation error shows up only as missing tail
-mass, never as an exception.  The action exp(A)|psi> of a skew-Hermitian
-generator (a rotation or -i dt H) is a Chebyshev expansion; a truncated-Taylor
-series computes the action of any other generator, in one pass for a
-nilpotent ladder, and the small whole exponentials, which are dense arrays.
+mass, never as an exception.  An exponential is a Chebyshev expansion for a
+skew-Hermitian generator (a rotation or -i dt H), the finite Taylor polynomial
+of a nilpotent ladder, or entrywise for a diagonal (small dense ones only).
 """
 
 from __future__ import annotations
@@ -530,41 +529,31 @@ def _one_norm(mat):
 def _strictly_triangular(mat):
     """Whether ``mat`` (dense or CSR) is zero on and above, or on and below, its diagonal.
 
-    Such a matrix is nilpotent.  Every raising or lowering ladder monomial is
-    one in graded order: it shifts each occupation by one fixed vector, so it
-    moves every state strictly up the order or strictly down it.
+    Every ladder monomial is, in graded order: it shifts each occupation by one
+    fixed vector, so it moves every state strictly up or strictly down.
     """
-    if isinstance(mat, np.ndarray):
-        return not np.triu(mat).any() or not np.tril(mat).any()
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    return bool((mat.indices < rows).all() or (mat.indices > rows).all())
+    rows, cols = mat.nonzero()  # a NaN counts as non-zero
+    return bool((cols < rows).all() or (cols > rows).all())
 
 
-def _series_exponential(mat, block):
-    """exp(mat) @ block, for a dense or sparse ``mat`` and a vector or matrix ``block``.
+def _ladder_series(mat, block):
+    """exp(mat) @ block for a strictly triangular ``mat`` and a vector or matrix ``block``.
 
-    The truncated-Taylor action of Al-Mohy and Higham (SIAM J. Sci. Comput.
-    33 (2011) 488) with a fixed schedule: substeps, each a Taylor series
-    summed until its term is at most 1e-15 of the running sum (2-norm for a
-    vector, Frobenius for a matrix).  A strictly triangular (nilpotent)
-    ``mat`` takes one pass: its series is a polynomial of degree below d, so
-    the term vanishes exactly within d products.  Any other ``mat`` takes
-    ceil(||mat||_1) substeps.
+    Such a ``mat`` (a raising or lowering ladder, dense or CSR) is nilpotent, so its
+    finite Taylor series is summed until a term is at most 1e-15 of the running sum.
     """
-    norm = _one_norm(mat)  # refuses a non-finite generator on either schedule
-    steps = 1 if _strictly_triangular(mat) else max(1, math.ceil(norm))
-    scaled = mat / steps
+    _one_norm(mat)  # refuses a non-finite generator first
+    if not _strictly_triangular(mat):
+        raise ValueError("the series exponential needs a strictly triangular (ladder) generator")
     out = block.astype(complex)
-    for _ in range(steps):
-        term, k = out, 0
-        while True:
-            k += 1
-            term = scaled @ term
-            term /= k
-            out += term
-            # squared norms (vdot flattens a matrix to its Frobenius norm); a NaN stops too
-            if not np.vdot(term, term).real > 1e-30 * np.vdot(out, out).real:
-                break
+    term = out
+    for k in range(1, mat.shape[0] + 1):  # mat^d = 0 ends the series within d products
+        term = mat @ term
+        term /= k
+        out += term
+        # squared norms (vdot flattens a matrix to its Frobenius norm); a NaN stops too
+        if not np.vdot(term, term).real > 1e-30 * np.vdot(out, out).real:
+            break
     return out
 
 
@@ -588,53 +577,63 @@ def _bessel_j(x):
     return j[:np.argmax((np.arange(len(j)) > x) & (np.abs(j) < 1e-16))]
 
 
-def op_exponential(a: LinearOperator, scale: complex = 1.0) -> np.ndarray:
-    """The whole exponential exp(scale * a) as a dense d x d array; meant for small bases.
+def _chebyshev_exponential(mat, block):
+    """exp(mat) @ block for a skew-Hermitian ``mat`` and a vector or matrix ``block``.
 
-    ``scale`` multiplies ``a``'s dense matrix, which costs less than scaling
-    its CSR form; the series then runs on that array with the identity as its
-    block.  The result is an array, not an operator: a dense exponential is
-    no generator.
+    Tal-Ezer and Kosloff (J. Chem. Phys. 81 (1984) 3967): with rho = ||mat||_1, exp(mat)
+    = J_0(rho) + 2 sum_k (-i)^k J_k(rho) T_k(i*mat/rho).  Folding (-i)^k into the
+    recurrence leaves phi_{k+1} = (2/rho) mat phi_k + phi_{k-1}, one product per term,
+    with as many terms as rho alone fixes (:func:`_bessel_j`).
     """
-    return _series_exponential(scale * a.matrix.toarray(), np.eye(len(a.basis), dtype=complex))
-
-
-def apply_exponential(a: LinearOperator, psi: StateVector) -> StateVector:
-    """exp(a) |psi> without forming the exponential: sparse products on the vector."""
-    _check_same_basis(a, psi)
-    return StateVector(psi.basis, _series_exponential(a.matrix, psi.amplitudes))
-
-
-def apply_skew_exponential(a: LinearOperator, psi: StateVector) -> StateVector:
-    """exp(a) |psi> for a skew-Hermitian ``a`` (a^H = -a), by Chebyshev expansion.
-
-    Tal-Ezer and Kosloff (J. Chem. Phys. 81 (1984) 3967): rho = ||a||_1 bounds
-    the spectrum of the Hermitian i*a, and exp(a) = J_0(rho) + 2 sum_k (-i)^k
-    J_k(rho) T_k(i*a/rho).  Folding (-i)^k into the Chebyshev recurrence
-    leaves phi_{k+1} = (2/rho) a phi_k + phi_{k-1}, one sparse product per
-    term, with phi_0 = psi and phi_1 = (a/rho) psi.  The terms are fixed by
-    rho alone (:func:`_bessel_j`); no norm is tested in the loop.  ``a`` must
-    be skew-Hermitian by construction (a rotation generator, or -i dt H);
-    that is not checked here, and any other generator gives a wrong result.
-    """
-    _check_same_basis(a, psi)
-    mat = a.matrix
     rho = _one_norm(mat)
-    if rho == 0.0:
-        return psi.copy()
     j = _bessel_j(rho)
+    if len(j) == 1:  # rho < 2e-16: exp(mat) rounds to the identity, and 2/rho may overflow
+        return block.copy()
     scaled = mat * (2.0 / rho)
-    prev, cur = None, psi.amplitudes
+    prev, cur = None, block
     out = j[0] * cur
     for c in (2 * j[1:]).tolist():  # a float factor is cheaper than a numpy scalar
         nxt = scaled @ cur
         if prev is None:
-            nxt *= 0.5  # phi_1 = (a/rho) psi
+            nxt *= 0.5  # phi_1 = (mat/rho) block
         else:
             nxt += prev
         out += c * nxt
         prev, cur = cur, nxt
-    return StateVector(psi.basis, out)
+    return out
+
+
+def op_exponential(a: LinearOperator, scale: complex = 1.0) -> np.ndarray:
+    """The whole exponential exp(scale * a) as a dense d x d array; meant for small bases.
+
+    ``scale`` multiplies ``a``'s dense matrix, which costs less than scaling
+    its CSR form.  That array's shape picks the routine: a strictly triangular
+    ladder takes its series, a diagonal its entrywise exponential, and an
+    exactly skew-Hermitian generator the Chebyshev loop on the identity.  The
+    result is an array, not an operator: a dense exponential is no generator.
+    """
+    _one_norm(a.matrix)  # refuses a non-finite generator before scaling can turn an inf into NaN
+    dense = scale * a.matrix.toarray()
+    if _strictly_triangular(dense):
+        return _ladder_series(dense, np.eye(len(dense), dtype=complex))
+    if np.array_equal(dense, np.diag(np.diagonal(dense))):
+        return np.diag(np.exp(np.diagonal(dense)))
+    if np.array_equal(dense, -dense.conj().T):
+        return _chebyshev_exponential(dense, np.eye(len(dense), dtype=complex))
+    raise ValueError("op_exponential needs a diagonal, ladder or skew-Hermitian generator")
+
+
+def apply_exponential(a: LinearOperator, psi: StateVector) -> StateVector:
+    """exp(a) |psi> for a strictly triangular (ladder) ``a`` by sparse products; else ValueError."""
+    _check_same_basis(a, psi)
+    return StateVector(psi.basis, _ladder_series(a.matrix, psi.amplitudes))
+
+
+def apply_skew_exponential(a: LinearOperator, psi: StateVector) -> StateVector:
+    """exp(a) |psi> by Chebyshev expansion, for an ``a`` skew-Hermitian by construction (a
+    rotation or -i dt H); that is not checked, and any other ``a`` gives a wrong result."""
+    _check_same_basis(a, psi)
+    return StateVector(psi.basis, _chebyshev_exponential(a.matrix, psi.amplitudes))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

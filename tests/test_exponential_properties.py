@@ -1,8 +1,8 @@
-"""The Chebyshev action against the Taylor series, and the generators that may use it.
+"""The Chebyshev action against scipy's dense exponential, and the generators that may use it.
 
 ``apply_skew_exponential`` is exact only for skew-Hermitian generators, and it
 is chosen by how a generator was built, with no run-time test.  So the tests
-here check three things: it agrees with ``_series_exponential`` on the
+here check three things: it agrees with ``scipy.linalg.expm`` on the
 generators the library builds, those generators are skew-Hermitian exactly,
 and the one non-normal route (exp(tau K+)) never reaches it.
 """
@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as hs
 
@@ -23,7 +24,6 @@ from fockbench.fock import (
     StateVector,
     _monomial,
     _one_norm,
-    _series_exponential,
     annihilation_op,
     apply_skew_exponential,
     creation_op,
@@ -60,9 +60,9 @@ def _random_state(basis, seed):
     return StateVector(basis, amps / np.linalg.norm(amps))
 
 
-def _assert_matches_taylor(gen, psi):
+def _assert_matches_expm(gen, psi):
     out = apply_skew_exponential(gen, psi)
-    reference = _series_exponential(gen.matrix, psi.amplitudes)
+    reference = scipy.linalg.expm(gen.matrix.toarray()) @ psi.amplitudes
     assert np.abs(out.amplitudes - reference).max() <= 1e-13
     assert abs(out.norm2() - psi.norm2()) <= 1e-14
 
@@ -73,22 +73,22 @@ _zetas = hs.builds(cmath.rect, hs.floats(0.0, 1.5), hs.floats(-math.pi, math.pi)
 @given(rank=hs.integers(1, 3), cutoff=hs.integers(1, 10), compact=hs.booleans(),
        M=hs.integers(1, 6), real_M=hs.floats(0.1, 6.0), step=hs.integers(0, 2),
        zeta=_zetas, seed=hs.integers(0, 2**32 - 1))
-def test_chebyshev_matches_taylor_on_chain_rotations(rank, cutoff, compact, M, real_M, step,
-                                                      zeta, seed):
+def test_chebyshev_matches_expm_on_chain_rotations(rank, cutoff, compact, M, real_M, step,
+                                                    zeta, seed):
     basis = enumerate_basis(rank, Cutoff.total(cutoff))
     if step == 0 or rank == 1:
         ladder = _pump(basis, M if compact else real_M, compact)
     else:
         ladder = _transfer(basis, min(step, rank - 1))
-    _assert_matches_taylor(_rotation(zeta, ladder), _random_state(basis, seed))
+    _assert_matches_expm(_rotation(zeta, ladder), _random_state(basis, seed))
 
 
 @given(levels=hs.integers(1, 30), omega=hs.floats(0.0, 3.0),
        j=hs.builds(cmath.rect, hs.floats(0.0, 2.0), hs.floats(-math.pi, math.pi)),
        dt=hs.floats(1e-3, 2.0), seed=hs.integers(0, 2**32 - 1))
-def test_chebyshev_matches_taylor_on_current_drives(levels, omega, j, dt, seed):
+def test_chebyshev_matches_expm_on_current_drives(levels, omega, j, dt, seed):
     basis = enumerate_basis(1, Cutoff.per_mode(levels))
-    _assert_matches_taylor(_drive(basis, omega, j, dt), _random_state(basis, seed))
+    _assert_matches_expm(_drive(basis, omega, j, dt), _random_state(basis, seed))
 
 
 def _arithmetic_rotation(zeta, ladder):
@@ -149,7 +149,7 @@ def _skew_hermitian_exactly(gen):
 
 def test_exp_form_route_never_reaches_chebyshev(monkeypatch):
     def refuse(*args):
-        raise AssertionError("exp(tau K+) is not normal; it must stay on the Taylor series")
+        raise AssertionError("exp(tau K+) is not normal; it must stay on the ladder series")
 
     monkeypatch.setattr(fock, "apply_skew_exponential", refuse)
     monkeypatch.setattr(generation, "apply_skew_exponential", refuse)

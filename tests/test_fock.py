@@ -10,9 +10,7 @@ from fockbench.fock import (
     Cutoff,
     LinearOperator,
     _bessel_j,
-    _one_norm,
     _rotation,
-    _series_exponential,
     _strictly_triangular,
     annihilation_op,
     apply_exponential,
@@ -144,23 +142,40 @@ def test_number_operators():
         assert abs((ntot @ psi).amplitude(occ) - sum(occ)) < 1e-15
 
 
-def test_op_exponential_matches_scipy():
-    rng = np.random.default_rng(11)
-    basis = enumerate_basis(1, Cutoff.per_mode(11))
-    d = len(basis)
+def _random_generator(shape, d, seed, norm):
+    """A random d x d generator of the given shape ("general": none), at 1-norm ``norm``."""
+    rng = np.random.default_rng(seed)
     mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    mat *= 2.0 / np.linalg.norm(mat, 1)
+    if shape == "skew":
+        mat = mat - mat.conj().T
+    elif shape == "ladder":
+        mat = np.tril(mat, -1)
+    elif shape == "diagonal":
+        mat = np.diag(np.diagonal(mat))
+    return mat * (norm / np.linalg.norm(mat, 1))
+
+
+@pytest.mark.parametrize("shape", ["skew", "ladder", "diagonal"])
+def test_op_exponential_matches_scipy(shape):
+    basis = enumerate_basis(1, Cutoff.per_mode(11))
+    mat = _random_generator(shape, len(basis), 11, 2.0)
     ours = op_exponential(LinearOperator(basis, mat))
     ref = scipy.linalg.expm(mat)
     np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
 
 
+def test_op_exponential_refuses_a_generator_of_no_known_shape():
+    basis = enumerate_basis(1, Cutoff.per_mode(11))
+    general = LinearOperator(basis, _random_generator("general", len(basis), 11, 2.0))
+    with pytest.raises(ValueError, match="diagonal, ladder or skew-Hermitian"):
+        op_exponential(general)
+
+
 def test_op_exponential_inverse_pair():
-    rng = np.random.default_rng(5)
     basis = enumerate_basis(1, Cutoff.per_mode(9))
     d = len(basis)
-    mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    mat *= 4.5 / np.linalg.norm(mat, 1)
+    mat = _random_generator("skew", d, 5, 4.5)
+    assert np.array_equal(mat, -mat.conj().T)
     fwd = op_exponential(LinearOperator(basis, mat))
     back = op_exponential(LinearOperator(basis, -mat))
     resid = np.max(np.abs(fwd @ back - np.eye(d)))
@@ -234,48 +249,19 @@ def test_op_exponential_scale_multiplies_the_generator():
         assert np.array_equal(op_exponential(op, scale), op_exponential(scale * op))
 
 
-def _substep_series(mat, block):
-    """The Taylor action with ceil(||mat||_1) substeps for every ``mat``, nilpotent or not."""
-    steps = max(1, math.ceil(_one_norm(mat)))
-    scaled = mat / steps
-    out = block.astype(complex)
-    for _ in range(steps):
-        term, k = out, 0
-        while True:
-            k += 1
-            term = scaled @ term
-            term /= k
-            out += term
-            if not np.vdot(term, term).real > 1e-30 * np.vdot(out, out).real:
-                break
-    return out
-
-
-def test_rotation_and_diagonal_generators_keep_their_substeps_bit_for_bit():
-    real = su11_hp(enumerate_basis(1, Cutoff.per_mode(30)), 2.5)
-    rotation = _rotation(1.1 - 0.6j, real.raising["K+"]).matrix
-    diagonal = (0.9 * real.op("K0")).matrix
-    psi = vacuum_state(real.basis).amplitudes + 0.25
-    identity = np.eye(len(real.basis), dtype=complex)
-    for mat in (rotation, diagonal):
-        assert not _strictly_triangular(mat) and _one_norm(mat) > 2
-        assert np.array_equal(_series_exponential(mat, psi), _substep_series(mat, psi))
-        dense = mat.toarray()
-        assert np.array_equal(_series_exponential(dense, identity),
-                              _substep_series(dense, identity))
-
-
 def test_apply_exponential_matches_matrix_route():
-    rng = np.random.default_rng(23)
     basis = enumerate_basis(2, Cutoff.total(6))
-    d = len(basis)
-    mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    mat *= 3.0 / np.linalg.norm(mat, 1)
-    op = LinearOperator(basis, mat)
+    op = LinearOperator(basis, _random_generator("ladder", len(basis), 23, 3.0))
     psi = vacuum_state(basis)
     via_vec = apply_exponential(op, psi)
     via_mat = op_exponential(op) @ psi.amplitudes
     np.testing.assert_allclose(via_vec.amplitudes, via_mat, rtol=0, atol=1e-12)
+
+
+def test_apply_exponential_refuses_a_rotation_generator():
+    real = su11_hp(enumerate_basis(1, Cutoff.per_mode(12)), 2.5)
+    with pytest.raises(ValueError, match="strictly triangular"):
+        apply_exponential(_rotation(0.4 - 0.2j, real.raising["K+"]), vacuum_state(real.basis))
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-20, 1e-6, 1e-3, 0.1, 1.0, 3.7, 10.0, 31.4, 100.0, 299.9])
@@ -310,12 +296,19 @@ def test_skew_exponential_matches_dense_rotation():
     np.testing.assert_allclose(out.amplitudes, expect, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("route", [apply_exponential, apply_skew_exponential])
+@pytest.mark.parametrize("route", [apply_exponential, apply_skew_exponential,
+                                   lambda op, psi: op_exponential(op)])
+@pytest.mark.parametrize("shape", ["diagonal", "ladder", "skew"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_exponentials_refuse_a_non_finite_generator(route, bad):
+def test_exponentials_refuse_a_non_finite_generator(route, shape, bad):
     basis = enumerate_basis(1, Cutoff.per_mode(4))
     mat = np.zeros((5, 5), dtype=complex)
-    mat[1, 0], mat[0, 1] = bad, -bad
+    if shape == "diagonal":
+        mat[2, 2] = bad
+    elif shape == "ladder":
+        mat[1, 0] = bad
+    else:
+        mat[1, 0], mat[0, 1] = bad, -bad
     with pytest.raises(ValueError, match="generator norm is not finite"):
         route(LinearOperator(basis, mat), vacuum_state(basis))
 
@@ -393,7 +386,9 @@ def test_column_map_copies_its_input_and_builds_any_map_in_csr_order():
     dense[2, 0], dense[0, 1], dense[0, 2] = 0.5, 1.0, 2.0
     assert np.array_equal(op.matrix.toarray(), dense)
     assert op.matrix.has_sorted_indices
-    assert np.array_equal(op_exponential(op, 0.3), op_exponential(LinearOperator(basis, dense), 0.3))
+    ladder = LinearOperator.from_map(basis, [-1, 0, 0, 1], [0.0, 1.0, 2.0, 0.5])
+    assert np.array_equal(op_exponential(ladder, 0.3),
+                          op_exponential(LinearOperator(basis, ladder.matrix.toarray()), 0.3))
 
 
 def test_serialization_round_trip():

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +14,15 @@ from fockbench.distributions import (
     binomial_pmf,
     neg_binomial_pmf,
 )
-from fockbench.fock import Cutoff, StateVector, basis_state, enumerate_basis, fidelity
+from fockbench.fock import (
+    Cutoff,
+    StateVector,
+    _rotation,
+    basis_state,
+    enumerate_basis,
+    fidelity,
+    op_exponential,
+)
 from fockbench.generation import (
     ClassicalCurrent,
     TwoLevelDrive,
@@ -163,6 +172,26 @@ def test_disentangling_identity_noncompact():
                      (cmath.phase(0.4 + 0.1j),))
     target = build_state(spec, basis=basis)
     assert fidelity(psi, target) >= 1 - 1e-10
+
+
+def _mpmath_whole(real, zeta):
+    """exp(zeta J+ - zeta* J-) of a realization by mpmath.expm at 40 digits, rounded to complex."""
+    dense = _rotation(zeta, real.raising["J+"]).matrix.toarray()
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(dense.tolist())).tolist(), dtype=complex)
+
+
+@pytest.mark.parametrize("M", [1, 2, 4, 8])
+def test_whole_rotation_and_three_factor_product_match_mpmath(M):
+    # the disentangle suite's zetas; at M = 8, zeta = 1.1i (|tau| = tan 1.1) the
+    # product cancels its large factors and carries most of the error
+    real = su2_hp(enumerate_basis(1, Cutoff.per_mode(M)), M)
+    for zeta in (0.35, 0.3 + 0.4j, 1.1j, -0.8 + 0.2j):
+        reference = _mpmath_whole(real, zeta)
+        whole = op_exponential(_rotation(zeta, real.raising["J+"]))
+        assert np.abs(whole - reference).max() <= 5e-16, zeta
+        if M == 8 and zeta == 1.1j:
+            assert np.abs(disentangled_product(real, zeta) - reference).max() <= 4e-12
 
 
 def test_disentangled_product_zero_is_identity():

@@ -117,8 +117,12 @@ def test_sampler_peak_memory_at_a_million_trials():
     assert peak < 8e6, peak
 
 
+def _rows(eta2, M):
+    return dist.neg_binomial_cutoff(dist.NegBinomialParams(eta2, float(M)), 1e-12) + 1
+
+
 def _cost(eta2, M, trials):
-    return (trials + dist.WAVE_DRAWS) * M / (1.0 - eta2)
+    return (trials + dist.WAVE_DRAWS) * M / (1.0 - eta2) + _rows(eta2, M) * dist.ROW_DRAWS
 
 
 def test_budget_refuses_before_any_allocation_or_draw(monkeypatch):
@@ -130,7 +134,7 @@ def test_budget_refuses_before_any_allocation_or_draw(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     monkeypatch.setattr(np, "full", no_draws)
-    at_limit = dist.MAX_SAMPLER_DRAWS // 2 - dist.WAVE_DRAWS
+    at_limit = (dist.MAX_SAMPLER_DRAWS - _rows(0.5, 1) * dist.ROW_DRAWS) // 2 - dist.WAVE_DRAWS
     assert _cost(0.5, 1, at_limit) == dist.MAX_SAMPLER_DRAWS
     with pytest.raises(Drew):  # the largest run allowed reaches the generator
         dist.waiting_time_simulate(dist.NegBinomialParams(0.5, 1.0), at_limit, 1)
@@ -138,9 +142,16 @@ def test_budget_refuses_before_any_allocation_or_draw(monkeypatch):
         dist.waiting_time_simulate(dist.NegBinomialParams(0.5, 1.0), at_limit + 1, 1)
 
 
+# (0.99999, 1, 1) samples within the budget, but its exact pmf runs to 2.76e6 rows
 @pytest.mark.parametrize("eta2, M, trials", [(0.3, 2_000_000_000, 1), (0.9999, 3, 1_000_000),
-                                             (0.35, 3, 10_000_000_000), (0.5, 1, 10**400)])
-def test_simulate_over_budget_exits_two_naming_the_estimate(capsys, eta2, M, trials):
+                                             (0.35, 3, 10_000_000_000), (0.5, 1, 10**400),
+                                             (0.99999, 1, 1)])
+def test_simulate_over_budget_exits_two_naming_the_estimate(monkeypatch, capsys, eta2, M,
+                                                            trials):
+    def no_table(*args):
+        raise AssertionError("the exact pmf was built before the budget was checked")
+
+    monkeypatch.setattr(dist, "neg_binomial_pmf", no_table)
     argv = ["simulate", "--eta2", str(eta2), "--M", str(M), "--trials", str(trials),
             "--seed", "1"]
     assert cli.main(argv) == 2
