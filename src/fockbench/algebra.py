@@ -11,50 +11,57 @@ the Cartan generator.
 of the truncated basis -- so truncation artifacts never masquerade as algebra
 violations.  ``ConstraintSubspace`` transports states between the two
 pictures and ``intertwining_check`` confirms the generators agree under that
-transport.  Every generator sends a basis state to at most one basis state,
-so neither check forms an operator product: both walk those images, read
-from the generators' column maps, column by column, and build no matrix.
+transport.  A realization is one table from label to generator (raising,
+then lowering, then diagonal), and every generator is its column map
+(target, weight, lossy): it sends a basis state to at most one basis state.
+So neither check forms an operator product: both walk those images and
+truncation flags, column by column, and build no matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import LinearOperator, TruncatedBasis, _monomial, _row_totals
+from .fock import LinearOperator, TruncatedBasis, _monomial, _row_totals, _whole, diagonal_op
+
+
+def _hp_weight(M, compact):
+    """The Holstein-Primakoff weight on occupation rows: sqrt(M + sum N), or for the
+    compact algebra sqrt(M - sum N) clamped at zero, which annihilates at the shell edge."""
+    if compact:
+        return lambda occ: np.sqrt(np.maximum(M - _row_totals(occ), 0))
+    return lambda occ: np.sqrt(M + _row_totals(occ))
+
 
 @dataclass
 class AlgebraRealization:
-    """A named set of generators with truncation metadata.
+    """A named set of generators on one basis.
 
-    ``raising``/``lowering``/``diagonal`` map generator labels to operators,
-    each held as its column map (``target``, ``weight``), the record of where
-    the generator sends a state and with what weight.  ``lossy[label][s]``
-    flags sources whose exact image was dropped by truncation; it drives the
-    interior-state masking in :func:`verify_algebra` and
-    :func:`intertwining_check`.
+    ``generators`` maps each label to its operator, raising ones first, then
+    lowering, then diagonal.  Each is held as its column map (``target``,
+    ``weight``, ``lossy``): where it sends a state, with what weight, and
+    whether truncation dropped that image, which drives the interior-state
+    masking in :func:`verify_algebra` and :func:`intertwining_check`.
     """
 
     algebra: str
     form: str
     basis: TruncatedBasis
     M: float
-    raising: dict
-    lowering: dict
-    diagonal: dict
-    lossy: dict = field(repr=False)
+    generators: dict
 
     def op(self, label: str) -> LinearOperator:
-        for group in (self.raising, self.lowering, self.diagonal):
-            if label in group:
-                return group[label]
-        raise KeyError(f"no generator labelled {label!r}")
+        try:
+            return self.generators[label]
+        except KeyError:
+            raise KeyError(f"no generator labelled {label!r}") from None
 
     @property
     def labels(self):
-        return list(self.raising) + list(self.lowering) + list(self.diagonal)
+        return list(self.generators)
 
     @property
     def rank(self) -> int:
@@ -67,7 +74,7 @@ def _r_family(algebra, form, basis, M, raising, lowering, n0):
     """Bundle an r-family realization from its ladder pairs and zeroth-mode number.
 
     Adds the mode-swapping generators Kjk/Jjk (j != k >= 1; j > k raising) and
-    the numbers Nj, after N0 with weight ``n0``.  Label j is mode j - shift,
+    the numbers Nj, after N0 with values ``n0``.  Label j is mode j - shift,
     with shift 0 in the bilinear picture and 1 in the reduced one.
     """
     shift = 0 if form == "bilinear" else 1
@@ -79,74 +86,53 @@ def _r_family(algebra, form, basis, M, raising, lowering, n0):
                 group = raising if j > k else lowering
                 group[f"{letter}{j}{k}"] = _monomial(basis, create=(j - shift,),
                                                       destroy=(k - shift,))
-    diagonal = {"N0": _monomial(basis, weight=n0)}
+    diagonal = {"N0": diagonal_op(basis, n0)}
     for j in range(1, r + 1):
-        diagonal[f"N{j}"] = _monomial(basis, weight=lambda occ, j=j: occ[:, j - shift])
-    generators = {**raising, **lowering, **diagonal}
-    return AlgebraRealization(
-        algebra=algebra,
-        form=form,
-        basis=basis,
-        M=M,
-        raising={k: op for k, (op, _) in raising.items()},
-        lowering={k: op for k, (op, _) in lowering.items()},
-        diagonal={k: op for k, (op, _) in diagonal.items()},
-        lossy={k: lossy for k, (_, lossy) in generators.items()},
-    )
+        diagonal[f"N{j}"] = diagonal_op(basis, basis.occupations[:, j - shift])
+    return AlgebraRealization(algebra, form, basis, M, {**raising, **lowering, **diagonal})
 
 
-def _rank_one(real, algebra, cartan_weight):
+def _rank_one(real, algebra, cartan):
     """The rank-one ``real`` as su11 or su2: ladder pair renamed, Cartan generator first.
 
-    K+1/K-1 become K+/K-, J10/J01 become J+/J-, and K0 or J0 (weight
-    ``cartan_weight``) joins the diagonal ahead of the numbers.
+    K+1/K-1 become K+/K-, J10/J01 become J+/J-, and K0 or J0 (values
+    ``cartan``) joins the diagonal ahead of the numbers.
     """
     letter = "K" if algebra == "su11" else "J"
-    up, down, cartan = letter + "+", letter + "-", letter + "0"
-    (old_up, raising), = real.raising.items()
-    (old_down, lowering), = real.lowering.items()
-    cartan_op, cartan_lossy = _monomial(real.basis, weight=cartan_weight)
-    return AlgebraRealization(
-        algebra=algebra,
-        form=real.form,
-        basis=real.basis,
-        M=real.M,
-        raising={up: raising},
-        lowering={down: lowering},
-        diagonal={cartan: cartan_op, **real.diagonal},
-        lossy={up: real.lossy[old_up], down: real.lossy[old_down], cartan: cartan_lossy,
-               **{label: real.lossy[label] for label in real.diagonal}},
-    )
+    (_, raising), (_, lowering), *number_ops = real.generators.items()
+    return AlgebraRealization(algebra, real.form, real.basis, real.M, {
+        letter + "+": raising, letter + "-": lowering,
+        letter + "0": diagonal_op(real.basis, cartan), **dict(number_ops)})
 
 
 def su11_bilinear(basis: TruncatedBasis, M: float) -> AlgebraRealization:
     """K+ = a0^dag a1^dag, K- = a0 a1, K0 = (N0 + N1 + 1)/2 on a two-mode space."""
     if basis.modes != 2:
         raise ValueError("su11_bilinear needs a 2-mode basis")
-    return _rank_one(su_r1_bilinear(basis, M), "su11",
-                     lambda occ: 0.5 * (occ[:, 0] + occ[:, 1] + 1))
+    occ = basis.occupations
+    return _rank_one(su_r1_bilinear(basis, M), "su11", 0.5 * (occ[:, 0] + occ[:, 1] + 1))
 
 
 def su11_hp(basis: TruncatedBasis, M: float) -> AlgebraRealization:
     """Reduced form K+ = b^dag sqrt(M + N), K0 = N + M/2 on one mode; real M > 0."""
     if basis.modes != 1:
         raise ValueError("su11_hp needs a 1-mode basis")
-    return _rank_one(su_r1_hp(basis, M), "su11", lambda occ: occ[:, 0] + M / 2.0)
+    return _rank_one(su_r1_hp(basis, M), "su11", basis.occupations[:, 0] + M / 2.0)
 
 
 def su2_bilinear(basis: TruncatedBasis, M: int) -> AlgebraRealization:
     """J+ = a1^dag a0, J0 = (N1 - N0)/2; spin M/2 lives on the shell sum(n) = M."""
     if basis.modes != 2:
         raise ValueError("su2_bilinear needs a 2-mode basis")
-    return _rank_one(su_rp1_bilinear(basis, M), "su2",
-                     lambda occ: 0.5 * (occ[:, 1] - occ[:, 0]))
+    occ = basis.occupations
+    return _rank_one(su_rp1_bilinear(basis, M), "su2", 0.5 * (occ[:, 1] - occ[:, 0]))
 
 
 def su2_hp(basis: TruncatedBasis, M: int) -> AlgebraRealization:
     """Reduced form J+ = b^dag sqrt(M - N), J0 = N - M/2 on exactly the levels 0..M."""
     if basis.modes != 1:
         raise ValueError("su2_hp needs a 1-mode basis")
-    return _rank_one(su_rp1_hp(basis, M), "su2", lambda occ: occ[:, 0] - M / 2.0)
+    return _rank_one(su_rp1_hp(basis, M), "su2", basis.occupations[:, 0] - M / 2.0)
 
 
 def su_r1_bilinear(basis: TruncatedBasis, M: float) -> AlgebraRealization:
@@ -159,7 +145,7 @@ def su_r1_bilinear(basis: TruncatedBasis, M: float) -> AlgebraRealization:
     raising = {f"K+{j}": _monomial(basis, create=(0, j)) for j in range(1, r + 1)}
     lowering = {f"K-{j}": _monomial(basis, destroy=(0, j)) for j in range(1, r + 1)}
     return _r_family("su_r1", "bilinear", basis, M, raising, lowering,
-                     lambda occ: occ[:, 0])
+                     basis.occupations[:, 0])
 
 
 def su_r1_hp(basis: TruncatedBasis, M: float) -> AlgebraRealization:
@@ -171,11 +157,11 @@ def su_r1_hp(basis: TruncatedBasis, M: float) -> AlgebraRealization:
     r = basis.modes
     if not M > 0:
         raise ValueError("M must be positive")
-    w = lambda occ: np.sqrt(M + _row_totals(occ))
+    w = _hp_weight(M, compact=False)
     raising = {f"K+{j}": _monomial(basis, create=(j - 1,), weight=w) for j in range(1, r + 1)}
     lowering = {f"K-{j}": _monomial(basis, destroy=(j - 1,), weight=w) for j in range(1, r + 1)}
     return _r_family("su_r1", "holstein_primakoff", basis, M, raising, lowering,
-                     lambda occ: M - 1 + _row_totals(occ))
+                     M - 1 + basis.totals)
 
 
 def su_rp1_bilinear(basis: TruncatedBasis, M: int) -> AlgebraRealization:
@@ -183,12 +169,11 @@ def su_rp1_bilinear(basis: TruncatedBasis, M: int) -> AlgebraRealization:
     r = basis.modes - 1
     if r < 1:
         raise ValueError("su_rp1_bilinear needs at least 2 modes")
-    if int(M) != M or M < 1:
-        raise ValueError("M must be a positive integer")
+    M = _whole("M", M, 1)
     raising = {f"J{j}0": _monomial(basis, create=(j,), destroy=(0,)) for j in range(1, r + 1)}
     lowering = {f"J0{j}": _monomial(basis, create=(0,), destroy=(j,)) for j in range(1, r + 1)}
-    return _r_family("su_rp1", "bilinear", basis, int(M), raising, lowering,
-                     lambda occ: occ[:, 0])
+    return _r_family("su_rp1", "bilinear", basis, M, raising, lowering,
+                     basis.occupations[:, 0])
 
 
 def su_rp1_hp(basis: TruncatedBasis, M: int) -> AlgebraRealization:
@@ -198,19 +183,17 @@ def su_rp1_hp(basis: TruncatedBasis, M: int) -> AlgebraRealization:
     would carry spectator states on which the relations cannot close.
     """
     r = basis.modes
-    if int(M) != M or M < 1:
-        raise ValueError("M must be a positive integer")
-    M = int(M)
+    M = _whole("M", M, 1)
     expected = math.comb(M + r, r)
-    if len(basis) != expected or (basis.totals > M).any():
+    totals = basis.totals
+    if len(basis) != expected or (totals > M).any():
         raise ValueError(
             f"su_rp1_hp needs exactly the {expected} states with total occupation <= {M}"
         )
-    w = lambda occ: np.sqrt(np.maximum(M - _row_totals(occ), 0))
+    w = _hp_weight(M, compact=True)
     raising = {f"J{j}0": _monomial(basis, create=(j - 1,), weight=w) for j in range(1, r + 1)}
     lowering = {f"J0{j}": _monomial(basis, destroy=(j - 1,), weight=w) for j in range(1, r + 1)}
-    return _r_family("su_rp1", "holstein_primakoff", basis, M, raising, lowering,
-                     lambda occ: M - _row_totals(occ))
+    return _r_family("su_rp1", "holstein_primakoff", basis, M, raising, lowering, M - totals)
 
 
 # --- structure relations -------------------------------------------------
@@ -313,15 +296,13 @@ def relations_for(realization: AlgebraRealization):
     raise ValueError(f"unknown algebra {realization.algebra!r}")
 
 
-def _images(realization, label):
+def _images(op):
     """Where a generator sends each basis state, with what weight, and whether lossily.
 
     Each array has one extra slot at the end, a sink for "no image": a target
     of -1 indexes it, and it sends itself to -1 with weight 0 and no loss.
     """
-    op = realization.op(label)
-    return (np.append(op.target, -1), np.append(op.weight, 0),
-            np.append(realization.lossy[label], False))
+    return np.append(op.target, -1), np.append(op.weight, 0), np.append(op.lossy, False)
 
 
 def _worst_column(rows, values, checked, occupations):
@@ -344,19 +325,17 @@ def _worst_column(rows, values, checked, occupations):
     return float(col_res[worst]), occupations[np.flatnonzero(checked)[worst]].tolist(), count
 
 
-def verify_algebra(realization: AlgebraRealization, relations=None) -> list:
+def verify_algebra(realization: AlgebraRealization) -> list:
     """Entrywise residuals of the structure relations on interior states.
 
     Interior states are those that no monomial in the relation pushes out of
     the basis.  Returns one report dict per relation:
     {"relation", "max_residual", "worst_state", "interior_count"}.
     """
-    if relations is None:
-        relations = relations_for(realization)
     d = len(realization.basis)
-    images = {label: _images(realization, label) for label in realization.labels}
+    images = {label: _images(op) for label, op in realization.generators.items()}
     reports = []
-    for name, terms in relations:
+    for name, terms in relations_for(realization):
         rows, values = [], []
         interior = np.ones(d, dtype=bool)
         for coeff, labels in terms:
@@ -398,9 +377,7 @@ class ConstraintSubspace:
     def __post_init__(self):
         if self.kind not in ("su_r1", "su_rp1"):
             raise ValueError("kind must be 'su_r1' or 'su_rp1'")
-        if int(self.M) != self.M or self.M < 1:
-            raise ValueError("M must be a positive integer")
-        self.M = int(self.M)
+        self.M = _whole("M", self.M, 1)
         if self.parent.modes != self.reduced.modes + 1:
             raise ValueError("parent must have exactly one more mode than the reduced space")
         occ = self.reduced.occupations
@@ -451,7 +428,7 @@ def intertwining_check(bilinear: AlgebraRealization, reduced: AlgebraRealization
     shared = [l for l in reduced.labels if l in set(bilinear.labels)]
     for label in shared:
         b, r = bilinear.op(label), reduced.op(label)
-        checked = ~reduced.lossy[label] & ~bilinear.lossy[label][parent_rows]
+        checked = ~r.lossy & ~b.lossy[parent_rows]
         residual, worst, count = _worst_column(
             [b.target[parent_rows], embedded[r.target]], [b.weight[parent_rows], -r.weight],
             checked, reduced.basis.occupations)

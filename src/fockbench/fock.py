@@ -6,25 +6,39 @@ occupation ascending, then lexicographic within each total).  A vectorised
 rank, built from per-basis tables of bounded-composition counts, maps any
 occupation rows back to their indices, one table lookup per mode column.
 States are dense complex vectors over such a basis; operators are complex CSR
-matrices, except that every ladder monomial, computed on the whole occupation
-array at once, is held as its column map (one image per state) until a product
-or an exponential needs its matrix.  A rotation generator zeta X - zeta* X^dag
-is built in one pass from its ladder's map.  Ladder operators silently drop any
-transition leaving the basis, so truncation error shows up only as missing tail
-mass, never as an exception.  An exponential is a Chebyshev expansion for a
-skew-Hermitian generator (a rotation or -i dt H), the finite Taylor polynomial
-of a nilpotent ladder, or entrywise for a diagonal (small dense ones only).
+matrices, except that every generator that sends a state to at most one state
+(a ladder monomial, computed on the whole occupation array at once, or a
+diagonal) is held as its column map until a product or an exponential needs
+its matrix.  The map is the generator's whole record: per state its image
+(``target``, -1 for none), its ``weight`` and whether truncation dropped it
+(``lossy``).  A rotation generator zeta X - zeta* X^dag is built in one pass
+from its ladder's map.  Ladder operators silently drop any transition leaving
+the basis, so truncation error shows up only as missing tail mass (and in
+``lossy``), never as an exception.  An exponential is a Chebyshev expansion
+for a skew-Hermitian generator (a rotation or -i dt H), the finite Taylor
+polynomial of a nilpotent ladder, or entrywise for a diagonal (small dense
+ones only).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 MAX_BASIS_STATES = 2_000_000
+
+
+def _whole(name, value, low, high=math.inf):
+    """``value`` as an int in [low, high]; ValueError for NaN, inf, 2.5, "3", true, ..."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value))
+            and low <= value <= high and value == int(value)):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -41,9 +55,7 @@ class Cutoff:
     def __post_init__(self):
         if self.kind not in ("per_mode", "total", "shell"):
             raise ValueError(f"unknown cutoff kind {self.kind!r}")
-        if int(self.value) != self.value or self.value < 0:
-            raise ValueError(f"cutoff value must be a non-negative integer, got {self.value!r}")
-        object.__setattr__(self, "value", int(self.value))
+        object.__setattr__(self, "value", _whole("cutoff value", self.value, 0))
 
     @classmethod
     def per_mode(cls, value):
@@ -223,9 +235,7 @@ def enumerate_basis(modes: int, cutoff: Cutoff, max_states: int = MAX_BASIS_STAT
     the cutoff yields an empty basis or more than ``max_states`` states,
     before anything is allocated.
     """
-    if int(modes) != modes or modes < 1:
-        raise ValueError(f"modes must be a positive integer, got {modes!r}")
-    modes = int(modes)
+    modes = _whole("modes", modes, 1)
     count = cutoff.size(modes)
     if count == 0:
         raise ValueError("cutoff yields an empty basis")
@@ -310,11 +320,11 @@ def vacuum_state(basis: TruncatedBasis) -> StateVector:
 class LinearOperator:
     """Operator over a truncated basis, held as a complex CSR matrix.
 
-    Dense input is converted.  A ladder monomial is held instead as its column
-    map (:meth:`from_map`), and its ``matrix`` is built on first use and cached.
+    Dense input is converted.  A generator is held instead as its column map
+    (:meth:`from_map`), and its ``matrix`` is built on first use and cached.
     """
 
-    target = weight = None  # the column map of an operator built from one
+    target = weight = lossy = None  # the column map of an operator built from one
 
     def __init__(self, basis: TruncatedBasis, matrix):
         if not (isinstance(matrix, sp.csr_array) and matrix.dtype == complex):
@@ -324,18 +334,23 @@ class LinearOperator:
         self.basis, self._matrix = basis, matrix
 
     @classmethod
-    def from_map(cls, basis: TruncatedBasis, target, weight) -> "LinearOperator":
-        """The operator sending state s to ``target[s]`` (-1: nowhere) with ``weight[s]``, both
-        copied into read-only arrays, as the cached matrix's are, so the two cannot drift."""
+    def from_map(cls, basis: TruncatedBasis, target, weight, lossy) -> "LinearOperator":
+        """The operator sending state s to ``target[s]`` (-1: nowhere) with ``weight[s]``.
+
+        ``lossy[s]`` marks a state whose exact image left the basis, the one fact the
+        matrix cannot hold.  All three are copied into read-only arrays, as the cached
+        matrix's are, so they cannot drift apart.
+        """
         d = len(basis)
         target, weight = np.array(target, dtype=np.int64), np.array(weight, dtype=complex)
-        if target.shape != (d,) or weight.shape != (d,):
-            raise ValueError(f"a column map needs {d} targets and {d} weights")
+        lossy = np.array(lossy, dtype=bool)
+        if target.shape != (d,) or weight.shape != (d,) or lossy.shape != (d,):
+            raise ValueError(f"a column map needs {d} targets, weights and loss flags")
         if ((target < -1) | (target >= d)).any():
             raise ValueError(f"a column map's targets must lie in [-1, {d})")
-        target.flags.writeable = weight.flags.writeable = False
+        target.flags.writeable = weight.flags.writeable = lossy.flags.writeable = False
         op = cls.__new__(cls)
-        op.basis, op.target, op.weight, op._matrix = basis, target, weight, None
+        op.basis, op.target, op.weight, op.lossy, op._matrix = basis, target, weight, lossy, None
         return op
 
     @property
@@ -393,10 +408,9 @@ def _monomial(basis, create=(), destroy=(), weight=None):
     square roots at representation boundaries).  The factors multiply in a
     fixed order -- each destroy sqrt(n), the weight, each create sqrt(n+1) --
     so every entry is the same float whatever the basis size.  Returns the
-    operator, held as its column map (``target`` -1 and ``weight`` 0 for a
-    state sent nowhere), and a boolean ``lossy`` vector marking source states
-    whose exact image falls outside the basis with non-zero amplitude -- the
-    one fact the map cannot hold.
+    operator as its column map: ``target`` -1 and ``weight`` 0 for a state
+    sent nowhere, and ``lossy`` set for a source state whose exact image falls
+    outside the basis with non-zero amplitude.
     """
     occ = basis.occupations
     d = len(occ)
@@ -421,9 +435,7 @@ def _monomial(basis, create=(), destroy=(), weight=None):
     for j in create:
         amp = amp * np.sqrt(rows[:, j] + 1)
         rows[:, j] += 1
-    if isinstance(amp, float):  # no factor at all: the identity
-        amp = np.ones(d)
-    image = basis.rank(rows) if create or destroy else source
+    image = basis.rank(rows)
     lossy = np.zeros(d, dtype=bool)
     lossy[source] = image < 0
     target = np.full(d, -1, dtype=np.int64)
@@ -431,7 +443,7 @@ def _monomial(basis, create=(), destroy=(), weight=None):
     weight = np.zeros(d, dtype=complex)
     weight[source] = amp
     weight[lossy] = 0.0  # an image outside the basis is none
-    return LinearOperator.from_map(basis, target, weight), lossy
+    return LinearOperator.from_map(basis, target, weight, lossy)
 
 
 _ROTATION_NEEDS = ("a rotation needs a ladder with at most one entry per row and per column, "
@@ -475,22 +487,22 @@ def identity_op(basis: TruncatedBasis) -> LinearOperator:
 
 
 def diagonal_op(basis: TruncatedBasis, values) -> LinearOperator:
-    """Diagonal operator from one value per basis state."""
+    """Diagonal operator from one value per basis state; a zero value sends its state nowhere."""
     diag = np.asarray(values, dtype=complex)
     if diag.shape != (len(basis),):
         raise ValueError("diagonal length does not match basis size")
-    return LinearOperator.from_map(basis, np.arange(len(basis)), diag)
+    kept = diag != 0.0
+    return LinearOperator.from_map(basis, np.where(kept, np.arange(len(basis)), -1),
+                                   np.where(kept, diag, 0.0), np.zeros(len(basis), dtype=bool))
 
 
 def _check_mode(basis, mode):
-    if int(mode) != mode or not 0 <= mode < basis.modes:
-        raise ValueError(f"mode {mode!r} out of range for a {basis.modes}-mode basis")
-    return int(mode)
+    return _whole("mode", mode, 0, basis.modes - 1)
 
 
 def creation_op(basis: TruncatedBasis, mode: int) -> LinearOperator:
     """a_mode^dagger; transitions leaving the basis are dropped silently."""
-    return _monomial(basis, create=(_check_mode(basis, mode),))[0]
+    return _monomial(basis, create=(_check_mode(basis, mode),))
 
 
 def annihilation_op(basis: TruncatedBasis, mode: int) -> LinearOperator:
@@ -650,11 +662,11 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return abs(inner(a, b)) ** 2 / (na * nb)
 
 
-def state_to_json_dict(psi: StateVector, threshold: float = 0.0) -> dict:
-    """Serialize a state; entries with |amplitude| <= threshold are omitted."""
+def state_to_json_dict(psi: StateVector) -> dict:
+    """Serialize a state; zero amplitudes are omitted."""
     entries = []
     for occ, amp in zip(psi.basis.occupations.tolist(), psi.amplitudes):
-        if abs(amp) > threshold:
+        if abs(amp) > 0.0:
             entries.append({"occupations": occ, "re": float(amp.real), "im": float(amp.imag)})
     return {
         "schema": "fockbench.state/1",

@@ -18,13 +18,13 @@ import numpy as np
 
 from . import distributions as dist
 from . import states as st
-from .algebra import AlgebraRealization, su2_bilinear, su2_hp, su11_hp
+from .algebra import AlgebraRealization, _hp_weight, su2_bilinear, su2_hp, su11_hp
 from .fock import (
     Cutoff,
     StateVector,
     _monomial,
     _rotation,
-    _row_totals,
+    _whole,
     annihilation_op,
     apply_exponential,
     apply_skew_exponential,
@@ -38,6 +38,7 @@ from .fock import (
 )
 
 DISPLACEMENT_GUARD = 16  # extra levels above the series cutoff for unitary routes
+LEAK_TOL = 1e-8  # boundary mass (or norm drift) above which a displacement is refused
 
 
 def _ladder(realization, reduced=False):
@@ -76,7 +77,7 @@ def exp_form_state(realization: AlgebraRealization, eta_c: complex) -> StateVect
     if abs(z) >= 1.0:
         raise ValueError("|eta_c| must be below 1")
     coeff = z if realization.algebra == "su11" else z / math.sqrt(1.0 - abs(z) ** 2)
-    psi = apply_exponential(coeff * realization.raising[up], vacuum_state(realization.basis))
+    psi = apply_exponential(coeff * realization.op(up), vacuum_state(realization.basis))
     prefactor = (1.0 - abs(z) ** 2) ** (realization.M / 2.0)
     return StateVector(psi.basis, prefactor * psi.amplitudes)
 
@@ -91,17 +92,14 @@ def operator_identity_check(M: float, n_max: int, variant: str = "su11") -> list
     if variant not in ("su11", "su2"):
         raise ValueError("variant must be 'su11' or 'su2'")
     if variant == "su2":
-        if int(M) != M or M < 1:
-            raise ValueError("variant 'su2' needs a positive integer M")
-        basis = enumerate_basis(1, Cutoff.per_mode(int(M)))
-        real = su2_hp(basis, int(M))
+        M = _whole("M", M, 1)
+        basis = enumerate_basis(1, Cutoff.per_mode(M))
+        ladder = su2_hp(basis, M).op("J+")
         g = lambda k: math.sqrt(max(M - k, 0.0))
-        ladder = real.raising["J+"]
     else:
         basis = enumerate_basis(1, Cutoff.per_mode(n_max))
-        real = su11_hp(basis, M)
+        ladder = su11_hp(basis, M).op("K+")
         g = lambda k: math.sqrt(M + k)
-        ladder = real.raising["K+"]
     reports = []
     lhs = vacuum_state(basis)
     levels = basis.rank(np.arange(1, n_max + 1)[:, None])
@@ -129,23 +127,23 @@ def displacement_zeta(algebra: str, eta: float, theta: float) -> complex:
     raise ValueError("algebra must be 'su11' or 'su2'")
 
 
-def displacement_state(realization: AlgebraRealization, eta: float, theta: float = 0.0,
-                       leak_tol: float = 1e-8) -> StateVector:
+def displacement_state(realization: AlgebraRealization, eta: float,
+                       theta: float = 0.0) -> StateVector:
     """exp(zeta K+ - zeta* K-) |0> on the reduced space.
 
     The truncated lowering generator is the exact adjoint of the raising one,
     so the evolution is unitary even on an undersized basis and the norm
     cannot flag truncation trouble.  What can: squared amplitude sitting on
     boundary states, the ones the raising generator would push out of the
-    basis.  More than ``leak_tol`` of that mass (or of series-truncation norm
+    basis.  More than ``LEAK_TOL`` of that mass (or of series-truncation norm
     drift) raises -- enlarge the basis with a guard band instead.
     """
     label, _, _ = _ladder(realization, reduced=True)
     zeta = displacement_zeta(realization.algebra, eta, theta)
-    psi = apply_skew_exponential(_rotation(zeta, realization.raising[label]),
+    psi = apply_skew_exponential(_rotation(zeta, realization.op(label)),
                                  vacuum_state(realization.basis))
-    leakage = displacement_leakage(realization, psi, label)
-    if leakage > leak_tol:
+    leakage = displacement_leakage(realization, psi)
+    if leakage > LEAK_TOL:
         raise ValueError(
             f"displacement pressed {leakage:.3e} of squared norm against the cutoff; "
             f"increase the basis guard band"
@@ -153,17 +151,15 @@ def displacement_state(realization: AlgebraRealization, eta: float, theta: float
     return psi
 
 
-def displacement_leakage(realization: AlgebraRealization, psi: StateVector,
-                         label: str = None) -> float:
+def displacement_leakage(realization: AlgebraRealization, psi: StateVector) -> float:
     """Truncation-pressure reading: boundary mass plus any norm drift.
 
     Boundary mass is |amplitude|^2 summed over states the raising generator
     maps out of the basis; an exact compact block has none, so there the
     reading reduces to the series norm drift alone.
     """
-    if label is None:
-        label, _, _ = _ladder(realization)
-    boundary = realization.lossy[label]
+    up, _, _ = _ladder(realization)
+    boundary = realization.op(up).lossy
     pressed = float(np.sum(np.abs(psi.amplitudes[boundary]) ** 2))
     return max(pressed, abs(1.0 - psi.norm2()))
 
@@ -199,19 +195,22 @@ def disentangled_product(realization: AlgebraRealization, zeta: complex) -> np.n
 def disentangling_identity_check(realization: AlgebraRealization, zeta: complex) -> dict:
     """Entrywise residual between exp(zeta K+ - h.c.) and its three-factor product."""
     up, _, _ = _ladder(realization)
-    whole = op_exponential(_rotation(complex(zeta), realization.raising[up]))
+    whole = op_exponential(_rotation(complex(zeta), realization.op(up)))
     residual = float(abs(whole - disentangled_product(realization, zeta)).max())
     return {"algebra": realization.algebra, "M": realization.M,
             "zeta": complex(zeta), "max_residual": residual}
 
 
-def path_equivalence(family: str, eta2: float, M, theta: float = 0.0,
-                     tail_tol: float = 1e-12) -> dict:
-    """Fidelities between the series, exponential-form and displacement routes."""
+def path_equivalence(family: str, eta2: float, M, theta: float = 0.0) -> dict:
+    """Fidelities between the series, exponential-form and displacement routes.
+
+    The negative-binomial basis holds the series to ``states.DEFAULT_TAIL_TOL``
+    plus ``DISPLACEMENT_GUARD`` levels.
+    """
     eta = math.sqrt(eta2)
     if family == "neg_binomial":
         spec = st.StateSpec("neg_binomial", dist.NegBinomialParams(eta2, M), (theta,))
-        basis = st.auto_basis(spec, tail_tol, guard=DISPLACEMENT_GUARD)
+        basis = st.auto_basis(spec, guard=DISPLACEMENT_GUARD)
         series = st.neg_binomial_state(spec, basis)
         real = su11_hp(basis, M)
     elif family == "binomial":
@@ -269,19 +268,14 @@ def _rotation_chain(eta, thetas, M, basis, compact):
     mode j into mode j+1 with b_{j+1}^dag b_j.
     """
     strength = math.sqrt(sum(e * e for e in eta))
-    if compact:
-        pump_angle = math.asin(strength)
-        w = lambda occ: np.sqrt(np.maximum(M - _row_totals(occ), 0.0))
-    else:
-        pump_angle = math.atanh(strength)
-        w = lambda occ: np.sqrt(M + _row_totals(occ))
+    pump_angle = math.asin(strength) if compact else math.atanh(strength)
     # successive rotations compose phases down the chain, so each internal
     # rotation carries the increment over the previous mode's phase
     phases = [thetas[0]] + [thetas[j] - thetas[j - 1] for j in range(1, len(thetas))]
-    pump = _monomial(basis, create=(0,), weight=w)[0]
+    pump = _monomial(basis, create=(0,), weight=_hp_weight(M, compact))
     psi = _apply_rotation(pump, pump_angle, phases[0], vacuum_state(basis))
     for j, angle in enumerate(_rotation_angles(eta), start=1):
-        transfer = _monomial(basis, create=(j,), destroy=(j - 1,))[0]
+        transfer = _monomial(basis, create=(j,), destroy=(j - 1,))
         psi = _apply_rotation(transfer, angle, phases[j], psi)
     return psi
 
@@ -367,16 +361,14 @@ def dynamical_binomial(drive: TwoLevelDrive, t: float, M: int) -> StateVector:
     e^{-i theta} J-) with J+ = a1^dag a0, which lands on the binomial state
     with modulus parameter sin(eta t) and phase theta.
     """
-    if int(M) != M or M < 1:
-        raise ValueError("M must be a positive integer")
+    M = _whole("M", M, 1)
     _check_finite("t", t)
     if t < 0:
         raise ValueError("t must be non-negative")
-    M = int(M)
     basis = enumerate_basis(2, Cutoff.shell(M))
     real = su2_bilinear(basis, M)
     zeta = drive.eta * t * cmath.exp(1j * drive.theta)
-    return apply_skew_exponential(_rotation(zeta, real.raising["J+"]),
+    return apply_skew_exponential(_rotation(zeta, real.op("J+")),
                                   basis_state(basis, (M, 0)))
 
 

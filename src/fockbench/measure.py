@@ -17,14 +17,13 @@ dimensions: r one-dimensional sums per matrix entry, d^2 r for d states, any ran
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, roots_legendre
 
 from . import distributions as dist
-from .fock import (Cutoff, LinearOperator, StateVector, TruncatedBasis, diagonal_op,
+from .fock import (Cutoff, LinearOperator, StateVector, TruncatedBasis, _whole, diagonal_op,
                    enumerate_basis)
 
 DEFAULT_NODES = {1: (64, 64), 2: (24, 24)}  # per-rank floors of the default nodes
@@ -34,15 +33,6 @@ MIN_NODES, MAX_NODES = 8, 1000
 # largest d^2 r a resolution check accepts; r = 6, M = 8 (5.4e7) takes ~1.3 s on one core
 MAX_PAIR_WORK = 10 ** 8
 BLOCK_ROWS = 64  # rows of the quadrature result formed at a time
-
-
-def _whole(name, value, low, high=math.inf):
-    """``value`` as an int in [low, high]; ValueError for NaN, inf, 2.5, "3", true, ..."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value)
-            and low <= value <= high and value == int(value)):
-        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
-    return int(value)
 
 
 def projector_fixed_M(basis: TruncatedBasis, M: int) -> LinearOperator:

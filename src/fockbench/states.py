@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distributions as dist
-from .fock import Cutoff, StateVector, TruncatedBasis, enumerate_basis
+from .fock import Cutoff, StateVector, TruncatedBasis, _whole, enumerate_basis
 
 FAMILIES = ("coherent", "binomial", "neg_binomial", "multinomial", "neg_multinomial")
 
@@ -78,8 +78,7 @@ def auto_basis(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL, guard: int =
     operators afterwards.
     """
     _check_tail_tol(tail_tol)
-    if int(guard) != guard or guard < 0:
-        raise ValueError(f"guard must be a non-negative integer, got {guard!r}")
+    guard = _whole("guard", guard, 0)
     fam, p = spec.family, spec.params
     if fam == "coherent":
         n_max = dist.poisson_cutoff(p, tail_tol)

@@ -114,10 +114,10 @@ def test_relations_listing_nonempty():
 
 def _corrupt(real, label, column):
     """Put into ``real`` a rebuilt raising record whose weight in ``column`` is 1.5x larger."""
-    op = real.raising[label]
+    op = real.op(label)
     weight = op.weight.copy()
     weight[column] *= 1.5
-    real.raising[label] = LinearOperator.from_map(real.basis, op.target, weight)
+    real.generators[label] = LinearOperator.from_map(real.basis, op.target, weight, op.lossy)
 
 
 def _corrupted_k_plus():
@@ -207,15 +207,15 @@ def _dense_reports(real):
                 acc += coeff * np.eye(d)
             elif len(labels) == 1:
                 acc += coeff * dense[labels[0]]
-                mask &= ~real.lossy[labels[0]]
+                mask &= ~real.op(labels[0]).lossy
             else:
                 a, b = labels
                 acc += coeff * (dense[a] @ dense[b])
                 target_b = real.op(b).target
                 reached = target_b >= 0
                 second = np.ones(d, dtype=bool)
-                second[reached] = ~real.lossy[a][target_b[reached]]
-                mask &= ~real.lossy[b] & second
+                second[reached] = ~real.op(a).lossy[target_b[reached]]
+                mask &= ~real.op(b).lossy & second
         col_res = np.abs(acc[:, mask]).max(axis=0)
         worst = int(np.argmax(col_res))
         reports.append({"relation": name, "max_residual": float(col_res[worst]),
@@ -283,7 +283,7 @@ def _dense_intertwining_reports(bilinear, reduced, sub):
     reports = []
     for label in reduced.labels:
         diff = bilinear.op(label).matrix.toarray() @ e - e @ reduced.op(label).matrix.toarray()
-        mask = ~reduced.lossy[label] & ~bilinear.lossy[label][sub._rows]
+        mask = ~reduced.op(label).lossy & ~bilinear.op(label).lossy[sub._rows]
         col_res = np.abs(diff[:, mask]).max(axis=0)
         worst = int(np.argmax(col_res))
         reports.append({"label": label, "max_residual": float(col_res[worst]),

@@ -17,6 +17,7 @@ from fockbench.fock import (
     _monomial,
     annihilation_op,
     creation_op,
+    diagonal_op,
     enumerate_basis,
 )
 
@@ -96,8 +97,8 @@ def test_monomial_matches_per_state_loop(basis, data):
     create = tuple(data.draw(hs.lists(modes, max_size=2)))
     destroy = tuple(data.draw(hs.lists(modes, max_size=2)))
     weight, weight_one = _weight(data.draw(hs.sampled_from(["none", "sqrt", "clamped"])))
-    op, lossy = _monomial(basis, create=create, destroy=destroy, weight=weight)
-    target = op.target
+    op = _monomial(basis, create=create, destroy=destroy, weight=weight)
+    target, lossy = op.target, op.lossy
     assert not op.weight[target < 0].any()  # a state sent nowhere carries no weight
     index = {occ: i for i, occ in enumerate(basis.states)}
     dense = op.matrix.toarray()
@@ -128,10 +129,24 @@ def test_monomial_matches_per_state_loop(basis, data):
 
 
 @given(bases(), hs.data())
+def test_diagonal_op_is_the_weight_only_monomial_bit_for_bit(basis, data):
+    # the one diagonal builder and the general monomial agree on every array,
+    # zero weights included: both send such a state nowhere
+    weight, _ = _weight(data.draw(hs.sampled_from(["sqrt", "clamped"])))
+    diag, mono = diagonal_op(basis, weight(basis.occupations)), _monomial(basis, weight=weight)
+    for name in ("target", "weight", "lossy"):
+        a, b = getattr(diag, name), getattr(mono, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(diag.matrix, name), getattr(mono.matrix, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@given(bases(), hs.data())
 def test_annihilation_is_bit_exact_adjoint_of_creation(basis, data):
     mode = data.draw(hs.integers(0, basis.modes - 1))
     lower = annihilation_op(basis, mode).matrix
     raise_ = creation_op(basis, mode).matrix
     assert np.array_equal(lower.toarray(), raise_.toarray().conj().T)
     # and the lowering monomial built on its own lands on the same entries
-    assert np.array_equal(lower.toarray(), _monomial(basis, destroy=(mode,))[0].matrix.toarray())
+    assert np.array_equal(lower.toarray(), _monomial(basis, destroy=(mode,)).matrix.toarray())

@@ -1,4 +1,6 @@
 import inspect
+import json
+import pathlib
 
 import pytest
 
@@ -17,6 +19,21 @@ def test_checks_calls_the_library_through_its_modules():
     borrowed = [name for name, value in vars(checks).items()
                 if inspect.isfunction(value) and value.__module__ != checks.__name__]
     assert borrowed == []
+
+
+VERIFY_REPORTS = pathlib.Path(__file__).parent / "data" / "verify_reports.json"
+
+
+def test_every_verify_report_is_pinned():
+    assert set(json.loads(VERIFY_REPORTS.read_text())) == set(checks.SUITES)
+
+
+@pytest.mark.parametrize("suite", sorted(checks.SUITES))
+def test_verify_report_matches_its_recorded_bytes(suite):
+    # the reports of every suite, as recorded before a refactor: a change that
+    # claims to keep them byte-identical is held to it value for value
+    expected = json.loads(VERIFY_REPORTS.read_text())[suite]
+    assert json.loads(json.dumps(checks.SUITES[suite]())) == expected
 
 
 def test_unknown_verdict_rule_is_refused():

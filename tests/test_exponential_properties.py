@@ -39,12 +39,12 @@ def _pump(basis, M, compact):
         weight = lambda occ: np.sqrt(np.maximum(M - occ.sum(axis=1), 0.0))
     else:
         weight = lambda occ: np.sqrt(M + occ.sum(axis=1))
-    return _monomial(basis, create=(0,), weight=weight)[0]
+    return _monomial(basis, create=(0,), weight=weight)
 
 
 def _transfer(basis, j):
     """b_{j+1}^dag b_j, the chains' transfer ladder."""
-    return _monomial(basis, create=(j,), destroy=(j - 1,))[0]
+    return _monomial(basis, create=(j,), destroy=(j - 1,))
 
 
 def _drive(basis, omega, j, dt):
@@ -114,11 +114,11 @@ def test_one_pass_rotation_equals_operator_arithmetic(rank, cutoff, ladder, M, r
     elif ladder == "transfer" and rank > 1:
         x = _transfer(basis, min(mode, rank - 1))
     elif ladder == "transfer":  # rank one has no transfer: the su(1,1) ladder
-        x = su11_hp(basis, real_M).raising["K+"]
+        x = su11_hp(basis, real_M).op("K+")
     elif ladder == "su_rp1_hp":
-        x = su_rp1_hp(basis, M).raising[f"J{mode}0"]
+        x = su_rp1_hp(basis, M).op(f"J{mode}0")
     else:
-        x = su_r1_hp(basis, real_M).raising[f"K+{mode}"]
+        x = su_r1_hp(basis, real_M).op(f"K+{mode}")
     gen = _rotation(zeta, x)
     reference = _arithmetic_rotation(zeta, x)
     assert np.array_equal(gen.matrix.toarray(), reference.matrix.toarray())
@@ -133,13 +133,13 @@ def test_rotation_refuses_all_but_one_entry_per_row_and_column_off_the_diagonal(
     for target in ([2, 2, -1],  # two sources onto state 2: two entries in row 2
                    [0, 2, -1]):  # state 0 onto itself: an entry on the diagonal
         with pytest.raises(ValueError, match="one entry per row"):
-            _rotation(0.5j, LinearOperator.from_map(basis, target, [1.0, 1.0, 0.0]))
+            _rotation(0.5j, LinearOperator.from_map(basis, target, [1.0, 1.0, 0.0], [False] * 3))
     with pytest.raises(ValueError, match="one entry per row"):
         _rotation(0.5, number_op(enumerate_basis(2, Cutoff.total(3)), 1))
     held_as_matrix = LinearOperator(basis, np.diag([1.0, 1.0], k=-1))  # a ladder, but no map
     with pytest.raises(ValueError, match="one entry per row"):
         _rotation(0.5, held_as_matrix)
-    empty = _rotation(0.5, LinearOperator.from_map(basis, [-1, -1, -1], np.zeros(3)))
+    empty = _rotation(0.5, LinearOperator.from_map(basis, [-1, -1, -1], np.zeros(3), [False] * 3))
     assert empty.matrix.nnz == 0
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fockbench.algebra import su2_hp, su11_hp
+from fockbench.algebra import ConstraintSubspace, su2_hp, su11_hp, su_rp1_bilinear, su_rp1_hp
+from fockbench.distributions import PoissonParams
 from fockbench.fock import (
     Cutoff,
     LinearOperator,
@@ -29,6 +30,8 @@ from fockbench.fock import (
     total_number_op,
     vacuum_state,
 )
+from fockbench.generation import TwoLevelDrive, dynamical_binomial, operator_identity_check
+from fockbench.states import StateSpec, auto_basis
 
 
 def test_enumeration_order_two_modes_total_two():
@@ -261,7 +264,7 @@ def test_apply_exponential_matches_matrix_route():
 def test_apply_exponential_refuses_a_rotation_generator():
     real = su11_hp(enumerate_basis(1, Cutoff.per_mode(12)), 2.5)
     with pytest.raises(ValueError, match="strictly triangular"):
-        apply_exponential(_rotation(0.4 - 0.2j, real.raising["K+"]), vacuum_state(real.basis))
+        apply_exponential(_rotation(0.4 - 0.2j, real.op("K+")), vacuum_state(real.basis))
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-20, 1e-6, 1e-3, 0.1, 1.0, 3.7, 10.0, 31.4, 100.0, 299.9])
@@ -353,19 +356,23 @@ def test_ladder_record_is_its_column_map():
     assert op.target.dtype == np.int64 and op.weight.dtype == np.complex128
     assert op.target.tolist() == [1, 2, -1]
     assert op.weight.tolist() == [1.0, np.sqrt(2.0), 0.0]
+    assert op.lossy.tolist() == [False, False, True]  # |2> would go to |3>, outside
     both = op + annihilation_op(basis, 0)  # |1> goes to |0> and |2>: no map, only a matrix
-    assert both.target is None and both.weight is None
+    assert both.target is None and both.weight is None and both.lossy is None
     assert both.matrix.nnz == 4
 
 
-@pytest.mark.parametrize("target, weight", [
-    ([1, 2], [1.0, 1.0, 0.0]),  # too few targets
-    ([1, 2, -1], [1.0, 1.0]),  # too few weights
-    ([[1, 2, -1]], [1.0, 1.0, 0.0]),  # targets of the wrong shape
+@pytest.mark.parametrize("target, weight, lossy", [
+    ([1, 2], [1.0, 1.0, 0.0], [False] * 3),  # too few targets
+    ([1, 2, -1], [1.0, 1.0], [False] * 3),  # too few weights
+    ([[1, 2, -1]], [1.0, 1.0, 0.0], [False] * 3),  # targets of the wrong shape
+    ([1, 2, -1], [1.0, 1.0, 0.0], [False] * 2),  # too few loss flags
+    ([1, 2, -1], [1.0, 1.0, 0.0], [False] * 4),  # too many loss flags
+    ([1, 2, -1], [1.0, 1.0, 0.0], [[False] * 3]),  # loss flags of the wrong shape
 ])
-def test_column_map_refuses_a_malformed_record(target, weight):
-    with pytest.raises(ValueError, match="column map needs 3 targets"):
-        LinearOperator.from_map(enumerate_basis(1, Cutoff.per_mode(2)), target, weight)
+def test_column_map_refuses_a_malformed_record(target, weight, lossy):
+    with pytest.raises(ValueError, match="column map needs 3 targets, weights and loss flags"):
+        LinearOperator.from_map(enumerate_basis(1, Cutoff.per_mode(2)), target, weight, lossy)
 
 
 @pytest.mark.parametrize("target", [
@@ -374,19 +381,25 @@ def test_column_map_refuses_a_malformed_record(target, weight):
 ])
 def test_column_map_refuses_targets_outside_the_basis(target):
     with pytest.raises(ValueError, match=r"targets must lie in \[-1, 3\)"):
-        LinearOperator.from_map(enumerate_basis(1, Cutoff.per_mode(2)), target, [1.0, 1.0, 0.0])
+        LinearOperator.from_map(enumerate_basis(1, Cutoff.per_mode(2)), target, [1.0, 1.0, 0.0],
+                                [False] * 3)
 
 
 def test_column_map_copies_its_input_and_builds_any_map_in_csr_order():
     basis = enumerate_basis(1, Cutoff.per_mode(3))
     target, weight = np.array([2, 0, 0, -1]), np.array([0.5, 1.0, 2.0, 0.0])
-    op = LinearOperator.from_map(basis, target, weight)
-    target[0], weight[0] = 3, 9.0  # the record keeps what it was given
+    lossy = np.array([False, False, False, True])
+    op = LinearOperator.from_map(basis, target, weight, lossy)
+    target[0], weight[0], lossy[0] = 3, 9.0, True  # the record keeps what it was given
+    assert op.lossy.tolist() == [False, False, False, True]
+    for part in (op.target, op.weight, op.lossy):
+        with pytest.raises(ValueError, match="read-only"):
+            part[1] = part[2]
     dense = np.zeros((4, 4), dtype=complex)
     dense[2, 0], dense[0, 1], dense[0, 2] = 0.5, 1.0, 2.0
     assert np.array_equal(op.matrix.toarray(), dense)
     assert op.matrix.has_sorted_indices
-    ladder = LinearOperator.from_map(basis, [-1, 0, 0, 1], [0.0, 1.0, 2.0, 0.5])
+    ladder = LinearOperator.from_map(basis, [-1, 0, 0, 1], [0.0, 1.0, 2.0, 0.5], [False] * 4)
     assert np.array_equal(op_exponential(ladder, 0.3),
                           op_exponential(LinearOperator(basis, ladder.matrix.toarray()), 0.3))
 
@@ -421,3 +434,27 @@ def test_state_from_json_rejects_entries_outside_the_basis(occupations):
     payload["entries"].append({"occupations": occupations, "re": 1.0, "im": 0.0})
     with pytest.raises(ValueError):
         state_from_json_dict(payload)
+
+
+# every library entry point that takes a whole number, with that argument left open
+INTEGER_ARGUMENTS = {
+    "Cutoff": lambda x: Cutoff("total", x),
+    "enumerate_basis": lambda x: enumerate_basis(x, Cutoff.total(2)),
+    "creation_op": lambda x: creation_op(enumerate_basis(2, Cutoff.total(2)), x),
+    "auto_basis": lambda x: auto_basis(StateSpec("coherent", PoissonParams(1.0), (0.0,)),
+                                       guard=x),
+    "ConstraintSubspace": lambda x: ConstraintSubspace(
+        enumerate_basis(2, Cutoff.total(8)), enumerate_basis(1, Cutoff.per_mode(3)), x, "su_r1"),
+    "su_rp1_bilinear": lambda x: su_rp1_bilinear(enumerate_basis(2, Cutoff.shell(3)), x),
+    "su_rp1_hp": lambda x: su_rp1_hp(enumerate_basis(1, Cutoff.per_mode(3)), x),
+    "operator_identity_check": lambda x: operator_identity_check(x, 4, variant="su2"),
+    "dynamical_binomial": lambda x: dynamical_binomial(TwoLevelDrive(1.0), 0.5, x),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5], ids=["inf", "nan", "2.5"])
+@pytest.mark.parametrize("entry", list(INTEGER_ARGUMENTS))
+def test_integer_arguments_refuse_inf_nan_and_fractions_with_value_error(entry, bad):
+    # int(inf) raised OverflowError and int(nan) a message about conversion
+    with pytest.raises(ValueError, match=r"must be an integer in \[\d+, "):
+        INTEGER_ARGUMENTS[entry](bad)

@@ -176,7 +176,7 @@ def test_disentangling_identity_noncompact():
 
 def _mpmath_whole(real, zeta):
     """exp(zeta J+ - zeta* J-) of a realization by mpmath.expm at 40 digits, rounded to complex."""
-    dense = _rotation(zeta, real.raising["J+"]).matrix.toarray()
+    dense = _rotation(zeta, real.op("J+")).matrix.toarray()
     with mpmath.workdps(40):
         return np.array(mpmath.expm(mpmath.matrix(dense.tolist())).tolist(), dtype=complex)
 
@@ -188,7 +188,7 @@ def test_whole_rotation_and_three_factor_product_match_mpmath(M):
     real = su2_hp(enumerate_basis(1, Cutoff.per_mode(M)), M)
     for zeta in (0.35, 0.3 + 0.4j, 1.1j, -0.8 + 0.2j):
         reference = _mpmath_whole(real, zeta)
-        whole = op_exponential(_rotation(zeta, real.raising["J+"]))
+        whole = op_exponential(_rotation(zeta, real.op("J+")))
         assert np.abs(whole - reference).max() <= 5e-16, zeta
         if M == 8 and zeta == 1.1j:
             assert np.abs(disentangled_product(real, zeta) - reference).max() <= 4e-12

@@ -185,6 +185,7 @@ def test_node_floor_enforced():
     {"r": 1, "M": 2, "nodes_radial": 1001}, {"r": 1, "M": 2, "nodes_angular": 10 ** 9},
     {"r": 10 ** 4, "M": 1},  # default radial nodes (M + r) / 2 past the ceiling
     {"r": True, "M": 2}, {"r": 1, "M": True}, {"r": 1, "M": 2, "nodes_radial": True},
+    {"r": 1, "M": 10 ** 400},  # an integer beyond float range
 ])
 def test_spec_rejects_bad_fields(fields):
     with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 """su(1,1) and su(2) as the rank-one su(r,1) and su(r+1) realizations.
 
 The references below build the four rank-one realizations and their
-relation lists directly, monomial by monomial; the library derives them from
+relation lists directly, ladder monomial by monomial and diagonal by diagonal; the library derives them from
 the rank-r constructors and must give the same generators bit for bit.
 """
 
@@ -9,51 +9,55 @@ import numpy as np
 import pytest
 
 from fockbench.algebra import relations_for, su2_bilinear, su2_hp, su11_bilinear, su11_hp
-from fockbench.fock import Cutoff, _monomial, enumerate_basis
+from fockbench.fock import Cutoff, _monomial, diagonal_op, enumerate_basis
 
 REAL_M = (0.3, 2.5, 7.7)
 INT_M = (1, 2, 3, 4, 5)
 
 
 def _reference_su11_bilinear(basis, M):
+    occ = basis.occupations
     return {
         "K+": _monomial(basis, create=(0, 1)),
         "K-": _monomial(basis, destroy=(0, 1)),
-        "K0": _monomial(basis, weight=lambda occ: 0.5 * (occ[:, 0] + occ[:, 1] + 1)),
-        "N0": _monomial(basis, weight=lambda occ: occ[:, 0]),
-        "N1": _monomial(basis, weight=lambda occ: occ[:, 1]),
+        "K0": diagonal_op(basis, 0.5 * (occ[:, 0] + occ[:, 1] + 1)),
+        "N0": diagonal_op(basis, occ[:, 0]),
+        "N1": diagonal_op(basis, occ[:, 1]),
     }
 
 
 def _reference_su11_hp(basis, M):
     w = lambda occ: np.sqrt(M + occ[:, 0])
+    occ = basis.occupations
     return {
         "K+": _monomial(basis, create=(0,), weight=w),
         "K-": _monomial(basis, destroy=(0,), weight=w),
-        "K0": _monomial(basis, weight=lambda occ: occ[:, 0] + M / 2.0),
-        "N0": _monomial(basis, weight=lambda occ: M - 1 + occ[:, 0]),
-        "N1": _monomial(basis, weight=lambda occ: occ[:, 0]),
+        "K0": diagonal_op(basis, occ[:, 0] + M / 2.0),
+        "N0": diagonal_op(basis, M - 1 + occ[:, 0]),
+        "N1": diagonal_op(basis, occ[:, 0]),
     }
 
 
 def _reference_su2_bilinear(basis, M):
+    occ = basis.occupations
     return {
         "J+": _monomial(basis, create=(1,), destroy=(0,)),
         "J-": _monomial(basis, create=(0,), destroy=(1,)),
-        "J0": _monomial(basis, weight=lambda occ: 0.5 * (occ[:, 1] - occ[:, 0])),
-        "N0": _monomial(basis, weight=lambda occ: occ[:, 0]),
-        "N1": _monomial(basis, weight=lambda occ: occ[:, 1]),
+        "J0": diagonal_op(basis, 0.5 * (occ[:, 1] - occ[:, 0])),
+        "N0": diagonal_op(basis, occ[:, 0]),
+        "N1": diagonal_op(basis, occ[:, 1]),
     }
 
 
 def _reference_su2_hp(basis, M):
     w = lambda occ: np.sqrt(np.maximum(M - occ[:, 0], 0))
+    occ = basis.occupations
     return {
         "J+": _monomial(basis, create=(0,), weight=w),
         "J-": _monomial(basis, destroy=(0,), weight=w),
-        "J0": _monomial(basis, weight=lambda occ: occ[:, 0] - M / 2.0),
-        "N0": _monomial(basis, weight=lambda occ: M - occ[:, 0]),
-        "N1": _monomial(basis, weight=lambda occ: occ[:, 0]),
+        "J0": diagonal_op(basis, occ[:, 0] - M / 2.0),
+        "N0": diagonal_op(basis, M - occ[:, 0]),
+        "N1": diagonal_op(basis, occ[:, 0]),
     }
 
 
@@ -88,12 +92,12 @@ def test_rank_one_generators_match_direct_construction(build, reference, basis, 
     expected = reference(basis, M)
     assert real.labels == list(expected)
     assert real.rank == 1
-    for label, (op, lossy) in expected.items():
+    for label, op in expected.items():
         got, want = real.op(label).matrix, op.matrix
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, name)
-        assert real.lossy[label].tobytes() == lossy.tobytes(), label
+        assert real.op(label).lossy.tobytes() == op.lossy.tobytes(), label
     relations = SU11_RELATIONS if real.algebra == "su11" else SU2_RELATIONS
     assert relations_for(real) == relations
 
