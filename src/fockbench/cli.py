@@ -93,26 +93,6 @@ def _parse_float_list(key, value):
         raise ValueError(f"{key} must be comma-separated numbers, got {value!r}") from None
 
 
-def _whole(key, value):
-    """``value`` as an int; ValueError naming ``key`` unless it is a non-negative integer.
-
-    Refuses 2.5, true, "3", NaN and inf rather than truncating them.
-    """
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not math.isfinite(value)
-            or int(value) != value or value < 0):
-        raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
-    return int(value)
-
-
-def _real(key, value):
-    """``value`` as a float; ValueError naming ``key`` for true, "3", 10**400 or any non-number."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, int) and abs(value) > sys.float_info.max):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 @functools.cache  # built once per process; parse_args fills a fresh namespace each call
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -203,7 +183,7 @@ def _emit(out, text):
 def _cmd_state(args) -> int:
     from . import distributions as dist
     from . import states as st
-    from .fock import Cutoff, enumerate_basis
+    from .fock import Cutoff, _whole, enumerate_basis
 
     config = _load_config(args.config)
     family_raw = _merged(args, config, "family")
@@ -221,14 +201,13 @@ def _cmd_state(args) -> int:
     if family == "coherent":
         if alpha2 is None:
             raise ValueError("--alpha2 is required for the coherent family")
-        params = dist.PoissonParams(_real("alpha2", alpha2))
+        params = dist.PoissonParams(alpha2)
     else:
         if eta2_raw is None:
             raise ValueError(f"--eta2 is required for the {family_raw} family")
         if m_value is None:
             raise ValueError(f"--M is required for the {family_raw} family")
         eta2 = _parse_float_list("eta2", eta2_raw)
-        m_value = _real("M", m_value)
         if family == "binomial":
             if len(eta2) != 1:
                 raise ValueError("binomial takes a single eta^2 value")
@@ -237,17 +216,19 @@ def _cmd_state(args) -> int:
             if len(eta2) != 1:
                 raise ValueError("neg_binomial takes a single eta^2 value")
             params = dist.NegBinomialParams(eta2[0], m_value)
+        elif any(e < 0 for e in eta2):  # multimode laws take eta = sqrt(eta2)
+            raise ValueError(f"eta2 components must be non-negative, got {list(eta2)}")
         elif family == "multinomial":
             params = dist.MultinomialParams(tuple(math.sqrt(e) for e in eta2), m_value)
         else:
             params = dist.NegMultinomialParams(tuple(math.sqrt(e) for e in eta2), m_value)
 
     spec = st.StateSpec(family, params, thetas)
-    tail_tol = _real("tail_tol", _merged(args, config, "tail_tol", st.DEFAULT_TAIL_TOL))
-    guard = _whole("guard", _merged(args, config, "guard", 0))
+    tail_tol = _merged(args, config, "tail_tol", st.DEFAULT_TAIL_TOL)
+    # read here, not only by the library: a guard beside a cutoff is refused below
+    guard = _whole("guard", _merged(args, config, "guard", 0), 0)
     cutoff = _merged(args, config, "cutoff")
     if cutoff is not None:
-        cutoff = _whole("cutoff", cutoff)
         if guard:
             raise ValueError("guard and cutoff conflict: a guard widens the automatic "
                              "cutoff, so give one or the other")
@@ -271,14 +252,12 @@ def _cmd_state(args) -> int:
             "cutoff": basis.cutoff.to_json_dict(), "entries": None, "family": family,
             "parameters": dataclasses.asdict(params), "phases": list(spec.phases),
             "norm_deficit": deficit}
-    state_path = f"{base}_state.json"
-    with open(state_path, "w", encoding="utf-8") as handle:
-        handle.write(_json_with_entries(head, _render_rows(
-            entry + '"re": %r,\n      "im": %r\n    }', ",",
-            basis.occupations[kept], amps.real[kept], amps.imag[kept])))
+    # each artifact is rendered before its file is opened, so a failure leaves no file
+    _emit(f"{base}_state.json", _json_with_entries(head, _render_rows(
+        entry + '"re": %r,\n      "im": %r\n    }', ",",
+        basis.occupations[kept], amps.real[kept], amps.imag[kept])))
 
     probs = st.number_distribution(psi).probabilities
-    pmf_path = f"{base}_pmf.{pmf_format}"
     if pmf_format == "csv":
         header = ",".join([f"n{j}" for j in range(basis.modes)] + ["p"])
         row = ",".join(["%d"] * basis.modes + ["%.17g\n"])
@@ -287,11 +266,7 @@ def _cmd_state(args) -> int:
         text = _json_with_entries({"schema": "fockbench.pmf/1", "entries": None},
                                   _render_rows(entry + '"p": %r\n    }', ",",
                                                basis.occupations, probs))
-    with open(pmf_path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-
-    print(f"wrote {state_path}")
-    print(f"wrote {pmf_path}")
+    _emit(f"{base}_pmf.{pmf_format}", text)
     print(f"norm deficit: {deficit:.17g}")
     return 0
 
@@ -332,8 +307,7 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--trials is required")
     if seed is None:
         raise ValueError("--seed is required (sampling must be reproducible)")
-    params = dist.NegBinomialParams(_real("eta2", eta2), _real("M", m_value))
-    result = dist.waiting_time_simulate(params, _whole("trials", trials), _whole("seed", seed))
+    result = dist.waiting_time_simulate(dist.NegBinomialParams(eta2, m_value), trials, seed)
     text = "n,p,p_hat,stderr\n" + _render_rows("%d,%.17g,%.17g,%.17g\n", "", result.n,
                                                  result.p, result.p_hat, result.stderr)
     _emit(_merged(args, config, "out"), text)

@@ -18,27 +18,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, gammainc, gammaln, xlogy
 
-from .fock import Cutoff, enumerate_basis
+from .fock import Cutoff, _real, _whole, enumerate_basis
 
 TAIL_MASS_POLICY = 1e-14  # infinite sums truncate once the tail mass beyond falls to this
 MAX_SAMPLER_DRAWS = 150_000_000  # waiting-time sampler budget, in draws (about 1.5 s)
 SAMPLER_CHUNK = 1 << 16  # float64 draws the sampler holds at a time (512 KiB)
 WAVE_DRAWS = 500  # interpreter cost of one sampler wave, counted in draws
 ROW_DRAWS = 300  # cost of one exact-pmf row (pmf, stderr and a CSV line, about 3 us), in draws
-
-
-def _check_finite(**fields):
-    for name, value in fields.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+_MAX_WHOLE_M = 2**53  # largest integer M of a finite-support law: its counts stay exact in float64
 
 
 def _as_eta_tuple(eta):
-    eta = tuple(float(e) for e in eta)
+    eta = tuple(_real("eta", e) for e in eta)
     if not eta:
         raise ValueError("eta vector must have at least one component")
-    if not all(math.isfinite(e) for e in eta):
-        raise ValueError(f"eta components must be finite, got {eta}")
     if any(e <= 0.0 for e in eta):
         raise ValueError("eta components must be strictly positive (degenerate modes are rejected)")
     return eta
@@ -49,7 +42,7 @@ class PoissonParams:
     alpha2: float  # mean photon number |alpha|^2
 
     def __post_init__(self):
-        _check_finite(alpha2=self.alpha2)
+        object.__setattr__(self, "alpha2", _real("alpha2", self.alpha2))
         if self.alpha2 < 0:
             raise ValueError("alpha2 must be non-negative")
 
@@ -60,12 +53,10 @@ class BinomialParams:
     M: int
 
     def __post_init__(self):
-        _check_finite(eta2=self.eta2, M=self.M)
+        object.__setattr__(self, "M", _whole("M", self.M, 1, _MAX_WHOLE_M))
+        object.__setattr__(self, "eta2", _real("eta2", self.eta2))
         if not 0.0 <= self.eta2 <= 1.0:
             raise ValueError("eta2 must lie in [0, 1]")
-        if int(self.M) != self.M or self.M < 1:
-            raise ValueError("M must be a positive integer")
-        object.__setattr__(self, "M", int(self.M))
 
 
 @dataclass(frozen=True)
@@ -74,7 +65,8 @@ class NegBinomialParams:
     M: float  # real M > 0 is allowed
 
     def __post_init__(self):
-        _check_finite(eta2=self.eta2, M=self.M)
+        object.__setattr__(self, "M", _real("M", self.M))
+        object.__setattr__(self, "eta2", _real("eta2", self.eta2))
         if not 0.0 <= self.eta2 < 1.0:
             raise ValueError("eta2 must lie in [0, 1)")
         if not self.M > 0:
@@ -88,12 +80,9 @@ class MultinomialParams:
 
     def __post_init__(self):
         object.__setattr__(self, "eta", _as_eta_tuple(self.eta))
-        _check_finite(M=self.M)
+        object.__setattr__(self, "M", _whole("M", self.M, 1, _MAX_WHOLE_M))
         if sum(e * e for e in self.eta) > 1.0 + 1e-15:
             raise ValueError("sum of eta_j^2 must not exceed 1")
-        if int(self.M) != self.M or self.M < 1:
-            raise ValueError("M must be a positive integer")
-        object.__setattr__(self, "M", int(self.M))
 
     @property
     def r(self):
@@ -107,7 +96,7 @@ class NegMultinomialParams:
 
     def __post_init__(self):
         object.__setattr__(self, "eta", _as_eta_tuple(self.eta))
-        _check_finite(M=self.M)
+        object.__setattr__(self, "M", _real("M", self.M))
         if sum(e * e for e in self.eta) >= 1.0:
             raise ValueError("sum of eta_j^2 must be below 1")
         if not self.M > 0:
@@ -212,6 +201,7 @@ def neg_multinomial_pmf(p: NegMultinomialParams, n_vec):
 
 def neg_binomial_gf(p: NegBinomialParams, t: float) -> float:
     """Probability generating function ((1 - eta^2) / (1 - eta^2 t))^M."""
+    t = _real("t", t)
     if p.eta2 * t >= 1.0:
         raise ValueError("generating function diverges for eta2 * t >= 1")
     return float(((1.0 - p.eta2) / (1.0 - p.eta2 * t)) ** p.M)
@@ -284,10 +274,10 @@ def poisson_limit_distance(family: str, M, alpha2: float) -> float:
     if family == "binomial":
         if M <= alpha2:
             raise ValueError("binomial matching needs M > alpha2")
-        other = BinomialParams(alpha2 / M, int(M))
+        other = BinomialParams(alpha2 / M, M)
         n_top = other.M
     elif family == "neg_binomial":
-        other = NegBinomialParams(alpha2 / (M + alpha2), float(M))
+        other = NegBinomialParams(alpha2 / (M + alpha2), M)
         n_top = neg_binomial_cutoff(other)
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -302,7 +292,7 @@ def poisson_limit_distance(family: str, M, alpha2: float) -> float:
 
 def multiple_poisson_log_pmf(alpha, n_vec):
     """Independent Poisson modes with means alpha_j^2."""
-    alpha = tuple(float(a) for a in alpha)
+    alpha = tuple(_real("alpha", a) for a in alpha)
     if any(a < 0 for a in alpha):
         raise ValueError("alpha components must be non-negative")
     n_vec, one = _counts(n_vec, len(alpha))
@@ -321,7 +311,7 @@ def slice_to_shell(alpha, M: int) -> dict:
     len(alpha) parts.  Coincides with the multinomial law at
     eta_j = alpha_j/|alpha| (zeroth mode implied).
     """
-    alpha = tuple(float(a) for a in alpha)
+    alpha = tuple(_real("alpha", a) for a in alpha)
     if any(a <= 0 for a in alpha):
         raise ValueError("alpha components must be strictly positive")
     shell = enumerate_basis(len(alpha), Cutoff.shell(M))
@@ -362,22 +352,15 @@ def waiting_time_simulate(p: NegBinomialParams, trials: int, seed: int) -> Waiti
     (trials + WAVE_DRAWS) * M / (1 - eta2) draws for the waves plus ROW_DRAWS per
     row of the exact pmf (to its 1e-12 tail cutoff), exceeds MAX_SAMPLER_DRAWS.
     """
-    if int(p.M) != p.M:
-        raise ValueError("waiting-time sampling needs integer M")
-    M = int(p.M)
-    if M >= 2**31:
-        raise ValueError(f"waiting-time sampling needs M below 2**31, got {M}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if seed is None:
-        raise ValueError("a seed is required for reproducible sampling")
+    M = _whole("M", p.M, 1, 2**31 - 1)
+    trials, seed = _whole("trials", trials, 1), _whole("seed", seed, 0)
     rows = neg_binomial_cutoff(p, 1e-12) + 1
     # the clamp keeps an absurd trial count from overflowing the float conversion
     draws = float(min(trials, 10**300) + WAVE_DRAWS) * M / (1.0 - p.eta2) + rows * ROW_DRAWS
     if draws > MAX_SAMPLER_DRAWS:
         raise ValueError(f"trials = {trials} at M = {M}, eta2 = {p.eta2:.17g} ({rows} pmf rows) "
                          f"costs about {draws:.4g} draws; the limit is {MAX_SAMPLER_DRAWS:.4g}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     left = np.full(trials, M, dtype=np.min_scalar_type(M))
     buf = np.empty(min(trials, SAMPLER_CHUNK))
     finished = []  # finished[n]: replicates whose M-th success came in wave M + n
@@ -415,5 +398,4 @@ def waiting_time_simulate(p: NegBinomialParams, trials: int, seed: int) -> Waiti
     # meaningful instead of flagging every single stray count
     q = np.maximum(p_hat, exact)
     stderr = np.sqrt(q * (1.0 - q) / trials)
-    return WaitingTimeResult(n=ns, p=exact, p_hat=p_hat, stderr=stderr,
-                             trials=int(trials), seed=int(seed))
+    return WaitingTimeResult(n=ns, p=exact, p_hat=p_hat, stderr=stderr, trials=trials, seed=seed)

@@ -41,6 +41,18 @@ def _whole(name, value, low, high=math.inf):
     return int(value)
 
 
+def _real(name, value):
+    """``value`` as a finite float; ValueError for NaN, inf, 10**400, "3", true, ..."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Cutoff:
     """Truncation rule for a basis.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .fock import (
     Cutoff,
     StateVector,
     _monomial,
+    _real,
     _rotation,
     _whole,
     annihilation_op,
@@ -53,16 +55,6 @@ def _ladder(realization, reduced=False):
                          f"realization, got {realization.algebra} {realization.form}")
     letter = "K" if realization.algebra == "su11" else "J"
     return letter + "+", letter + "-", letter + "0"
-
-
-def _check_finite(name, *values):
-    """ValueError naming ``name`` unless every value is a finite real or complex number."""
-    try:
-        finite = all(cmath.isfinite(v) for v in values)
-    except OverflowError:  # an integer beyond float range
-        finite = False
-    if not finite:
-        raise ValueError(f"{name} must be finite")
 
 
 def exp_form_state(realization: AlgebraRealization, eta_c: complex) -> StateVector:
@@ -118,6 +110,7 @@ def operator_identity_check(M: float, n_max: int, variant: str = "su11") -> list
 
 def displacement_zeta(algebra: str, eta: float, theta: float) -> complex:
     """Displacement parameter landing on the series state at (eta, theta)."""
+    eta, theta = _real("eta", eta), _real("theta", theta)
     if not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
     if algebra == "su11":
@@ -207,19 +200,19 @@ def path_equivalence(family: str, eta2: float, M, theta: float = 0.0) -> dict:
     The negative-binomial basis holds the series to ``states.DEFAULT_TAIL_TOL``
     plus ``DISPLACEMENT_GUARD`` levels.
     """
-    eta = math.sqrt(eta2)
     if family == "neg_binomial":
         spec = st.StateSpec("neg_binomial", dist.NegBinomialParams(eta2, M), (theta,))
         basis = st.auto_basis(spec, guard=DISPLACEMENT_GUARD)
         series = st.neg_binomial_state(spec, basis)
-        real = su11_hp(basis, M)
+        real = su11_hp(basis, spec.params.M)
     elif family == "binomial":
-        spec = st.StateSpec("binomial", dist.BinomialParams(eta2, int(M)), (theta,))
-        basis = enumerate_basis(1, Cutoff.per_mode(int(M)))
+        spec = st.StateSpec("binomial", dist.BinomialParams(eta2, M), (theta,))
+        basis = enumerate_basis(1, Cutoff.per_mode(spec.params.M))
         series = st.binomial_state(spec, basis)
-        real = su2_hp(basis, int(M))
+        real = su2_hp(basis, spec.params.M)
     else:
         raise ValueError("family must be 'neg_binomial' or 'binomial'")
+    eta = math.sqrt(spec.params.eta2)
     exp_route = exp_form_state(real, eta * cmath.exp(1j * theta))
     disp_route = displacement_state(real, eta, theta)
     return {
@@ -281,8 +274,7 @@ def _rotation_chain(eta, thetas, M, basis, compact):
 
 
 def _check_chain_args(eta, thetas, basis):
-    _check_finite("eta", *eta)
-    eta = tuple(float(e) for e in eta)
+    eta = tuple(_real("eta", e) for e in eta)
     if not eta:
         raise ValueError("eta must have at least one component")
     if eta[0] <= 0.0:
@@ -291,8 +283,7 @@ def _check_chain_args(eta, thetas, basis):
         raise ValueError("eta components must be non-negative")
     if sum(e * e for e in eta) >= 1.0:
         raise ValueError("sum of eta_j^2 must be below 1")
-    _check_finite("thetas", *(thetas or ()))
-    thetas = tuple(float(t) for t in thetas) if thetas else (0.0,) * len(eta)
+    thetas = tuple(_real("thetas", t) for t in thetas) if thetas else (0.0,) * len(eta)
     if len(thetas) != len(eta):
         raise ValueError("thetas must match eta in length")
     if basis.modes != len(eta):
@@ -310,7 +301,7 @@ def sequential_nms(eta, thetas, M: float, basis) -> StateVector:
     truncation leakage exactly as for the direct series constructor.
     """
     eta, thetas = _check_chain_args(eta, thetas, basis)
-    _check_finite("M", M)
+    M = _real("M", M)
     if not M > 0:
         raise ValueError("M must be positive")
     return _rotation_chain(eta, thetas, M, basis, compact=False)
@@ -325,10 +316,7 @@ def sequential_ms(eta, thetas, M: int, basis) -> StateVector:
     sum(n) <= M; the clamped square-root weight annihilates exactly at the
     shell boundary, so no mass ever leaves it.
     """
-    _check_finite("M", M)
-    if int(M) != M or M < 1:
-        raise ValueError("M must be a positive integer")
-    M = int(M)
+    M = _whole("M", M, 1)
     eta, thetas = _check_chain_args(eta, thetas, basis)
     r = basis.modes
     inside = int((basis.totals <= M).sum())
@@ -348,8 +336,8 @@ class TwoLevelDrive:
     theta: float = 0.0
 
     def __post_init__(self):
-        _check_finite("eta", self.eta)
-        _check_finite("theta", self.theta)
+        object.__setattr__(self, "eta", _real("eta", self.eta))
+        object.__setattr__(self, "theta", _real("theta", self.theta))
         if self.eta <= 0:
             raise ValueError("eta must be positive")
 
@@ -361,8 +349,7 @@ def dynamical_binomial(drive: TwoLevelDrive, t: float, M: int) -> StateVector:
     e^{-i theta} J-) with J+ = a1^dag a0, which lands on the binomial state
     with modulus parameter sin(eta t) and phase theta.
     """
-    M = _whole("M", M, 1)
-    _check_finite("t", t)
+    M, t = _whole("M", M, 1), _real("t", t)
     if t < 0:
         raise ValueError("t must be non-negative")
     basis = enumerate_basis(2, Cutoff.shell(M))
@@ -374,12 +361,12 @@ def dynamical_binomial(drive: TwoLevelDrive, t: float, M: int) -> StateVector:
 
 def dynamical_binomial_target(drive: TwoLevelDrive, t: float, M: int) -> StateVector:
     """Closed-form binomial state the evolution should reach at time t."""
+    M, t = _whole("M", M, 1), _real("t", t)
     eta_b = abs(math.sin(drive.eta * t))
-    basis = enumerate_basis(2, Cutoff.shell(int(M)))
+    basis = enumerate_basis(2, Cutoff.shell(M))
     if eta_b == 0.0:
-        return basis_state(basis, (int(M), 0))
-    spec = st.StateSpec("multinomial", dist.MultinomialParams((eta_b,), int(M)),
-                        (drive.theta,))
+        return basis_state(basis, (M, 0))
+    spec = st.StateSpec("multinomial", dist.MultinomialParams((eta_b,), M), (drive.theta,))
     return st.multinomial_state(spec, basis)
 
 
@@ -395,11 +382,16 @@ class ClassicalCurrent:
     omega: float
 
     def __post_init__(self):
-        segs = tuple((float(a), float(b), complex(c)) for a, b, c in self.segments)
+        segs = []
+        for a, b, c in self.segments:
+            # a complex amplitude is checked as its two parts
+            number = isinstance(c, numbers.Complex) and not isinstance(c, bool)
+            x, y = (c.real, c.imag) if number else (c, 0)
+            segs.append((_real("segments", a), _real("segments", b),
+                         complex(_real("segments", x), _real("segments", y))))
+        segs = tuple(segs)
         if not segs:
             raise ValueError("at least one segment is required")
-        _check_finite("segments", *(v for seg in segs for v in seg))
-        _check_finite("omega", self.omega)
         if abs(segs[0][0]) > 1e-15:
             raise ValueError("the first segment must start at t = 0")
         for (a0, b0, _), (a1, _, _) in zip(segs, segs[1:]):
@@ -408,7 +400,7 @@ class ClassicalCurrent:
         if segs[-1][1] <= segs[-1][0]:
             raise ValueError("segments must have positive length")
         object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "omega", _real("omega", self.omega))
 
     @property
     def t_end(self):
@@ -442,7 +434,7 @@ def dynamical_coherent(current: ClassicalCurrent, t: float, basis) -> StateVecto
     """
     if basis.modes != 1:
         raise ValueError("dynamical_coherent needs a 1-mode basis")
-    _check_finite("t", t)
+    t = _real("t", t)
     if t < 0 or t > current.t_end + 1e-12:
         raise ValueError("t outside the driven window")
     a = annihilation_op(basis, 0)
@@ -476,11 +468,11 @@ def contraction_check(family: str, m_values, alpha2: float, theta: float = 0.0) 
         if family == "binomial":
             if m <= alpha2:
                 raise ValueError(f"M={m} must exceed alpha2={alpha2}")
-            spec = st.StateSpec("binomial", dist.BinomialParams(alpha2 / m, int(m)), (theta,))
-            n_max = max(int(m), dist.poisson_cutoff(coh_spec.params, 1e-16))
+            spec = st.StateSpec("binomial", dist.BinomialParams(alpha2 / m, m), (theta,))
+            n_max = max(spec.params.M, dist.poisson_cutoff(coh_spec.params, 1e-16))
         else:
             eta2 = alpha2 / (m + alpha2)
-            spec = st.StateSpec("neg_binomial", dist.NegBinomialParams(eta2, float(m)), (theta,))
+            spec = st.StateSpec("neg_binomial", dist.NegBinomialParams(eta2, m), (theta,))
             n_max = max(dist.neg_binomial_cutoff(spec.params, 1e-16),
                         dist.poisson_cutoff(coh_spec.params, 1e-16))
         basis = enumerate_basis(1, Cutoff.per_mode(n_max))

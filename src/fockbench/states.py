@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distributions as dist
-from .fock import Cutoff, StateVector, TruncatedBasis, _whole, enumerate_basis
+from .fock import Cutoff, StateVector, TruncatedBasis, _real, _whole, enumerate_basis
 
 FAMILIES = ("coherent", "binomial", "neg_binomial", "multinomial", "neg_multinomial")
 
@@ -47,7 +47,7 @@ class StateSpec:
         expected = _PARAM_TYPES[self.family]
         if not isinstance(self.params, expected):
             raise ValueError(f"{self.family} takes {expected.__name__} parameters")
-        phases = tuple(float(t) for t in self.phases)
+        phases = tuple(_real("phases", t) for t in self.phases)
         n_phases = self.phase_count
         if not phases:
             phases = (0.0,) * n_phases
@@ -77,7 +77,7 @@ def auto_basis(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL, guard: int =
     ``guard`` adds headroom levels for states that will be hit by raising
     operators afterwards.
     """
-    _check_tail_tol(tail_tol)
+    tail_tol = _check_tail_tol(tail_tol)
     guard = _whole("guard", guard, 0)
     fam, p = spec.family, spec.params
     if fam == "coherent":
@@ -100,8 +100,10 @@ def auto_basis(spec: StateSpec, tail_tol: float = DEFAULT_TAIL_TOL, guard: int =
 
 
 def _check_tail_tol(tail_tol):
-    if not 0.0 < tail_tol < 1.0:  # also false for NaN
-        raise ValueError(f"tail tolerance must be a finite number in (0, 1), got {tail_tol!r}")
+    tail_tol = _real("tail_tol", tail_tol)
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
+    return tail_tol
 
 
 def _check_deficit(deficit, tail_tol, family):
@@ -134,7 +136,7 @@ def _family_state(spec: StateSpec, basis: TruncatedBasis, tail_tol: float) -> St
     A finite support (binomial, multinomial) must lie wholly inside the basis;
     an infinite one must leave at most ``tail_tol`` of the mass outside it.
     """
-    _check_tail_tol(tail_tol)
+    tail_tol = _check_tail_tol(tail_tol)
     if basis.modes != spec.modes:
         raise ValueError(f"{spec.family} state needs a {spec.modes}-mode basis, got {basis.modes}")
     log_pmf, columns, finite_support = _LAWS[spec.family]
@@ -225,6 +227,7 @@ def number_distribution(psi: StateVector) -> NumberDistribution:
 
 def quantum_gf(psi: StateVector, t: float) -> float:
     """<psi| t^N |psi> with N the total number operator (normalized input assumed)."""
+    t = _real("t", t)
     if t < 0:
         raise ValueError("t must be non-negative")
     probs = np.abs(psi.amplitudes) ** 2

@@ -106,9 +106,27 @@ def test_state_non_finite_parameter_exits_two(tmp_path, args):
     assert not list(tmp_path.iterdir())
 
 
+def test_state_nan_phase_exits_two_and_writes_nothing(tmp_path):
+    proc = run_cli("state", "--family", "coherent", "--alpha2", "1", "--theta", "nan",
+                   "--out", str(tmp_path / "p"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: phases must be a finite number, got nan\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("family", ["ms", "nms"])
+def test_state_negative_eta2_component_exits_two(tmp_path, family):
+    # the multimode laws take eta = sqrt(eta2); the square root must not see a negative
+    proc = run_cli("state", "--family", family, "--eta2=-0.3,0.2", "--M", "3",
+                   "--out", str(tmp_path / "n"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: eta2 components must be non-negative, got [-0.3, 0.2]\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("args, message", [
-    (("--tail-tol", "2"), "tail tolerance"),
-    (("--tail-tol", "inf"), "tail tolerance"),
+    (("--tail-tol", "2"), "tail_tol must lie in (0, 1), got 2.0"),
+    (("--tail-tol", "inf"), "tail_tol must be a finite number, got inf"),
     (("--guard", "-3"), "guard"),
 ])
 def test_state_bad_sizing_exits_two(tmp_path, args, message):
@@ -320,9 +338,9 @@ def test_infinite_support_norm_deficit_is_never_negative(tmp_path, args):
 
 
 @pytest.mark.parametrize("config, flags, message", [
-    ({"guard": 1.5}, (), "guard must be a non-negative integer, got 1.5"),
-    ({"guard": -1}, (), "guard must be a non-negative integer"),
-    ({}, ("--guard", "-3", "--cutoff", "60"), "guard must be a non-negative integer"),
+    ({"guard": 1.5}, (), "guard must be an integer in [0, inf], got 1.5"),
+    ({"guard": -1}, (), "guard must be an integer in [0, inf], got -1"),
+    ({}, ("--guard", "-3", "--cutoff", "60"), "guard must be an integer in [0, inf], got -3"),
     ({}, ("--guard", "2", "--cutoff", "60"), "guard and cutoff conflict"),
     ({"guard": 2, "cutoff": 60}, (), "guard and cutoff conflict"),
 ])
@@ -341,15 +359,15 @@ def test_zero_guard_with_cutoff_is_accepted(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("command, config, key", [
-    ("simulate", {"trials": 2.5}, "trials"),
-    ("simulate", {"seed": 7.9}, "seed"),
-    ("simulate", {"trials": True}, "trials"),
-    ("simulate", {"seed": "7"}, "seed"),
-    ("state", {"cutoff": 40.7}, "cutoff"),
-    ("state", {"cutoff": -1}, "cutoff"),
+@pytest.mark.parametrize("command, config, message", [
+    ("simulate", {"trials": 2.5}, "trials must be an integer in [1, inf], got 2.5"),
+    ("simulate", {"seed": 7.9}, "seed must be an integer in [0, inf], got 7.9"),
+    ("simulate", {"trials": True}, "trials must be an integer in [1, inf], got True"),
+    ("simulate", {"seed": "7"}, "seed must be an integer in [0, inf], got '7'"),
+    ("state", {"cutoff": 40.7}, "cutoff value must be an integer in [0, inf], got 40.7"),
+    ("state", {"cutoff": -1}, "cutoff value must be an integer in [0, inf], got -1"),
 ])
-def test_non_integer_config_counts_exit_two(tmp_path, command, config, key):
+def test_non_integer_config_counts_exit_two(tmp_path, command, config, message):
     # truncating 2.5 trials to 2 would run a different experiment than the one asked for
     base = ({"eta2": 0.3, "M": 3, "trials": 1000, "seed": 11} if command == "simulate"
             else {"family": "nbs", "eta2": 0.5, "M": 2})
@@ -357,27 +375,32 @@ def test_non_integer_config_counts_exit_two(tmp_path, command, config, key):
     cfg.write_text(json.dumps({**base, **config}))
     proc = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert proc.returncode == 2, proc.stderr
-    assert f"{key} must be a non-negative integer, got {config[key]!r}" in proc.stderr
+    assert f"error: {message}\n" == proc.stderr
     assert list(tmp_path.iterdir()) == [cfg]
 
 
-@pytest.mark.parametrize("command, config, key", [
-    ("state", {"family": "binomial", "eta2": 0.5, "M": "3"}, "M"),
-    ("state", {"family": "ms", "eta2": [0.3, 0.2], "M": "3"}, "M"),
-    ("state", {"family": "coherent", "alpha2": True}, "alpha2"),
-    ("state", {"family": "nbs", "eta2": 0.5, "M": True}, "M"),
-    ("state", {"family": "nbs", "eta2": 0.5, "M": 10 ** 400}, "M"),
-    ("state", {"family": "nbs", "eta2": 0.5, "M": 2, "tail_tol": "1e-12"}, "tail_tol"),
-    ("simulate", {"eta2": 0.3, "M": True, "trials": 1000, "seed": 11}, "M"),
-    ("simulate", {"eta2": "0.3", "M": 3, "trials": 1000, "seed": 11}, "eta2"),
+_WHOLE_M = "M must be an integer in [1, 9007199254740992], got '3'"
+
+
+@pytest.mark.parametrize("command, config, key, message", [
+    ("state", {"family": "binomial", "eta2": 0.5, "M": "3"}, "M", _WHOLE_M),
+    ("state", {"family": "ms", "eta2": [0.3, 0.2], "M": "3"}, "M", _WHOLE_M),
+    ("state", {"family": "coherent", "alpha2": True}, "alpha2", None),
+    ("state", {"family": "nbs", "eta2": 0.5, "M": True}, "M", None),
+    ("state", {"family": "nbs", "eta2": 0.5, "M": 10 ** 400}, "M", None),
+    ("state", {"family": "nbs", "eta2": 0.5, "M": 2, "tail_tol": "1e-12"}, "tail_tol", None),
+    ("simulate", {"eta2": 0.3, "M": True, "trials": 1000, "seed": 11}, "M", None),
+    ("simulate", {"eta2": "0.3", "M": 3, "trials": 1000, "seed": 11}, "eta2", None),
 ])
-def test_non_numeric_real_config_exits_two(tmp_path, command, config, key):
+def test_non_numeric_real_config_exits_two(tmp_path, command, config, key, message):
     # true is not 1.0 and "3" is not 3: a scalar key takes a JSON number
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     proc = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert proc.returncode == 2, proc.stderr
-    assert f"{key} must be a number, got {config[key]!r}" in proc.stderr
+    # binomial and multinomial M is an integer field, every other key a real one
+    message = message or f"{key} must be a finite number, got {config[key]!r}"
+    assert f"error: {message}\n" == proc.stderr
     assert list(tmp_path.iterdir()) == [cfg]
 
 

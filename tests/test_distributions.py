@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,20 +133,23 @@ def test_param_validation():
         NegMultinomialParams((0.0, 0.5), 2.0)  # zero component
 
 
+_WHOLE_M = "M must be an integer in [1, 9007199254740992], got {!r}"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("make", [
-    lambda x: PoissonParams(x),
-    lambda x: BinomialParams(x, 3),
-    lambda x: BinomialParams(0.5, x),
-    lambda x: NegBinomialParams(x, 2.0),
-    lambda x: NegBinomialParams(0.5, x),
-    lambda x: MultinomialParams((x, 0.3), 3),
-    lambda x: MultinomialParams((0.3, 0.4), x),
-    lambda x: NegMultinomialParams((0.3, x), 2.0),
-    lambda x: NegMultinomialParams((0.3, 0.4), x),
+@pytest.mark.parametrize("make, message", [
+    (lambda x: PoissonParams(x), "alpha2 must be a finite number, got {!r}"),
+    (lambda x: BinomialParams(x, 3), "eta2 must be a finite number, got {!r}"),
+    (lambda x: BinomialParams(0.5, x), _WHOLE_M),
+    (lambda x: NegBinomialParams(x, 2.0), "eta2 must be a finite number, got {!r}"),
+    (lambda x: NegBinomialParams(0.5, x), "M must be a finite number, got {!r}"),
+    (lambda x: MultinomialParams((x, 0.3), 3), "eta must be a finite number, got {!r}"),
+    (lambda x: MultinomialParams((0.3, 0.4), x), _WHOLE_M),
+    (lambda x: NegMultinomialParams((0.3, x), 2.0), "eta must be a finite number, got {!r}"),
+    (lambda x: NegMultinomialParams((0.3, 0.4), x), "M must be a finite number, got {!r}"),
 ])
-def test_params_reject_non_finite(make, bad):
-    with pytest.raises(ValueError, match="finite"):
+def test_params_reject_non_finite(make, message, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(bad))}$"):
         make(bad)
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -305,30 +306,46 @@ def test_sequential_chain_rejects_overstrength():
 _CHAIN_BASIS = enumerate_basis(2, Cutoff.total(8))
 
 
-@pytest.mark.parametrize("build, field", [
-    (lambda: sequential_nms((0.4, 0.3), (0.0, 0.0), math.inf, _CHAIN_BASIS), "M"),
-    (lambda: sequential_nms((0.4, 0.3), (0.0, 0.0), math.nan, _CHAIN_BASIS), "M"),
-    (lambda: sequential_ms((0.4, 0.3), (0.0, 0.0), math.inf, _CHAIN_BASIS), "M"),
-    (lambda: sequential_ms((0.4, 0.3), (0.0, 0.0), math.nan, _CHAIN_BASIS), "M"),
-    (lambda: sequential_nms((0.4, 0.3), (math.nan, 0.0), 2.0, _CHAIN_BASIS), "thetas"),
-    (lambda: sequential_nms((0.4, 0.3), (0.0, math.inf), 2.0, _CHAIN_BASIS), "thetas"),
-    (lambda: sequential_ms((0.4, 0.3), (-math.inf, 0.0), 8, _CHAIN_BASIS), "thetas"),
-    (lambda: sequential_nms((0.4, math.nan), (0.0, 0.0), 2.0, _CHAIN_BASIS), "eta"),
-    (lambda: sequential_nms((math.nan, 0.3), (0.0, 0.0), 2.0, _CHAIN_BASIS), "eta"),
-    (lambda: sequential_ms((math.inf, 0.3), (0.0, 0.0), 8, _CHAIN_BASIS), "eta"),
-    (lambda: ClassicalCurrent(((0.0, 1.0, 0.5),), math.nan), "omega"),
-    (lambda: ClassicalCurrent(((0.0, 1.0, 0.5),), math.inf), "omega"),
-    (lambda: ClassicalCurrent(((0.0, 1.0, complex(0.5, math.nan)),), 1.0), "segments"),
-    (lambda: ClassicalCurrent(((0.0, math.inf, 0.5),), 1.0), "segments"),
-    (lambda: TwoLevelDrive(math.nan), "eta"),
-    (lambda: TwoLevelDrive(math.inf), "eta"),
-    (lambda: TwoLevelDrive(1.0, math.nan), "theta"),
-    (lambda: dynamical_binomial(TwoLevelDrive(1.0), math.inf, 2), "t"),
+@pytest.mark.parametrize("build, message", [
+    (lambda: sequential_nms((0.4, 0.3), (0.0, 0.0), math.inf, _CHAIN_BASIS),
+     "M must be a finite number, got inf"),
+    (lambda: sequential_nms((0.4, 0.3), (0.0, 0.0), math.nan, _CHAIN_BASIS),
+     "M must be a finite number, got nan"),
+    (lambda: sequential_ms((0.4, 0.3), (0.0, 0.0), math.inf, _CHAIN_BASIS),
+     "M must be an integer in [1, inf], got inf"),
+    (lambda: sequential_ms((0.4, 0.3), (0.0, 0.0), math.nan, _CHAIN_BASIS),
+     "M must be an integer in [1, inf], got nan"),
+    (lambda: sequential_nms((0.4, 0.3), (math.nan, 0.0), 2.0, _CHAIN_BASIS),
+     "thetas must be a finite number, got nan"),
+    (lambda: sequential_nms((0.4, 0.3), (0.0, math.inf), 2.0, _CHAIN_BASIS),
+     "thetas must be a finite number, got inf"),
+    (lambda: sequential_ms((0.4, 0.3), (-math.inf, 0.0), 8, _CHAIN_BASIS),
+     "thetas must be a finite number, got -inf"),
+    (lambda: sequential_nms((0.4, math.nan), (0.0, 0.0), 2.0, _CHAIN_BASIS),
+     "eta must be a finite number, got nan"),
+    (lambda: sequential_nms((math.nan, 0.3), (0.0, 0.0), 2.0, _CHAIN_BASIS),
+     "eta must be a finite number, got nan"),
+    (lambda: sequential_ms((math.inf, 0.3), (0.0, 0.0), 8, _CHAIN_BASIS),
+     "eta must be a finite number, got inf"),
+    (lambda: ClassicalCurrent(((0.0, 1.0, 0.5),), math.nan),
+     "omega must be a finite number, got nan"),
+    (lambda: ClassicalCurrent(((0.0, 1.0, 0.5),), math.inf),
+     "omega must be a finite number, got inf"),
+    (lambda: ClassicalCurrent(((0.0, 1.0, complex(0.5, math.nan)),), 1.0),
+     "segments must be a finite number, got nan"),
+    (lambda: ClassicalCurrent(((0.0, math.inf, 0.5),), 1.0),
+     "segments must be a finite number, got inf"),
+    (lambda: TwoLevelDrive(math.nan), "eta must be a finite number, got nan"),
+    (lambda: TwoLevelDrive(math.inf), "eta must be a finite number, got inf"),
+    (lambda: TwoLevelDrive(1.0, math.nan), "theta must be a finite number, got nan"),
+    (lambda: dynamical_binomial(TwoLevelDrive(1.0), math.inf, 2),
+     "t must be a finite number, got inf"),
     (lambda: dynamical_coherent(ClassicalCurrent(((0.0, 1.0, 0.5),), 0.0), math.nan,
-                                enumerate_basis(1, Cutoff.per_mode(8))), "t"),
+                                enumerate_basis(1, Cutoff.per_mode(8))),
+     "t must be a finite number, got nan"),
 ])
-def test_generator_inputs_refuse_non_finite_values_by_name(build, field):
-    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+def test_generator_inputs_refuse_non_finite_values_by_name(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
 

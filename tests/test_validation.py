@@ -1,0 +1,96 @@
+"""Input checking: every number argument is checked once, by the type that owns it.
+
+``fock._whole`` checks integer fields and ``fock._real`` finite real ones; each
+refusal is a ValueError whose message names the field and repeats the value.
+"""
+
+import ast
+import math
+import pathlib
+import re
+
+import pytest
+
+from fockbench import distributions as dist
+from fockbench import generation as gen
+from fockbench import states as st
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "fockbench"
+
+_NB = dist.NegBinomialParams(0.3, 3)
+_COHERENT = st.StateSpec("coherent", dist.PoissonParams(1.0))
+_WHOLE_M = "M must be an integer in [1, 9007199254740992], got {!r}"
+
+
+@pytest.mark.parametrize("call, message", [
+    # bools were taken for 1 (or kept as bools)
+    (lambda: dist.BinomialParams(0.3, True), _WHOLE_M.format(True)),
+    (lambda: dist.NegBinomialParams(0.3, True), "M must be a finite number, got True"),
+    (lambda: dist.PoissonParams(True), "alpha2 must be a finite number, got True"),
+    (lambda: dist.MultinomialParams((True,), 2), "eta must be a finite number, got True"),
+    # integers beyond float range raised OverflowError
+    (lambda: dist.BinomialParams(0.3, 10**400), _WHOLE_M.format(10**400)),
+    (lambda: dist.NegBinomialParams(0.3, 10**400),
+     f"M must be a finite number, got {10**400!r}"),
+    # non-integer counts reached numpy, or were truncated
+    (lambda: dist.waiting_time_simulate(_NB, True, 1),
+     "trials must be an integer in [1, inf], got True"),
+    (lambda: dist.waiting_time_simulate(_NB, 2.5, 1),
+     "trials must be an integer in [1, inf], got 2.5"),
+    (lambda: dist.waiting_time_simulate(_NB, 10, 1.5),
+     "seed must be an integer in [0, inf], got 1.5"),
+    (lambda: st.build_state(_COHERENT, tail_tol="1e-12"),
+     "tail_tol must be a finite number, got '1e-12'"),
+    # NaN came back as the answer
+    (lambda: st.quantum_gf(st.build_state(_COHERENT), math.nan),
+     "t must be a finite number, got nan"),
+    (lambda: dist.neg_binomial_gf(_NB, math.nan), "t must be a finite number, got nan"),
+    (lambda: gen.displacement_zeta("su11", 0.3, math.nan),
+     "theta must be a finite number, got nan"),
+    (lambda: dist.slice_to_shell((1.0, math.nan), 2), "alpha must be a finite number, got nan"),
+    (lambda: dist.multiple_poisson_log_pmf((1.0, math.nan), (1, 1)),
+     "alpha must be a finite number, got nan"),
+    (lambda: st.StateSpec("coherent", dist.PoissonParams(1.0), (math.nan,)),
+     "phases must be a finite number, got nan"),
+], ids=["binomial-M-bool", "neg-binomial-M-bool", "poisson-alpha2-bool", "multinomial-eta-bool",
+        "binomial-M-huge", "neg-binomial-M-huge", "trials-bool", "trials-fraction",
+        "seed-fraction", "tail-tol-str", "quantum-gf-nan", "neg-binomial-gf-nan",
+        "displacement-theta-nan", "slice-to-shell-nan", "multiple-poisson-nan", "phases-nan"])
+def test_bad_number_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# a fractional binomial M used to be truncated, giving the numbers of another law
+
+def test_poisson_limit_distance_refuses_fractional_binomial_order():
+    with pytest.raises(ValueError, match=re.escape(_WHOLE_M.format(10.5))):
+        dist.poisson_limit_distance("binomial", 10.5, 1.0)
+
+
+def test_contraction_check_refuses_fractional_binomial_order():
+    with pytest.raises(ValueError, match=re.escape(_WHOLE_M.format(10.5))):
+        gen.contraction_check("binomial", [10.5], 1.0)
+
+
+def test_path_equivalence_refuses_fractional_binomial_order():
+    with pytest.raises(ValueError, match=re.escape(_WHOLE_M.format(2.5))):
+        gen.path_equivalence("binomial", 0.3, 2.5)
+
+
+def test_dynamical_binomial_target_refuses_what_the_evolution_refuses():
+    drive = gen.TwoLevelDrive(1.0)
+    message = "M must be an integer in [1, inf], got 2.5"
+    for build in (gen.dynamical_binomial, gen.dynamical_binomial_target):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(drive, 0.3, 2.5)
+
+
+def test_only_fock_defines_a_number_validator():
+    owners = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name in ("_whole", "_real", "_check_finite")):
+                owners.setdefault(node.name, []).append(path.stem)
+    assert owners == {"_whole": ["fock"], "_real": ["fock"]}

@@ -82,7 +82,8 @@ def test_simulate_csv_bytes_match_reference_loop(tmp_path, monkeypatch, capsys,
 
 
 def test_order_at_or_above_two_to_the_31_is_refused():
-    with pytest.raises(ValueError, match="below 2"):
+    message = "M must be an integer in [1, 2147483647], got 2147483648.0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         dist.waiting_time_simulate(dist.NegBinomialParams(0.5, 2.0**31), 10, 1)
 
 
