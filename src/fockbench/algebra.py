@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import LinearOperator, TruncatedBasis, _monomial, _row_totals, _whole, diagonal_op
+from .fock import (LinearOperator, TruncatedBasis, _monomial, _real, _row_totals, _whole,
+                   diagonal_op)
 
 
 def _hp_weight(M, compact):
@@ -140,6 +141,7 @@ def su_r1_bilinear(basis: TruncatedBasis, M: float) -> AlgebraRealization:
     r = basis.modes - 1
     if r < 1:
         raise ValueError("su_r1_bilinear needs at least 2 modes")
+    M = _real("M", M)
     if not M > 0:
         raise ValueError("M must be positive")
     raising = {f"K+{j}": _monomial(basis, create=(0, j)) for j in range(1, r + 1)}
@@ -155,6 +157,7 @@ def su_r1_hp(basis: TruncatedBasis, M: float) -> AlgebraRealization:
     the value pinned by the constraint n0 - sum(n') = M - 1.
     """
     r = basis.modes
+    M = _real("M", M)
     if not M > 0:
         raise ValueError("M must be positive")
     w = _hp_weight(M, compact=False)

@@ -268,6 +268,8 @@ def poisson_limit_distance(family: str, M, alpha2: float) -> float:
     family "neg_binomial" uses eta2 = alpha2/(M + alpha2) (mean exactly
     alpha2 for every M).  The sum truncates under the 1e-14 tail policy.
     """
+    _real("M", M)  # a non-number is refused here, not by the arithmetic below
+    alpha2 = _real("alpha2", alpha2)
     if alpha2 <= 0:
         raise ValueError("alpha2 must be positive")
     pois = PoissonParams(alpha2)

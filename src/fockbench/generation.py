@@ -254,21 +254,42 @@ def _apply_rotation(raising, angle, phase, psi):
     return apply_skew_exponential(_rotation(angle * cmath.exp(1j * phase), raising), psi)
 
 
+def _widen(psi, wider):
+    """``psi`` as a state of ``wider``, the basis of one more mode, that mode empty."""
+    occ = psi.basis.occupations
+    rows = np.zeros((len(occ), wider.modes), dtype=np.int64)
+    rows[:, :-1] = occ
+    amps = np.zeros(len(wider), dtype=complex)
+    amps[wider.rank(rows)] = psi.amplitudes
+    return StateVector(wider, amps)
+
+
 def _rotation_chain(eta, thetas, M, basis, compact):
     """The pump rotation on the vacuum, then the transfer rotations down the chain.
 
     The pump raises mode 1 with b_1^dag sqrt(M -+ sum N); transfer j moves
-    mode j into mode j+1 with b_{j+1}^dag b_j.
+    mode j into mode j+1 with b_{j+1}^dag b_j.  Each step runs on the modes it
+    has filled: the pump on the 1-mode basis of the caller's cutoff, transfer
+    j on the (j+1)-mode one, the last step on ``basis`` itself, and the state
+    is widened by an empty mode in between.  Every generator keeps states with
+    empty trailing modes among themselves, so the amplitudes are those of the
+    chain run on ``basis`` throughout: bit-identical on a total cutoff, where
+    each step's norm rho lies at a state the chain reaches, and within 1e-15
+    on a per-mode one, where the full basis has larger column sums at states
+    it never reaches and so a longer Chebyshev series.
     """
+    basis.index_of((0,) * basis.modes)  # the caller's vacuum, refused before any sub-basis
     strength = math.sqrt(sum(e * e for e in eta))
     pump_angle = math.asin(strength) if compact else math.atanh(strength)
     # successive rotations compose phases down the chain, so each internal
     # rotation carries the increment over the previous mode's phase
     phases = [thetas[0]] + [thetas[j] - thetas[j - 1] for j in range(1, len(thetas))]
-    pump = _monomial(basis, create=(0,), weight=_hp_weight(M, compact))
-    psi = _apply_rotation(pump, pump_angle, phases[0], vacuum_state(basis))
+    subs = [enumerate_basis(m, basis.cutoff) for m in range(1, basis.modes)] + [basis]
+    pump = _monomial(subs[0], create=(0,), weight=_hp_weight(M, compact))
+    psi = _apply_rotation(pump, pump_angle, phases[0], vacuum_state(subs[0]))
     for j, angle in enumerate(_rotation_angles(eta), start=1):
-        transfer = _monomial(basis, create=(j,), destroy=(j - 1,))
+        psi = _widen(psi, subs[j])
+        transfer = _monomial(subs[j], create=(j,), destroy=(j - 1,))
         psi = _apply_rotation(transfer, angle, phases[j], psi)
     return psi
 
@@ -298,7 +319,10 @@ def sequential_nms(eta, thetas, M: float, basis) -> StateVector:
     mode 1, then transfer rotations (1,2), (2,3), ... split the excitation so
     mode j ends with weight eta_j and phase thetas[j-1].  ``basis`` has one
     mode per eta component (the reduced picture); its total cutoff bounds the
-    truncation leakage exactly as for the direct series constructor.
+    truncation leakage exactly as for the direct series constructor.  Each
+    step runs on the modes it has filled (:func:`_rotation_chain`), with the
+    amplitudes of the whole-basis loop: bit-identical on a total cutoff,
+    within 1e-15 on a per-mode one.
     """
     eta, thetas = _check_chain_args(eta, thetas, basis)
     M = _real("M", M)
@@ -314,7 +338,9 @@ def sequential_ms(eta, thetas, M: int, basis) -> StateVector:
     (1 - sum eta^2)), the rest split mode j into mode j+1 exactly as in the
     negative-multinomial chain.  ``basis`` must contain the full simplex
     sum(n) <= M; the clamped square-root weight annihilates exactly at the
-    shell boundary, so no mass ever leaves it.
+    shell boundary, so no mass ever leaves it.  Each step runs on the modes it
+    has filled, as in :func:`sequential_nms`: bit-identical to the
+    whole-basis loop on a total cutoff, within 1e-15 on a per-mode one.
     """
     M = _whole("M", M, 1)
     eta, thetas = _check_chain_args(eta, thetas, basis)
@@ -409,6 +435,7 @@ class ClassicalCurrent:
 
 def coherent_amplitude(current: ClassicalCurrent, t: float) -> complex:
     """alpha(t) = -i * integral_0^t j(t') e^{i omega t'} dt', exact per segment."""
+    t = _real("t", t)
     if t < 0 or t > current.t_end + 1e-12:
         raise ValueError("t outside the driven window")
     alpha = 0.0 + 0.0j
@@ -460,6 +487,9 @@ def contraction_check(family: str, m_values, alpha2: float, theta: float = 0.0) 
     """
     if family not in ("binomial", "neg_binomial"):
         raise ValueError("family must be 'binomial' or 'neg_binomial'")
+    for m in m_values:
+        _real("M", m)  # a non-number is refused here, not by the arithmetic below
+    alpha2 = _real("alpha2", alpha2)
     if alpha2 <= 0:
         raise ValueError("alpha2 must be positive")
     rows = []

@@ -14,6 +14,8 @@ import pytest
 from fockbench import distributions as dist
 from fockbench import generation as gen
 from fockbench import states as st
+from fockbench.algebra import su11_bilinear, su11_hp, su_r1_bilinear, su_r1_hp
+from fockbench.fock import Cutoff, enumerate_basis
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "fockbench"
 
@@ -57,6 +59,39 @@ _WHOLE_M = "M must be an integer in [1, 9007199254740992], got {!r}"
         "seed-fraction", "tail-tol-str", "quantum-gf-nan", "neg-binomial-gf-nan",
         "displacement-theta-nan", "slice-to-shell-nan", "multiple-poisson-nan", "phases-nan"])
 def test_bad_number_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# a value that is no finite number reached the window test, the weights or the
+# arithmetic before any check: NaN came back as a plausible amplitude, inf
+# built a realization, and a string raised TypeError
+
+_CURRENT = gen.ClassicalCurrent(((0, 1, 1),), 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen.coherent_amplitude(_CURRENT, math.nan), "t must be a finite number, got nan"),
+    (lambda: su11_hp(enumerate_basis(1, Cutoff.per_mode(4)), math.inf),
+     "M must be a finite number, got inf"),
+    (lambda: su11_bilinear(enumerate_basis(2, Cutoff.total(4)), math.nan),
+     "M must be a finite number, got nan"),
+    (lambda: su_r1_hp(enumerate_basis(2, Cutoff.total(4)), "3"),
+     "M must be a finite number, got '3'"),
+    (lambda: su_r1_bilinear(enumerate_basis(3, Cutoff.total(4)), math.inf),
+     "M must be a finite number, got inf"),
+    (lambda: gen.contraction_check("neg_binomial", ["3"], 1.0),
+     "M must be a finite number, got '3'"),
+    (lambda: gen.contraction_check("binomial", [10, None], 1.0),
+     "M must be a finite number, got None"),
+    (lambda: dist.poisson_limit_distance("neg_binomial", "3", 1.0),
+     "M must be a finite number, got '3'"),
+    (lambda: dist.poisson_limit_distance("binomial", math.inf, 1.0),
+     "M must be a finite number, got inf"),
+], ids=["coherent-amplitude-t-nan", "su11-hp-M-inf", "su11-bilinear-M-nan", "su-r1-hp-M-str",
+        "su-r1-bilinear-M-inf", "contraction-M-str", "contraction-M-none",
+        "poisson-limit-M-str", "poisson-limit-M-inf"])
+def test_non_number_is_refused_by_name_before_use(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
