@@ -250,6 +250,20 @@ def test_usage_path_loads_no_numeric_library():
     assert proc.stdout.strip() == "2 []", proc.stderr
 
 
+def test_verify_loads_no_scipy_linalg():
+    # the Gauss-Legendre nodes of the measure suite come from numpy's eigvalsh,
+    # so no verify path pays the import of scipy.linalg
+    code = ("import contextlib, io, sys, fockbench.checks, fockbench.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['verify', s]) for s in sorted(fockbench.checks.SUITES)]\n"
+            "    codes.append(cli.main(['verify', 'measure', '--r', '3', '--M', '6',"
+            " '--nodes', '16']))\n"
+            "print(codes, 'scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0] False", proc.stderr
+
+
 def test_verify_unknown_suite_exits_two():
     proc = run_cli("verify", "nonsense")
     assert proc.returncode == 2

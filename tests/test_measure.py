@@ -9,7 +9,10 @@ from fockbench.cli import main
 from fockbench.distributions import BinomialParams, MultinomialParams, binomial_pmf
 from fockbench.fock import Cutoff, enumerate_basis, fidelity
 from fockbench.measure import (
+    MAX_NODES,
+    MIN_NODES,
     MeasureSpec,
+    _gauss_legendre,
     _shell_quadrature,
     measure_density,
     projected_state,
@@ -113,6 +116,16 @@ def test_resolution_angular_aliasing_control():
     assert coarse["max_entry_residual"] > 1e-3
     fine = resolution_check(MeasureSpec(r=1, M=12, nodes_radial=16, nodes_angular=16))
     assert fine["max_entry_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("n", [*range(MIN_NODES, 130), 200, 333, 500, 777, 999, MAX_NODES])
+def test_gauss_legendre_is_bit_identical_to_scipy(n):
+    # the numpy route repeats scipy's steps, so the rule is the same to the bit,
+    # over the default node range and both ends of [MIN_NODES, MAX_NODES]
+    x, w = _gauss_legendre(n)
+    x_ref, w_ref = roots_legendre(n)
+    assert x.tobytes() == x_ref.tobytes()
+    assert w.tobytes() == w_ref.tobytes()
 
 
 def _per_node_quadrature(spec):
