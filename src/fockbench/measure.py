@@ -15,14 +15,15 @@ dimensions: r one-dimensional sums per matrix entry, d^2 r for d states, any ran
 
 The Gauss-Legendre nodes come from :func:`_gauss_legendre`, scipy's
 roots_legendre steps run on numpy's dense eigvalsh and bit-identical to it.
-Its cost is O(n^3) in the node count n (an 8 MB temporary at 1000 nodes), and
-no ``verify`` path loads scipy.linalg.
+Its cost is O(n^3) in the node count n (an 8 MB temporary at 1000 nodes), paid
+once per node count in a process, and no ``verify`` path loads scipy.linalg.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import eval_legendre, gammaln
@@ -106,6 +107,7 @@ def projected_state(spec: MeasureSpec, xi) -> StateVector:
     return StateVector(basis, np.exp(log_mag) * mono * (1.0 + s) ** (-spec.M / 2.0))
 
 
+@lru_cache
 def _gauss_legendre(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1], bit for bit those of scipy's roots_legendre.
 
@@ -113,7 +115,9 @@ def _gauss_legendre(n: int):
     Legendre Jacobi matrix (held dense and upper-bidiagonal, so LAPACK's
     tridiagonal reduction leaves it as it is and dsterf solves it, as under
     scipy's banded solver), one Newton step, weights from the log-normalised
-    1 / (P_{n-1} P_n'), symmetrised and scaled to sum to 2.
+    1 / (P_{n-1} P_n'), symmetrised and scaled to sum to 2.  The dense solve
+    is O(n^3), so each node count is solved once per process and its read-only
+    arrays are shared by every check that uses it.
     """
     k = np.arange(1.0, n)
     x = np.linalg.eigvalsh(np.diag(k * np.sqrt(1.0 / (4 * k * k - 1)), 1), UPLO="U")
@@ -126,7 +130,9 @@ def _gauss_legendre(n: int):
     dy /= np.exp((log_dy.max() + log_dy.min()) / 2.)
     w = 1.0 / (fm * dy)
     w, x = (w + w[::-1]) / 2, (x - x[::-1]) / 2
-    return x, w * (2.0 / w.sum())
+    w = w * (2.0 / w.sum())
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _shell_quadrature(spec: MeasureSpec, basis: TruncatedBasis):

@@ -38,8 +38,8 @@ def test_verify_report_matches_its_recorded_bytes(suite):
     # (NPY_DISABLE_CPU_FEATURES) the baseline loops round products differently
     # and the disentangle, limits and measure pins fail.
     expected = json.loads(VERIFY_REPORTS.read_text())[suite]
-    simd = np.show_config(mode="dicts")["SIMD Extensions"]
-    assert json.loads(json.dumps(checks.SUITES[suite]())) == expected, f"numpy SIMD: {simd}"
+    assert json.loads(json.dumps(checks.SUITES[suite]())) == expected, \
+        f"numpy SIMD: {np.show_config(mode='dicts')['SIMD Extensions']}"
 
 
 def test_unknown_verdict_rule_is_refused():

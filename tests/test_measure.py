@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, roots_legendre
 
+from fockbench import checks
 from fockbench.cli import main
 from fockbench.distributions import BinomialParams, MultinomialParams, binomial_pmf
 from fockbench.fock import Cutoff, enumerate_basis, fidelity
@@ -126,6 +127,18 @@ def test_gauss_legendre_is_bit_identical_to_scipy(n):
     x_ref, w_ref = roots_legendre(n)
     assert x.tobytes() == x_ref.tobytes()
     assert w.tobytes() == w_ref.tobytes()
+
+
+def test_gauss_legendre_solves_each_node_count_once():
+    # the default verify grid runs five checks on one --nodes value: the O(n^3)
+    # solve is paid once, and the shared arrays cannot be changed by a caller
+    _gauss_legendre.cache_clear()
+    checks.SUITES["measure"](nodes=40)
+    assert _gauss_legendre.cache_info().misses == 1
+    x, w = _gauss_legendre(40)
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 0.0
+    assert not x.flags.writeable
 
 
 def _per_node_quadrature(spec):
