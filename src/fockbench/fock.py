@@ -5,17 +5,18 @@ Bases are finite slices of the occupation-number lattice, held as one
 occupation ascending, then lexicographic within each total).  A vectorised
 rank, built from per-basis tables of bounded-composition counts, maps any
 occupation rows back to their indices, one table lookup per mode column.
-States are dense complex vectors over such a basis; operators are complex CSR
-matrices, except that every generator that sends a state to at most one state
-(a ladder monomial, computed on the whole occupation array at once, or a
-diagonal) is held as its column map until a product or an exponential needs
-its matrix.  The map is the generator's whole record: per state its image
-(``target``, -1 for none), its ``weight`` and whether truncation dropped it
-(``lossy``).  A rotation generator zeta X - zeta* X^dag is built in one pass
-from its ladder's map.  Ladder operators silently drop any transition leaving
-the basis, so truncation error shows up only as missing tail mass (and in
-``lossy``), never as an exception.  An exponential is a Chebyshev expansion
-for a skew-Hermitian generator (a rotation or -i dt H), the finite Taylor
+States are dense complex vectors over such a basis.  Operators carry no
+arithmetic: a generator that sends each state to at most one state (a raising
+or lowering ladder monomial, computed on the whole occupation array at once,
+or a diagonal) is held as its column map until a product or an exponential
+needs its CSR matrix.  The map is the generator's whole record: per state its
+image (``target``, -1 for none), its ``weight`` and whether truncation dropped
+it (``lossy``).  A rotation generator zeta X - zeta* X^dag, with an optional
+diagonal (the drive -i dt H), is one CSR matrix built in one pass from its
+ladder's map.  Ladder operators silently drop any transition leaving the basis, so
+truncation error shows up only as missing tail mass (and in ``lossy``), never
+as an exception.  An exponential is a Chebyshev expansion for a
+skew-Hermitian generator (a rotation or -i dt H), the finite Taylor
 polynomial of a nilpotent ladder, or entrywise for a diagonal (small dense
 ones only).
 """
@@ -51,6 +52,13 @@ def _real(name, value):
         if math.isfinite(number):
             return number
     raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _complex(name, value):
+    """``value`` as a complex whose two parts pass :func:`_real`; a real is its real part."""
+    number = isinstance(value, numbers.Complex) and not isinstance(value, bool)
+    x, y = (value.real, value.imag) if number else (value, 0)
+    return complex(_real(name, x), _real(name, y))
 
 
 @dataclass(frozen=True)
@@ -334,6 +342,7 @@ class LinearOperator:
 
     Dense input is converted.  A generator is held instead as its column map
     (:meth:`from_map`), and its ``matrix`` is built on first use and cached.
+    An operator only acts (:meth:`apply`); it has no sum, product or adjoint.
     """
 
     target = weight = lossy = None  # the column map of an operator built from one
@@ -384,31 +393,6 @@ class LinearOperator:
     def apply(self, psi: StateVector) -> StateVector:
         _check_same_basis(self, psi)
         return StateVector(self.basis, self.matrix @ psi.amplitudes)
-
-    def adjoint(self) -> "LinearOperator":
-        return LinearOperator(self.basis, self.matrix.conj().T)
-
-    def __matmul__(self, other):
-        if isinstance(other, StateVector):
-            return self.apply(other)
-        _check_same_basis(self, other)
-        return LinearOperator(self.basis, self.matrix @ other.matrix)
-
-    def __add__(self, other):
-        _check_same_basis(self, other)
-        return LinearOperator(self.basis, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        _check_same_basis(self, other)
-        return LinearOperator(self.basis, self.matrix - other.matrix)
-
-    def __mul__(self, scalar):
-        return LinearOperator(self.basis, self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return LinearOperator(self.basis, -self.matrix)
 
 
 def _monomial(basis, create=(), destroy=(), weight=None):
@@ -462,7 +446,7 @@ _ROTATION_NEEDS = ("a rotation needs a ladder with at most one entry per row and
                    "none on the diagonal")
 
 
-def _rotation(zeta, raising):
+def _rotation(zeta, raising, diagonal=None):
     """zeta X - zeta* X^dag: the rotation (or displacement) generator of the ladder X.
 
     Built in one pass from X's column map.  X must send no two states to one
@@ -470,6 +454,10 @@ def _rotation(zeta, raising):
     other X, or one held only as a matrix, raises ValueError).  So row i of the
     generator holds X's entry of row i, then the X^dag entry that X's entry in
     column i mirrors, written -conj(zeta w), which equals -(zeta* w*) exactly.
+    A ``diagonal`` (one value per state) adds zeta diag(diagonal), an entry on
+    every row between those two: the drive -i dt (omega N + j a^dag + j* a) is
+    zeta = -i dt, X = j a^dag and diagonal omega N, whose rows then hold their
+    three entries in column order.
     """
     if raising.target is None:
         raise ValueError(_ROTATION_NEEDS)
@@ -481,21 +469,25 @@ def _rotation(zeta, raising):
     if per_row.max(initial=0) > 1 or (rows == cols).any():
         raise ValueError(_ROTATION_NEEDS)
     up = raising.weight[cols] * zeta
+    per_entry = per_row + per_col
+    if diagonal is not None:
+        per_entry += 1
     indptr = np.zeros(d + 1, dtype=cols.dtype)
-    np.cumsum(per_row + per_col, out=indptr[1:])
+    np.cumsum(per_entry, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=cols.dtype)
     data = np.empty(indptr[-1], dtype=complex)
     at_up = indptr[rows]
     at_down = indptr[cols] + per_row[cols]
+    if diagonal is not None:
+        at_diag = indptr[:-1] + per_row
+        indices[at_diag] = np.arange(d)
+        data[at_diag] = zeta * diagonal
+        at_down += 1
     indices[at_up] = cols
     data[at_up] = up
     indices[at_down] = rows
     data[at_down] = -np.conj(up)
     return LinearOperator(raising.basis, sp.csr_array((data, indices, indptr), shape=(d, d)))
-
-
-def identity_op(basis: TruncatedBasis) -> LinearOperator:
-    return LinearOperator(basis, sp.eye_array(len(basis), dtype=complex, format="csr"))
 
 
 def diagonal_op(basis: TruncatedBasis, values) -> LinearOperator:
@@ -518,20 +510,12 @@ def creation_op(basis: TruncatedBasis, mode: int) -> LinearOperator:
 
 
 def annihilation_op(basis: TruncatedBasis, mode: int) -> LinearOperator:
-    """a_mode, built as the exact adjoint of :func:`creation_op`."""
-    return creation_op(basis, mode).adjoint()
+    """a_mode; its entries are bit for bit those of :func:`creation_op`, transposed."""
+    return _monomial(basis, destroy=(_check_mode(basis, mode),))
 
 
 def number_op(basis: TruncatedBasis, mode: int) -> LinearOperator:
     return diagonal_op(basis, basis.occupations[:, _check_mode(basis, mode)])
-
-
-def total_number_op(basis: TruncatedBasis) -> LinearOperator:
-    return diagonal_op(basis, basis.totals)
-
-
-def commutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
-    return a @ b - b @ a
 
 
 def _one_norm(mat):
@@ -647,10 +631,12 @@ def op_exponential(a: LinearOperator, scale: complex = 1.0) -> np.ndarray:
     raise ValueError("op_exponential needs a diagonal, ladder or skew-Hermitian generator")
 
 
-def apply_exponential(a: LinearOperator, psi: StateVector) -> StateVector:
-    """exp(a) |psi> for a strictly triangular (ladder) ``a`` by sparse products; else ValueError."""
+def apply_exponential(a: LinearOperator, psi: StateVector, scale: complex = 1.0) -> StateVector:
+    """exp(scale * a) |psi> for a strictly triangular (ladder) ``a`` by sparse products; else
+    ValueError.  ``scale`` multiplies ``a``'s CSR entries, after a non-finite ``a`` is refused."""
     _check_same_basis(a, psi)
-    return StateVector(psi.basis, _ladder_series(a.matrix, psi.amplitudes))
+    _one_norm(a.matrix)  # refuses a non-finite generator before scaling can turn an inf into NaN
+    return StateVector(psi.basis, _ladder_series(a.matrix * complex(scale), psi.amplitudes))
 
 
 def apply_skew_exponential(a: LinearOperator, psi: StateVector) -> StateVector:

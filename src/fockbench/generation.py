@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,18 +22,16 @@ from .algebra import AlgebraRealization, _hp_weight, su2_bilinear, su2_hp, su11_
 from .fock import (
     Cutoff,
     StateVector,
+    _complex,
     _monomial,
     _real,
     _rotation,
     _whole,
-    annihilation_op,
     apply_exponential,
     apply_skew_exponential,
     basis_state,
-    creation_op,
     enumerate_basis,
     fidelity,
-    number_op,
     op_exponential,
     vacuum_state,
 )
@@ -65,11 +62,11 @@ def exp_form_state(realization: AlgebraRealization, eta_c: complex) -> StateVect
     Requires a reduced (single-mode) su11 or su2 realization.
     """
     up, _, _ = _ladder(realization, reduced=True)
-    z = complex(eta_c)
+    z = _complex("eta_c", eta_c)
     if abs(z) >= 1.0:
         raise ValueError("|eta_c| must be below 1")
     coeff = z if realization.algebra == "su11" else z / math.sqrt(1.0 - abs(z) ** 2)
-    psi = apply_exponential(coeff * realization.op(up), vacuum_state(realization.basis))
+    psi = apply_exponential(realization.op(up), vacuum_state(realization.basis), coeff)
     prefactor = (1.0 - abs(z) ** 2) ** (realization.M / 2.0)
     return StateVector(psi.basis, prefactor * psi.amplitudes)
 
@@ -166,10 +163,12 @@ def disentangled_product(realization: AlgebraRealization, zeta: complex) -> np.n
             exp(ln(1-|tau|^2) K0).
     Returns the three-factor product as a dense d x d array (the identity for
     zeta = 0), for entrywise comparison with the one-shot exponential.  The
-    outer factors are nilpotent ladders, whose series take one pass.
+    outer factors are nilpotent ladders, whose series take one pass.  An su(1,1)
+    zeta with tanh|zeta| rounding to 1 (|zeta| above about 19.06) raises
+    ValueError: its middle factor ln(1 - |tau|^2) diverges.
     """
     plus, minus, diag = _ladder(realization)
-    z = complex(zeta)
+    z = _complex("zeta", zeta)
     if z == 0:
         return np.eye(len(realization.basis), dtype=complex)
     phase = z / abs(z)
@@ -178,6 +177,9 @@ def disentangled_product(realization: AlgebraRealization, zeta: complex) -> np.n
         middle_log = math.log1p(abs(tau) ** 2)
     else:
         tau = phase * math.tanh(abs(z))
+        if not abs(tau) < 1.0:
+            raise ValueError(f"zeta = {z} is too large for the su(1,1) disentangling: "
+                             f"tanh|zeta| rounds to 1, so ln(1 - |tau|^2) diverges")
         middle_log = math.log1p(-abs(tau) ** 2)
     first = op_exponential(realization.op(plus), tau)
     middle = op_exponential(realization.op(diag), middle_log)
@@ -188,10 +190,11 @@ def disentangled_product(realization: AlgebraRealization, zeta: complex) -> np.n
 def disentangling_identity_check(realization: AlgebraRealization, zeta: complex) -> dict:
     """Entrywise residual between exp(zeta K+ - h.c.) and its three-factor product."""
     up, _, _ = _ladder(realization)
-    whole = op_exponential(_rotation(complex(zeta), realization.op(up)))
-    residual = float(abs(whole - disentangled_product(realization, zeta)).max())
+    zeta = _complex("zeta", zeta)
+    product = disentangled_product(realization, zeta)  # refuses a zeta it cannot factor first
+    whole = op_exponential(_rotation(zeta, realization.op(up)))
     return {"algebra": realization.algebra, "M": realization.M,
-            "zeta": complex(zeta), "max_residual": residual}
+            "zeta": zeta, "max_residual": float(abs(whole - product).max())}
 
 
 def path_equivalence(family: str, eta2: float, M, theta: float = 0.0) -> dict:
@@ -408,14 +411,8 @@ class ClassicalCurrent:
     omega: float
 
     def __post_init__(self):
-        segs = []
-        for a, b, c in self.segments:
-            # a complex amplitude is checked as its two parts
-            number = isinstance(c, numbers.Complex) and not isinstance(c, bool)
-            x, y = (c.real, c.imag) if number else (c, 0)
-            segs.append((_real("segments", a), _real("segments", b),
-                         complex(_real("segments", x), _real("segments", y))))
-        segs = tuple(segs)
+        segs = tuple((_real("segments", a), _real("segments", b), _complex("segments", c))
+                     for a, b, c in self.segments)
         if not segs:
             raise ValueError("at least one segment is required")
         if abs(segs[0][0]) > 1e-15:
@@ -464,16 +461,16 @@ def dynamical_coherent(current: ClassicalCurrent, t: float, basis) -> StateVecto
     t = _real("t", t)
     if t < 0 or t > current.t_end + 1e-12:
         raise ValueError("t outside the driven window")
-    a = annihilation_op(basis, 0)
-    ad = creation_op(basis, 0)
-    nop = number_op(basis, 0)
+    energies = current.omega * basis.occupations[:, 0]  # omega N, the diagonal of H
     psi = vacuum_state(basis)
     for (t0, t1, j) in current.segments:
         hi = min(t1, t)
         if hi <= t0:
             break
-        h = current.omega * nop + j * ad + np.conj(j) * a
-        psi = apply_skew_exponential((-1j * (hi - t0)) * h, psi)
+        # -i dt H in one pass, each entry the product (-i dt)(j sqrt(n+1)), its mirror
+        # -conj of that, or (-i dt)(omega n): the bits of building H first, then scaling it
+        drive = _monomial(basis, create=(0,), weight=lambda occ: np.full(len(occ), j))
+        psi = apply_skew_exponential(_rotation(-1j * (hi - t0), drive, energies), psi)
     frame = np.exp(1j * current.omega * basis.totals * t)
     return StateVector(basis, frame * psi.amplitudes)
 

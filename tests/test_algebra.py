@@ -48,7 +48,7 @@ def test_su11_lowest_weight():
     real = su11_hp(basis, 2.5)
     k0 = real.op("K0")
     vac = basis_state(basis, (0,))
-    out = k0 @ vac
+    out = k0.apply(vac)
     assert abs(out.amplitude((0,)) - 1.25) < 1e-14
 
 
@@ -76,7 +76,7 @@ def test_su2_relations():
 def test_su2_hp_ladder_annihilates_top():
     basis = enumerate_basis(1, Cutoff.per_mode(3))
     real = su2_hp(basis, 3)
-    top = real.op("J+") @ basis_state(basis, (3,))
+    top = real.op("J+").apply(basis_state(basis, (3,)))
     assert top.norm() == 0.0
 
 

@@ -9,11 +9,12 @@ and the one non-normal route (exp(tau K+)) never reaches it.
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hs
 
 from fockbench import fock, generation
@@ -24,7 +25,6 @@ from fockbench.fock import (
     StateVector,
     _monomial,
     _one_norm,
-    annihilation_op,
     apply_skew_exponential,
     creation_op,
     enumerate_basis,
@@ -48,10 +48,25 @@ def _transfer(basis, j):
 
 
 def _drive(basis, omega, j, dt):
-    """-i dt (omega N + j a^dag + j* a), built as dynamical_coherent builds it."""
-    h = omega * number_op(basis, 0) + j * creation_op(basis, 0) + np.conj(j) * annihilation_op(
-        basis, 0)
-    return (-1j * dt) * h
+    """-i dt (omega N + j a^dag + j* a), the generator dynamical_coherent builds for one step."""
+    generators = []
+
+    def record(gen, psi):
+        generators.append(gen)
+        return psi
+
+    current = generation.ClassicalCurrent(((0.0, dt, j),), omega)
+    with mock.patch.object(generation, "apply_skew_exponential", record):
+        generation.dynamical_coherent(current, dt, basis)
+    (gen,) = generators
+    return gen
+
+
+def _dense_drive(basis, omega, j, dt):
+    """-i dt (omega N + j a^dag + j* a) by dense arithmetic: H first, then its scaling."""
+    up = creation_op(basis, 0).matrix.toarray()
+    n = np.diag(basis.occupations[:, 0].astype(float))
+    return (-1j * dt) * (omega * n + j * up + np.conj(j) * up.conj().T)
 
 
 def _random_state(basis, seed):
@@ -91,9 +106,27 @@ def test_chebyshev_matches_expm_on_current_drives(levels, omega, j, dt, seed):
     _assert_matches_expm(_drive(basis, omega, j, dt), _random_state(basis, seed))
 
 
+_maybe_zero = hs.floats(0.0, 2.0) | hs.just(0.0)
+
+
+@given(levels=hs.integers(1, 30), omega=hs.floats(-3.0, 3.0) | hs.just(0.0),
+       j=hs.builds(cmath.rect, _maybe_zero, hs.floats(-math.pi, math.pi)),
+       dt=hs.floats(1e-3, 2.0))
+@example(levels=12, omega=0.0, j=0.9 + 0.4j, dt=0.7)
+@example(levels=12, omega=1.3, j=0j, dt=0.7)
+@example(levels=12, omega=0.0, j=0j, dt=0.7)
+def test_one_pass_drive_equals_dense_arithmetic(levels, omega, j, dt):
+    # each entry is one product, (-i dt)(j sqrt(n+1)), its mirror or (-i dt)(omega n),
+    # rounded as building H and then scaling it rounds them; (-i dt j) sqrt(n+1) is not
+    basis = enumerate_basis(1, Cutoff.per_mode(levels))
+    assert np.array_equal(_drive(basis, omega, j, dt).matrix.toarray(),
+                          _dense_drive(basis, omega, j, dt))
+
+
 def _arithmetic_rotation(zeta, ladder):
-    """zeta X - zeta* X^dag by operator arithmetic, the reference for fock._rotation."""
-    return zeta * ladder - np.conj(zeta) * ladder.adjoint()
+    """zeta X - zeta* X^dag by dense arithmetic, the reference for fock._rotation."""
+    dense = ladder.matrix.toarray()
+    return LinearOperator(ladder.basis, zeta * dense - np.conj(zeta) * dense.conj().T)
 
 
 def _column_sum_norm(mat):
@@ -144,7 +177,8 @@ def test_rotation_refuses_all_but_one_entry_per_row_and_column_off_the_diagonal(
 
 
 def _skew_hermitian_exactly(gen):
-    return (gen.matrix + gen.adjoint().matrix).count_nonzero() == 0
+    dense = gen.matrix.toarray()
+    return np.array_equal(dense, -dense.conj().T)
 
 
 def test_exp_form_route_never_reaches_chebyshev(monkeypatch):

@@ -163,6 +163,22 @@ def test_disentangling_identity_higher_blocks():
         assert rep["max_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("zeta", [19.5, -19.5j, 1e300], ids=["19.5", "-19.5j", "1e300"])
+def test_su11_disentangling_refuses_a_zeta_whose_tanh_rounds_to_one(zeta):
+    # tanh|zeta| rounds to 1 above |zeta| = 19.0615: ln(1 - |tau|^2) was a math domain error
+    real = su11_hp(enumerate_basis(1, Cutoff.per_mode(6)), 2.0)
+    message = rf"zeta = {re.escape(repr(complex(zeta)))} is too large .*tanh\|zeta\| rounds to 1"
+    for check in (disentangled_product, disentangling_identity_check):
+        with pytest.raises(ValueError, match=message):
+            check(real, zeta)
+
+
+def test_su11_disentangling_runs_just_below_the_rounding_edge():
+    real = su11_hp(enumerate_basis(1, Cutoff.per_mode(6)), 2.0)
+    assert math.tanh(19.06) < 1.0
+    assert math.isfinite(disentangling_identity_check(real, 19.06)["max_residual"])
+
+
 def test_disentangling_identity_noncompact():
     # hyperbolic version; truncation noise confined to the boundary rows
     basis = enumerate_basis(1, Cutoff.per_mode(40))

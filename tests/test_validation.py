@@ -1,7 +1,7 @@
 """Input checking: every number argument is checked once, by the type that owns it.
 
-``fock._whole`` checks integer fields and ``fock._real`` finite real ones; each
-refusal is a ValueError whose message names the field and repeats the value.
+``fock._whole`` checks integer fields, ``fock._real`` finite real ones and
+``fock._complex`` complex ones, each part as a finite real; each refusal is a ValueError whose message names the field and repeats the value.
 """
 
 import ast
@@ -96,6 +96,35 @@ def test_non_number_is_refused_by_name_before_use(call, message):
         call()
 
 
+# a complex argument was coerced with complex(): "0.5" built a unit-norm state, True ran
+# at zeta = 1, and an infinite zeta reached the rotation's multiply; each part is now
+# checked as a finite real
+
+def _su11():
+    return su11_hp(enumerate_basis(1, Cutoff.per_mode(6)), 2.0)
+
+
+COMPLEX_ARGUMENTS = {
+    "exp_form_state": ("eta_c", lambda x: gen.exp_form_state(_su11(), x)),
+    "disentangled_product": ("zeta", lambda x: gen.disentangled_product(_su11(), x)),
+    "disentangling_identity_check": ("zeta",
+                                     lambda x: gen.disentangling_identity_check(_su11(), x)),
+    "ClassicalCurrent": ("segments", lambda x: gen.ClassicalCurrent(((0, 1, x),), 1)),
+}
+
+
+@pytest.mark.parametrize("bad, shown", [
+    (True, True), ("0.5", "0.5"), (math.nan, math.nan), (math.inf, math.inf),
+    (-math.inf, -math.inf), (complex(0.3, math.nan), math.nan),
+    (complex(-math.inf, 0.2), -math.inf), (complex(0.1, math.inf), math.inf),
+], ids=["bool", "str", "nan", "inf", "-inf", "nan-imag", "-inf-real", "inf-imag"])
+@pytest.mark.parametrize("entry", list(COMPLEX_ARGUMENTS))
+def test_complex_argument_is_refused_by_name(entry, bad, shown):
+    name, call = COMPLEX_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a finite number, got {shown!r}')}$"):
+        call(bad)
+
+
 # a fractional binomial M used to be truncated, giving the numbers of another law
 
 def test_poisson_limit_distance_refuses_fractional_binomial_order():
@@ -126,6 +155,6 @@ def test_only_fock_defines_a_number_validator():
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name in ("_whole", "_real", "_check_finite")):
+                    and node.name in ("_whole", "_real", "_complex", "_check_finite")):
                 owners.setdefault(node.name, []).append(path.stem)
-    assert owners == {"_whole": ["fock"], "_real": ["fock"]}
+    assert owners == {"_whole": ["fock"], "_real": ["fock"], "_complex": ["fock"]}
