@@ -106,11 +106,8 @@ def test_chebyshev_matches_expm_on_current_drives(levels, omega, j, dt, seed):
     _assert_matches_expm(_drive(basis, omega, j, dt), _random_state(basis, seed))
 
 
-_maybe_zero = hs.floats(0.0, 2.0) | hs.just(0.0)
-
-
 @given(levels=hs.integers(1, 30), omega=hs.floats(-3.0, 3.0) | hs.just(0.0),
-       j=hs.builds(cmath.rect, _maybe_zero, hs.floats(-math.pi, math.pi)),
+       j=hs.builds(cmath.rect, hs.floats(0.0, 2.0) | hs.just(0.0), hs.floats(-math.pi, math.pi)),
        dt=hs.floats(1e-3, 2.0))
 @example(levels=12, omega=0.0, j=0.9 + 0.4j, dt=0.7)
 @example(levels=12, omega=1.3, j=0j, dt=0.7)
