@@ -7,8 +7,10 @@ Subcommands
     simulate   waiting-time Monte Carlo versus the exact pmf, CSV output
 
 Artifacts are rendered from the basis arrays (occupations, amplitudes,
-probabilities) in one pass, one ``%``-format call per file;
-``fock.state_to_json_dict`` is the library's dict form of the same state file.
+probabilities) one ``%``-format call per chunk of ``_CHUNK_ROWS`` rows, and each
+chunk is written as it is made, into ``{out}.partial``, which is renamed onto the
+artifact once complete.  The state file is never built as a dict;
+``fock.state_to_json_dict`` gives the same document as one, for library callers.
 
 Exit codes: 0 success, 2 usage or parameter error, 3 verification failure,
 1 internal error.  The environment variable FOCKBENCH_THREADS caps the
@@ -21,8 +23,10 @@ records that ``checks.SUITES`` builds; the suites themselves live there.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -48,6 +52,7 @@ _FAMILY_ALIASES = {
 }
 
 VERIFY_SUITES = ("algebra", "disentangle", "measure", "limits", "identity", "dynamical")
+_CHUNK_ROWS = 4096  # rows per % call: an artifact is held a chunk at a time, never whole
 
 
 def _configure_threads():
@@ -63,22 +68,31 @@ def _configure_threads():
 
 
 def _render_rows(row, sep, *columns):
-    """``row`` filled from each row of the (n,) or (n, k) ``columns``, in one % call.
+    """``row`` filled from each row of the (n,) or (n, k) ``columns``, ``sep`` between rows.
 
-    Values go in as Python ints and floats, so ``%r`` writes a float as ``json`` does.
+    Yields one piece per ``_CHUNK_ROWS`` rows, each from one % call; joined, the pieces
+    are the text of one call over every row.  Values go in as Python ints and floats,
+    so ``%r`` writes a float as ``json`` does.
     """
     import numpy as np
 
-    n = len(columns[0])
-    table = np.hstack([c.reshape(n, -1).astype(object) for c in columns])
-    return sep.join([row] * n) % tuple(table.ravel())
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunk = [c[start:start + _CHUNK_ROWS] for c in columns]
+        n = len(chunk[0])
+        table = np.hstack([c.reshape(n, -1).astype(object) for c in chunk])
+        yield (sep if start else "") + sep.join([row] * n) % tuple(table.ravel())
 
 
 def _json_with_entries(head, rows):
-    """``json.dump(head, indent=2)`` + newline, ``rows`` replacing its ``"entries": null``."""
-    entries = "[" + rows + "\n  ]" if rows else "[]"
-    return json.dumps(head, indent=2).replace('\n  "entries": null',
-                                              '\n  "entries": ' + entries, 1) + "\n"
+    """``json.dump(head, indent=2)`` + newline in pieces, the ``rows`` pieces replacing
+    its ``"entries": null``."""
+    before, after = json.dumps(head, indent=2).split('"entries": null', 1)
+    yield before + '"entries": ['
+    close = "]"
+    for piece in rows:
+        yield piece
+        close = "\n  ]"
+    yield close + after + "\n"
 
 
 def _parse_float_list(key, value):
@@ -167,14 +181,25 @@ def _merged(args, config, key, default=None):
     return default
 
 
-def _emit(out, text):
-    """Write ``text`` to the file ``out`` and say so, or to stdout when ``out`` is empty."""
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(text)
+def _emit(out, pieces):
+    """Write the text ``pieces`` to the file ``out`` and say so, or to stdout if ``out`` is empty.
+
+    The file is written as ``{out}.partial`` and renamed onto ``out`` once complete, so a
+    failure leaves no file and an existing ``out`` keeps its bytes.
+    """
+    if not out:
+        sys.stdout.writelines(pieces)
+        return
+    partial = f"{out}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            handle.writelines(pieces)
+        os.replace(partial, out)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+    print(f"wrote {out}")
 
 
 # --- state -----------------------------------------------------------------
@@ -252,7 +277,7 @@ def _cmd_state(args) -> int:
             "cutoff": basis.cutoff.to_json_dict(), "entries": None, "family": family,
             "parameters": dataclasses.asdict(params), "phases": list(spec.phases),
             "norm_deficit": deficit}
-    # each artifact is rendered before its file is opened, so a failure leaves no file
+    # each artifact is renamed into place from its partial file, so a failure leaves no file
     _emit(f"{base}_state.json", _json_with_entries(head, _render_rows(
         entry + '"re": %r,\n      "im": %r\n    }', ",",
         basis.occupations[kept], amps.real[kept], amps.imag[kept])))
@@ -261,12 +286,12 @@ def _cmd_state(args) -> int:
     if pmf_format == "csv":
         header = ",".join([f"n{j}" for j in range(basis.modes)] + ["p"])
         row = ",".join(["%d"] * basis.modes + ["%.17g\n"])
-        text = header + "\n" + _render_rows(row, "", basis.occupations, probs)
+        pieces = itertools.chain([header + "\n"], _render_rows(row, "", basis.occupations, probs))
     else:
-        text = _json_with_entries({"schema": "fockbench.pmf/1", "entries": None},
-                                  _render_rows(entry + '"p": %r\n    }', ",",
-                                               basis.occupations, probs))
-    _emit(f"{base}_pmf.{pmf_format}", text)
+        pieces = _json_with_entries({"schema": "fockbench.pmf/1", "entries": None},
+                                    _render_rows(entry + '"p": %r\n    }', ",",
+                                                 basis.occupations, probs))
+    _emit(f"{base}_pmf.{pmf_format}", pieces)
     print(f"norm deficit: {deficit:.17g}")
     return 0
 
@@ -286,7 +311,7 @@ def _cmd_verify(args) -> int:
     records = checks.SUITES[suite](**overrides)
     passed = all(record["passed"] for record in records)
     report = {"schema": "fockbench.verify/1", "suite": suite, "passed": passed, "checks": records}
-    _emit(_merged(args, config, "out"), json.dumps(report, indent=2) + "\n")
+    _emit(_merged(args, config, "out"), [json.dumps(report, indent=2) + "\n"])
     return 0 if passed else 3
 
 
@@ -308,9 +333,9 @@ def _cmd_simulate(args) -> int:
     if seed is None:
         raise ValueError("--seed is required (sampling must be reproducible)")
     result = dist.waiting_time_simulate(dist.NegBinomialParams(eta2, m_value), trials, seed)
-    text = "n,p,p_hat,stderr\n" + _render_rows("%d,%.17g,%.17g,%.17g\n", "", result.n,
-                                                 result.p, result.p_hat, result.stderr)
-    _emit(_merged(args, config, "out"), text)
+    rows = _render_rows("%d,%.17g,%.17g,%.17g\n", "", result.n, result.p, result.p_hat,
+                        result.stderr)
+    _emit(_merged(args, config, "out"), itertools.chain(["n,p,p_hat,stderr\n"], rows))
     return 0
 
 

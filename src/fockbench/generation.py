@@ -30,6 +30,7 @@ from .fock import (
     apply_exponential,
     apply_skew_exponential,
     basis_state,
+    creation_op,
     enumerate_basis,
     fidelity,
     op_exponential,
@@ -80,6 +81,7 @@ def operator_identity_check(M: float, n_max: int, variant: str = "su11") -> list
     """
     if variant not in ("su11", "su2"):
         raise ValueError("variant must be 'su11' or 'su2'")
+    n_max = _whole("n_max", n_max, 1)
     if variant == "su2":
         M = _whole("M", M, 1)
         basis = enumerate_basis(1, Cutoff.per_mode(M))
@@ -89,18 +91,28 @@ def operator_identity_check(M: float, n_max: int, variant: str = "su11") -> list
         basis = enumerate_basis(1, Cutoff.per_mode(n_max))
         ladder = su11_hp(basis, M).op("K+")
         g = lambda k: math.sqrt(M + k)
+    # bare (b^dag)^n |0> has amplitude sqrt(n!) on level n, so both sides carry
+    # g(0)...g(n-1) sqrt(n!) there; an n_max that takes it (or n!, where g(0)...g(n-1)
+    # is not 0) past double range is refused before any ladder is applied
+    targets, scalar = [], 1.0
+    for n in range(1, n_max + 1):
+        scalar *= g(n - 1)
+        try:
+            target = scalar * math.sqrt(math.factorial(n)) if scalar else 0.0
+        except OverflowError:  # n! as a float
+            target = math.inf
+        if not math.isfinite(target):
+            raise ValueError(f"n_max must be at most {n - 1} for the {variant} identity at "
+                             f"M = {M}: level {n} leaves double range, got {n_max}")
+        targets.append(target)
     reports = []
     lhs = vacuum_state(basis)
     levels = basis.rank(np.arange(1, n_max + 1)[:, None])
     for n in range(1, n_max + 1):
         lhs = ladder.apply(lhs)
-        scalar = 1.0
-        for k in range(n):
-            scalar *= g(k)
         rhs = np.zeros(len(basis), dtype=complex)
-        if scalar != 0.0:
-            # bare (b^dag)^n |0> has amplitude sqrt(n!) on level n
-            rhs[levels[n - 1]] = scalar * math.sqrt(math.factorial(n))
+        if targets[n - 1] != 0.0:
+            rhs[levels[n - 1]] = targets[n - 1]
         reports.append({"n": n, "residual": float(np.abs(lhs.amplitudes - rhs).max())})
     return reports
 
@@ -455,6 +467,8 @@ def dynamical_coherent(current: ClassicalCurrent, t: float, basis) -> StateVecto
     constant on each segment, then rotates by e^{i omega N t} into the frame
     carrying the closed-form amplitude of :func:`coherent_amplitude`.  The
     remaining time-dependent global phase is irrelevant to fidelity checks.
+    The evolution is unitary on any basis, so, as in :func:`displacement_state`, more
+    than ``LEAK_TOL`` of squared norm on the top level after a segment raises.
     """
     if basis.modes != 1:
         raise ValueError("dynamical_coherent needs a 1-mode basis")
@@ -462,6 +476,7 @@ def dynamical_coherent(current: ClassicalCurrent, t: float, basis) -> StateVecto
     if t < 0 or t > current.t_end + 1e-12:
         raise ValueError("t outside the driven window")
     energies = current.omega * basis.occupations[:, 0]  # omega N, the diagonal of H
+    boundary = creation_op(basis, 0).lossy
     psi = vacuum_state(basis)
     for (t0, t1, j) in current.segments:
         hi = min(t1, t)
@@ -471,6 +486,10 @@ def dynamical_coherent(current: ClassicalCurrent, t: float, basis) -> StateVecto
         # -conj of that, or (-i dt)(omega n): the bits of building H first, then scaling it
         drive = _monomial(basis, create=(0,), weight=lambda occ: np.full(len(occ), j))
         psi = apply_skew_exponential(_rotation(-1j * (hi - t0), drive, energies), psi)
+        pressed = float(np.sum(np.abs(psi.amplitudes[boundary]) ** 2))
+        if pressed > LEAK_TOL:
+            raise ValueError(f"the drive pressed {pressed:.3e} of squared norm against the "
+                             f"cutoff; enlarge the basis")
     frame = np.exp(1j * current.omega * basis.totals * t)
     return StateVector(basis, frame * psi.amplitudes)
 

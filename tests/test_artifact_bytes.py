@@ -4,7 +4,8 @@ The references below are the writers `fockbench state` and `fockbench
 simulate` used before artifacts were rendered from arrays: `json.dump` of
 `state_to_json_dict(psi)` plus the extra keys, a per-row CSV loop, a list of
 pmf entry dicts, and a per-bin simulate loop.  Every artifact must match them
-byte for byte.
+byte for byte, at the CLI's chunk size and at chunks of 1 and 3 rows, so every
+row boundary and a short last chunk fall between two % calls.
 """
 
 import dataclasses
@@ -122,9 +123,15 @@ def _run(argv, capsys):
     assert code == 0, captured.err
 
 
+@pytest.fixture(params=[None, 1, 3], ids=["chunk-default", "chunk-1", "chunk-3"])
+def chunk_rows(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", request.param)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_state_artifacts_match_per_entry_writers(tmp_path, capsys, name, fmt):
+def test_state_artifacts_match_per_entry_writers(tmp_path, capsys, chunk_rows, name, fmt):
     argv, family, params, phases, _, _, marker = CASES[name]
     _run(["state", *argv, "--pmf-format", fmt, "--out", str(tmp_path / "a")], capsys)
 
@@ -146,7 +153,13 @@ def test_grid_covers_the_edge_cases():
         assert np.any((probs > 0.0) & (probs < np.finfo(float).tiny)), name
 
 
-def test_simulate_csv_matches_per_row_writer(tmp_path, capsys):
+def test_default_chunks_split_the_largest_case():
+    """At the default chunk size one case still spans two chunks, the last one short."""
+    d = len(_case_state("nms-r2-underflow").basis)
+    assert cli._CHUNK_ROWS < d < 2 * cli._CHUNK_ROWS
+
+
+def test_simulate_csv_matches_per_row_writer(tmp_path, capsys, chunk_rows):
     out = tmp_path / "sim.csv"
     _run(["simulate", "--eta2", "0.35", "--M", "3", "--trials", "20000", "--seed", "5",
           "--out", str(out)], capsys)

@@ -490,3 +490,73 @@ def test_back_to_back_calls_carry_no_flags(capsys, tmp_path):
     wider = automatic["value"] + 5
     assert cutoff("--cutoff", str(wider)) == {"kind": "per_mode", "value": wider}
     assert cutoff() == automatic
+
+
+# --- artifact writes ---------------------------------------------------------
+
+
+def _failing_pieces():
+    yield "first piece\n"
+    raise RuntimeError("writer failed")
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    from fockbench import cli
+
+    out = tmp_path / "a.csv"
+    with pytest.raises(RuntimeError, match="writer failed"):
+        cli._emit(str(out), _failing_pieces())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_the_existing_file(tmp_path):
+    from fockbench import cli
+
+    out = tmp_path / "a.csv"
+    out.write_bytes(b"old bytes\n")
+    with pytest.raises(RuntimeError, match="writer failed"):
+        cli._emit(str(out), _failing_pieces())
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_bytes() == b"old bytes\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--family", "nbs", "--eta2", "0.5", "--M", "1"],
+    ["simulate", "--eta2", "0.3", "--M", "2", "--trials", "100", "--seed", "1"],
+    ["verify", "identity"],
+], ids=["state", "simulate", "verify"])
+def test_out_in_a_missing_directory_exits_two(tmp_path, capsys, argv):
+    from fockbench import cli
+
+    missing = tmp_path / "missing"
+    assert cli.main([*argv, "--out", str(missing / "a")]) == 2
+    assert str(missing / "a") in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_state_writes_within_the_memory_of_its_state(tmp_path, capsys, fmt):
+    # both artifacts were built as whole strings before their write: at d = 39 711 the
+    # call's traced peak exceeded the state's own by 17 MB; written a chunk at a time,
+    # they add less than 1 MB to it
+    import math
+    import tracemalloc
+
+    from fockbench import cli
+    from fockbench import distributions as dist
+    from fockbench import states as st
+
+    spec = st.StateSpec("multinomial",
+                        dist.MultinomialParams(tuple(math.sqrt(e) for e in (0.3, 0.2, 0.1)), 60))
+    argv = ["state", "--family", "ms", "--eta2", "0.3,0.2,0.1", "--M", "60",
+            "--pmf-format", fmt, "--out", str(tmp_path / "ms")]
+    results, peaks = [], []
+    for call in (lambda: len(st.build_state(spec).basis), lambda: cli.main(argv)):
+        tracemalloc.start()
+        try:
+            results.append(call())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert results == [39711, 0], capsys.readouterr().err
+    assert peaks[1] - peaks[0] < 1e6, peaks

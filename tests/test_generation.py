@@ -460,6 +460,17 @@ def test_dynamical_time_window_enforced():
         dynamical_coherent(cur, 1.5, basis)
 
 
+def test_drive_past_the_basis_is_refused():
+    # |alpha|^2 = 9 on 11 levels: the unitary evolution kept norm 1 and returned a state
+    # with 0.39 of its mass on the top level
+    cur = ClassicalCurrent(segments=((0.0, 1.0, 3.0),), omega=0.0)
+    with pytest.raises(ValueError, match=r"^the drive pressed 3\.901e-01 of squared norm"):
+        dynamical_coherent(cur, 1.0, enumerate_basis(1, Cutoff.per_mode(10)))
+    # the same drive on a basis wide enough for it is accepted
+    psi = dynamical_coherent(cur, 1.0, enumerate_basis(1, Cutoff.per_mode(40)))
+    assert abs(psi.norm2() - 1.0) < 1e-12
+
+
 # --- contraction --------------------------------------------------------------
 
 def test_contraction_improves_with_order():

@@ -54,10 +54,18 @@ _WHOLE_M = "M must be an integer in [1, 9007199254740992], got {!r}"
      "alpha must be a finite number, got nan"),
     (lambda: st.StateSpec("coherent", dist.PoissonParams(1.0), (math.nan,)),
      "phases must be a finite number, got nan"),
+    # n_max reached range() unchecked on the su2 path, or was named as a cutoff
+    (lambda: gen.operator_identity_check(3, 2.5, "su2"),
+     "n_max must be an integer in [1, inf], got 2.5"),
+    (lambda: gen.operator_identity_check(3, True, "su2"),
+     "n_max must be an integer in [1, inf], got True"),
+    (lambda: gen.operator_identity_check(3.0, 2.5, "su11"),
+     "n_max must be an integer in [1, inf], got 2.5"),
 ], ids=["binomial-M-bool", "neg-binomial-M-bool", "poisson-alpha2-bool", "multinomial-eta-bool",
         "binomial-M-huge", "neg-binomial-M-huge", "trials-bool", "trials-fraction",
         "seed-fraction", "tail-tol-str", "quantum-gf-nan", "neg-binomial-gf-nan",
-        "displacement-theta-nan", "slice-to-shell-nan", "multiple-poisson-nan", "phases-nan"])
+        "displacement-theta-nan", "slice-to-shell-nan", "multiple-poisson-nan", "phases-nan",
+        "identity-n-max-fraction", "identity-n-max-bool", "identity-su11-n-max-fraction"])
 def test_bad_number_is_refused_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -158,3 +166,24 @@ def test_only_fock_defines_a_number_validator():
                     and node.name in ("_whole", "_real", "_complex", "_check_finite")):
                 owners.setdefault(node.name, []).append(path.stem)
     assert owners == {"_whole": ["fock"], "_real": ["fock"], "_complex": ["fock"]}
+
+
+# an n_max past double range: at 170 both sides of the su11 identity (M = 2.5) overflowed
+# and inf - inf gave a NaN residual with a RuntimeWarning (su2 at M = 200 too), and at 171
+# math.factorial(171) raised OverflowError on its conversion to float
+
+@pytest.mark.parametrize("variant, M, n_max, limit", [
+    ("su11", 2.5, 170, 169), ("su11", 2.5, 171, 169), ("su2", 200, 170, 161),
+    ("su2", 171, 171, 170),
+])
+def test_operator_identity_refuses_n_max_past_double_range(variant, M, n_max, limit):
+    message = (f"n_max must be at most {limit} for the {variant} identity at M = {M}: "
+               f"level {limit + 1} leaves double range, got {n_max}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gen.operator_identity_check(M, n_max, variant)
+
+
+def test_operator_identity_keeps_n_max_at_its_limit_and_past_a_compact_top():
+    assert len(gen.operator_identity_check(2.5, 169, "su11")) == 169
+    # su2 at M = 3 is 0 beyond level 3, so levels past 170 never reach n!
+    assert max(rep["residual"] for rep in gen.operator_identity_check(3, 171, "su2")) < 1e-15
