@@ -5,20 +5,24 @@ Bases are finite slices of the occupation-number lattice, held as one
 occupation ascending, then lexicographic within each total).  A vectorised
 rank, built from per-basis tables of bounded-composition counts, maps any
 occupation rows back to their indices, one table lookup per mode column.
-States are dense complex vectors over such a basis.  Operators carry no
-arithmetic: a generator that sends each state to at most one state (a raising
-or lowering ladder monomial, computed on the whole occupation array at once,
-or a diagonal) is held as its column map until a product or an exponential
-needs its CSR matrix.  The map is the generator's whole record: per state its
-image (``target``, -1 for none), its ``weight`` and whether truncation dropped
-it (``lossy``).  A rotation generator zeta X - zeta* X^dag, with an optional
-diagonal (the drive -i dt H), is one CSR matrix built in one pass from its
-ladder's map.  Ladder operators silently drop any transition leaving the basis, so
-truncation error shows up only as missing tail mass (and in ``lossy``), never
-as an exception.  An exponential is a Chebyshev expansion for a
-skew-Hermitian generator (a rotation or -i dt H), the finite Taylor
-polynomial of a nilpotent ladder, or entrywise for a diagonal (small dense
-ones only).
+States are dense complex vectors over such a basis.  An operator is its
+column map and carries no arithmetic: per state its image (``target``, -1 for
+none), its ``weight`` and whether truncation dropped it (``lossy``).  Ladder
+monomials are computed on the whole occupation array at once and silently
+drop any transition leaving the basis, so truncation error shows up only as
+missing tail mass (and in ``lossy``), never as an exception.
+
+Exponentials form a 2 x 2 grid, picked by the caller, never by testing a generator:
+
+                          on a state                whole, dense (small bases)
+    ladder or diagonal    apply_exponential         op_exponential
+    rotation of a ladder  apply_skew_exponential    op_skew_exponential
+
+A ladder (the only generator taken on a state by the first row) is nilpotent, so
+its exponential is a finite Taylor polynomial; a diagonal's is entrywise.  The
+rotation zeta X - zeta* X^dag of a ladder X is built inside the second row's
+functions, so their Chebyshev expansion only receives the skew-Hermitian
+generator it is exact for.
 """
 
 from __future__ import annotations
@@ -31,6 +35,11 @@ import numpy as np
 import scipy.sparse as sp
 
 MAX_BASIS_STATES = 2_000_000
+# entry-products a Chebyshev expansion may take, terms x (stored entries x block columns +
+# CHEBYSHEV_TERM_COST): about 10 s on one core, which does ~1.8e8 entry-products/s at d = 2e4
+# and spends ~8.6 us (1500 of them) on each term's dispatch and loop however small d is
+MAX_CHEBYSHEV_WORK = 2 * 10 ** 9
+CHEBYSHEV_TERM_COST = 1500
 
 
 def _whole(name, value, low, high=math.inf):
@@ -246,22 +255,22 @@ class TruncatedBasis:
         return _row_totals(self.occupations)
 
 
-def enumerate_basis(modes: int, cutoff: Cutoff, max_states: int = MAX_BASIS_STATES) -> TruncatedBasis:
+def enumerate_basis(modes: int, cutoff: Cutoff) -> TruncatedBasis:
     """Enumerate the truncated basis in graded lexicographic order.
 
     The rows are written level by level: each prefix (n_0 .. n_{j-1}) with
     occupation ``rem`` still to place spawns one child per admissible n_j, in
     ascending order, so the leaves come out sorted.  Raises ValueError when
-    the cutoff yields an empty basis or more than ``max_states`` states,
+    the cutoff yields an empty basis or more than ``MAX_BASIS_STATES`` states,
     before anything is allocated.
     """
     modes = _whole("modes", modes, 1)
     count = cutoff.size(modes)
     if count == 0:
         raise ValueError("cutoff yields an empty basis")
-    if count > max_states:
+    if count > MAX_BASIS_STATES:
         raise ValueError(
-            f"cutoff yields {count} basis states, above the cap of {max_states}"
+            f"cutoff yields {count} basis states, above the cap of {MAX_BASIS_STATES}"
         )
     bound = cutoff.value
     if cutoff.kind == "shell":
@@ -338,30 +347,15 @@ def vacuum_state(basis: TruncatedBasis) -> StateVector:
 
 
 class LinearOperator:
-    """Operator over a truncated basis, held as a complex CSR matrix.
+    """The operator sending state s to ``target[s]`` (-1: nowhere) with ``weight[s]``.
 
-    Dense input is converted.  A generator is held instead as its column map
-    (:meth:`from_map`), and its ``matrix`` is built on first use and cached.
-    An operator only acts (:meth:`apply`); it has no sum, product or adjoint.
+    ``lossy[s]`` marks a state whose exact image left the basis, the one fact
+    the matrix cannot hold.  All three are copied into read-only arrays, as the
+    cached ``matrix``'s are, so they cannot drift apart.  An operator only acts
+    (:meth:`apply`); it has no sum, product or adjoint.
     """
 
-    target = weight = lossy = None  # the column map of an operator built from one
-
-    def __init__(self, basis: TruncatedBasis, matrix):
-        if not (isinstance(matrix, sp.csr_array) and matrix.dtype == complex):
-            matrix = sp.csr_array(matrix, dtype=complex)
-        if matrix.shape != (len(basis),) * 2:
-            raise ValueError(f"matrix has shape {matrix.shape}, expected {(len(basis),) * 2}")
-        self.basis, self._matrix = basis, matrix
-
-    @classmethod
-    def from_map(cls, basis: TruncatedBasis, target, weight, lossy) -> "LinearOperator":
-        """The operator sending state s to ``target[s]`` (-1: nowhere) with ``weight[s]``.
-
-        ``lossy[s]`` marks a state whose exact image left the basis, the one fact the
-        matrix cannot hold.  All three are copied into read-only arrays, as the cached
-        matrix's are, so they cannot drift apart.
-        """
+    def __init__(self, basis: TruncatedBasis, target, weight, lossy):
         d = len(basis)
         target, weight = np.array(target, dtype=np.int64), np.array(weight, dtype=complex)
         lossy = np.array(lossy, dtype=bool)
@@ -370,9 +364,8 @@ class LinearOperator:
         if ((target < -1) | (target >= d)).any():
             raise ValueError(f"a column map's targets must lie in [-1, {d})")
         target.flags.writeable = weight.flags.writeable = lossy.flags.writeable = False
-        op = cls.__new__(cls)
-        op.basis, op.target, op.weight, op.lossy, op._matrix = basis, target, weight, lossy, None
-        return op
+        self.basis, self.target, self.weight, self.lossy = basis, target, weight, lossy
+        self._matrix = None
 
     @property
     def matrix(self) -> sp.csr_array:
@@ -439,35 +432,37 @@ def _monomial(basis, create=(), destroy=(), weight=None):
     weight = np.zeros(d, dtype=complex)
     weight[source] = amp
     weight[lossy] = 0.0  # an image outside the basis is none
-    return LinearOperator.from_map(basis, target, weight, lossy)
-
-
-_ROTATION_NEEDS = ("a rotation needs a ladder with at most one entry per row and per column, "
-                   "none on the diagonal")
+    return LinearOperator(basis, target, weight, lossy)
 
 
 def _rotation(zeta, raising, diagonal=None):
     """zeta X - zeta* X^dag: the rotation (or displacement) generator of the ladder X.
 
-    Built in one pass from X's column map.  X must send no two states to one
-    state and none to itself, as every raising or transfer monomial does (any
-    other X, or one held only as a matrix, raises ValueError).  So row i of the
-    generator holds X's entry of row i, then the X^dag entry that X's entry in
-    column i mirrors, written -conj(zeta w), which equals -(zeta* w*) exactly.
-    A ``diagonal`` (one value per state) adds zeta diag(diagonal), an entry on
-    every row between those two: the drive -i dt (omega N + j a^dag + j* a) is
-    zeta = -i dt, X = j a^dag and diagonal omega N, whose rows then hold their
-    three entries in column order.
+    Returns the CSR matrix, built in one pass from X's column map.  X must send
+    no two states to one state and none to itself, as every raising or transfer
+    monomial does (any other X raises ValueError).  So row i of the generator
+    holds X's entry of row i, then the X^dag entry that X's entry in column i
+    mirrors, written -conj(zeta w), which equals -(zeta* w*) exactly.  A
+    ``diagonal`` (one finite real value per state, with an imaginary zeta; else
+    ValueError) adds zeta diag(diagonal), an entry on every row between those
+    two: the drive -i dt (omega N + j a^dag + j* a) is zeta = -i dt, X = j a^dag
+    and diagonal omega N, whose rows then hold their three entries in column
+    order.  So the generator is skew-Hermitian exactly, whatever the arguments.
     """
-    if raising.target is None:
-        raise ValueError(_ROTATION_NEEDS)
+    zeta = _complex("zeta", zeta)
+    if not np.isfinite(raising.weight).all():
+        raise ValueError("generator norm is not finite")
+    if diagonal is not None and not (
+            zeta.real == 0 and np.isrealobj(diagonal) and np.isfinite(diagonal).all()):
+        raise ValueError("a rotation's diagonal needs finite real values and an imaginary zeta")
     d = len(raising.target)
     per_col = raising.target >= 0  # a map holds at most one entry per column
     cols = np.flatnonzero(per_col)  # the column of each entry
     rows = raising.target[cols]
     per_row = np.bincount(rows, minlength=d)
     if per_row.max(initial=0) > 1 or (rows == cols).any():
-        raise ValueError(_ROTATION_NEEDS)
+        raise ValueError("a rotation needs a ladder with at most one entry per row and per "
+                         "column, none on the diagonal")
     up = raising.weight[cols] * zeta
     per_entry = per_row + per_col
     if diagonal is not None:
@@ -487,7 +482,7 @@ def _rotation(zeta, raising, diagonal=None):
     data[at_up] = up
     indices[at_down] = rows
     data[at_down] = -np.conj(up)
-    return LinearOperator(raising.basis, sp.csr_array((data, indices, indptr), shape=(d, d)))
+    return sp.csr_array((data, indices, indptr), shape=(d, d))
 
 
 def diagonal_op(basis: TruncatedBasis, values) -> LinearOperator:
@@ -496,8 +491,8 @@ def diagonal_op(basis: TruncatedBasis, values) -> LinearOperator:
     if diag.shape != (len(basis),):
         raise ValueError("diagonal length does not match basis size")
     kept = diag != 0.0
-    return LinearOperator.from_map(basis, np.where(kept, np.arange(len(basis)), -1),
-                                   np.where(kept, diag, 0.0), np.zeros(len(basis), dtype=bool))
+    return LinearOperator(basis, np.where(kept, np.arange(len(basis)), -1),
+                          np.where(kept, diag, 0.0), np.zeros(len(basis), dtype=bool))
 
 
 def _check_mode(basis, mode):
@@ -565,18 +560,22 @@ def _ladder_series(mat, block):
     return out
 
 
+def _miller_start(x):
+    """Where Miller's recurrence for J_k(x) starts: past x by its O(x^{1/3}) turning region."""
+    return int(x + 20 * x ** (1 / 3)) + 30
+
+
 def _bessel_j(x):
     """J_0(x), J_1(x), ... for x > 0, up to the first order k > x with |J_k(x)| < 1e-16.
 
     Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started well
-    past that order (the turning region around k = x is O(x^{1/3}) wide),
-    rescaled before it can overflow and normalised by J_0 + 2 sum J_{2k} = 1.
+    past that order (:func:`_miller_start`), rescaled before it can overflow
+    and normalised by J_0 + 2 sum J_{2k} = 1.
     """
     if x < 2e-16:  # J_1(x) = x/2 is below the cutoff already and J_0(x) rounds to 1
         return np.ones(1)
-    start = int(x + 20 * x ** (1 / 3)) + 30
     j = [0.0, 1.0]  # J_{start+1}, J_start, ... downward
-    for k in range(start, 0, -1):
+    for k in range(_miller_start(x), 0, -1):
         j.append(2 * k / x * j[-1] - j[-2])
         if abs(j[-1]) > 1e150:
             j = [v / abs(j[-1]) for v in j]
@@ -591,9 +590,15 @@ def _chebyshev_exponential(mat, block):
     Tal-Ezer and Kosloff (J. Chem. Phys. 81 (1984) 3967): with rho = ||mat||_1, exp(mat)
     = J_0(rho) + 2 sum_k (-i)^k J_k(rho) T_k(i*mat/rho).  Folding (-i)^k into the
     recurrence leaves phi_{k+1} = (2/rho) mat phi_k + phi_{k-1}, one product per term,
-    with as many terms as rho alone fixes (:func:`_bessel_j`).
+    with as many terms as rho alone fixes (:func:`_bessel_j`).  Work above
+    ``MAX_CHEBYSHEV_WORK`` raises ValueError before the coefficients are computed.
     """
     rho = _one_norm(mat)
+    stored = mat.size if isinstance(mat, np.ndarray) else mat.nnz
+    work = _miller_start(rho) * (stored * math.prod(block.shape[1:]) + CHEBYSHEV_TERM_COST)
+    if work > MAX_CHEBYSHEV_WORK:
+        raise ValueError(f"the Chebyshev expansion at rho = {rho:.4g} needs about {work:.4g} "
+                         f"entry-products, above the limit {MAX_CHEBYSHEV_WORK:.4g}")
     j = _bessel_j(rho)
     if len(j) == 1:  # rho < 2e-16: exp(mat) rounds to the identity, and 2/rho may overflow
         return block.copy()
@@ -612,13 +617,13 @@ def _chebyshev_exponential(mat, block):
 
 
 def op_exponential(a: LinearOperator, scale: complex = 1.0) -> np.ndarray:
-    """The whole exponential exp(scale * a) as a dense d x d array; meant for small bases.
+    """The whole exponential exp(scale * a) of a ladder or diagonal ``a`` as a dense d x d
+    array; meant for small bases.
 
     ``scale`` multiplies ``a``'s dense matrix, which costs less than scaling
-    its CSR form.  That array's shape picks the routine: a strictly triangular
-    ladder takes its series, a diagonal its entrywise exponential, and an
-    exactly skew-Hermitian generator the Chebyshev loop on the identity.  The
-    result is an array, not an operator: a dense exponential is no generator.
+    its CSR form.  A strictly triangular ladder takes its series and a diagonal
+    its entrywise exponential; any other map raises ValueError.  The result is
+    an array, not an operator: a dense exponential is no generator.
     """
     _one_norm(a.matrix)  # refuses a non-finite generator before scaling can turn an inf into NaN
     dense = scale * a.matrix.toarray()
@@ -626,9 +631,14 @@ def op_exponential(a: LinearOperator, scale: complex = 1.0) -> np.ndarray:
         return _ladder_series(dense, np.eye(len(dense), dtype=complex))
     if np.array_equal(dense, np.diag(np.diagonal(dense))):
         return np.diag(np.exp(np.diagonal(dense)))
-    if np.array_equal(dense, -dense.conj().T):
-        return _chebyshev_exponential(dense, np.eye(len(dense), dtype=complex))
-    raise ValueError("op_exponential needs a diagonal, ladder or skew-Hermitian generator")
+    raise ValueError("op_exponential needs a diagonal or ladder generator")
+
+
+def op_skew_exponential(zeta: complex, raising: LinearOperator) -> np.ndarray:
+    """The whole rotation exp(zeta X - zeta* X^dag) of the ladder X = ``raising`` as a dense
+    d x d array, by the Chebyshev loop on the identity; meant for small bases."""
+    generator = _rotation(zeta, raising).toarray()
+    return _chebyshev_exponential(generator, np.eye(len(generator), dtype=complex))
 
 
 def apply_exponential(a: LinearOperator, psi: StateVector, scale: complex = 1.0) -> StateVector:
@@ -639,11 +649,14 @@ def apply_exponential(a: LinearOperator, psi: StateVector, scale: complex = 1.0)
     return StateVector(psi.basis, _ladder_series(a.matrix * complex(scale), psi.amplitudes))
 
 
-def apply_skew_exponential(a: LinearOperator, psi: StateVector) -> StateVector:
-    """exp(a) |psi> by Chebyshev expansion, for an ``a`` skew-Hermitian by construction (a
-    rotation or -i dt H); that is not checked, and any other ``a`` gives a wrong result."""
-    _check_same_basis(a, psi)
-    return StateVector(psi.basis, _chebyshev_exponential(a.matrix, psi.amplitudes))
+def apply_skew_exponential(zeta: complex, raising: LinearOperator, psi: StateVector,
+                           diagonal=None) -> StateVector:
+    """exp(zeta X - zeta* X^dag + zeta diag(diagonal)) |psi> by Chebyshev expansion, for the
+    ladder X = ``raising``.  The generator is built here (:func:`_rotation`), so it is
+    skew-Hermitian by construction, the one kind the expansion is exact for."""
+    _check_same_basis(raising, psi)
+    generator = _rotation(zeta, raising, diagonal)
+    return StateVector(psi.basis, _chebyshev_exponential(generator, psi.amplitudes))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

@@ -25,7 +25,6 @@ from .fock import (
     _complex,
     _monomial,
     _real,
-    _rotation,
     _whole,
     apply_exponential,
     apply_skew_exponential,
@@ -34,6 +33,7 @@ from .fock import (
     enumerate_basis,
     fidelity,
     op_exponential,
+    op_skew_exponential,
     vacuum_state,
 )
 
@@ -142,8 +142,7 @@ def displacement_state(realization: AlgebraRealization, eta: float,
     """
     label, _, _ = _ladder(realization, reduced=True)
     zeta = displacement_zeta(realization.algebra, eta, theta)
-    psi = apply_skew_exponential(_rotation(zeta, realization.op(label)),
-                                 vacuum_state(realization.basis))
+    psi = apply_skew_exponential(zeta, realization.op(label), vacuum_state(realization.basis))
     leakage = displacement_leakage(realization, psi)
     if leakage > LEAK_TOL:
         raise ValueError(
@@ -204,7 +203,7 @@ def disentangling_identity_check(realization: AlgebraRealization, zeta: complex)
     up, _, _ = _ladder(realization)
     zeta = _complex("zeta", zeta)
     product = disentangled_product(realization, zeta)  # refuses a zeta it cannot factor first
-    whole = op_exponential(_rotation(zeta, realization.op(up)))
+    whole = op_skew_exponential(zeta, realization.op(up))
     return {"algebra": realization.algebra, "M": realization.M,
             "zeta": zeta, "max_residual": float(abs(whole - product).max())}
 
@@ -263,12 +262,6 @@ def _rotation_angles(eta):
     return angles
 
 
-def _apply_rotation(raising, angle, phase, psi):
-    if angle == 0.0:
-        return psi.copy()
-    return apply_skew_exponential(_rotation(angle * cmath.exp(1j * phase), raising), psi)
-
-
 def _widen(psi, wider):
     """``psi`` as a state of ``wider``, the basis of one more mode, that mode empty."""
     occ = psi.basis.occupations
@@ -301,11 +294,12 @@ def _rotation_chain(eta, thetas, M, basis, compact):
     phases = [thetas[0]] + [thetas[j] - thetas[j - 1] for j in range(1, len(thetas))]
     subs = [enumerate_basis(m, basis.cutoff) for m in range(1, basis.modes)] + [basis]
     pump = _monomial(subs[0], create=(0,), weight=_hp_weight(M, compact))
-    psi = _apply_rotation(pump, pump_angle, phases[0], vacuum_state(subs[0]))
+    psi = apply_skew_exponential(pump_angle * cmath.exp(1j * phases[0]), pump,
+                                 vacuum_state(subs[0]))
     for j, angle in enumerate(_rotation_angles(eta), start=1):
         psi = _widen(psi, subs[j])
         transfer = _monomial(subs[j], create=(j,), destroy=(j - 1,))
-        psi = _apply_rotation(transfer, angle, phases[j], psi)
+        psi = apply_skew_exponential(angle * cmath.exp(1j * phases[j]), transfer, psi)
     return psi
 
 
@@ -396,8 +390,7 @@ def dynamical_binomial(drive: TwoLevelDrive, t: float, M: int) -> StateVector:
     basis = enumerate_basis(2, Cutoff.shell(M))
     real = su2_bilinear(basis, M)
     zeta = drive.eta * t * cmath.exp(1j * drive.theta)
-    return apply_skew_exponential(_rotation(zeta, real.op("J+")),
-                                  basis_state(basis, (M, 0)))
+    return apply_skew_exponential(zeta, real.op("J+"), basis_state(basis, (M, 0)))
 
 
 def dynamical_binomial_target(drive: TwoLevelDrive, t: float, M: int) -> StateVector:
@@ -485,7 +478,7 @@ def dynamical_coherent(current: ClassicalCurrent, t: float, basis) -> StateVecto
         # -i dt H in one pass, each entry the product (-i dt)(j sqrt(n+1)), its mirror
         # -conj of that, or (-i dt)(omega n): the bits of building H first, then scaling it
         drive = _monomial(basis, create=(0,), weight=lambda occ: np.full(len(occ), j))
-        psi = apply_skew_exponential(_rotation(-1j * (hi - t0), drive, energies), psi)
+        psi = apply_skew_exponential(-1j * (hi - t0), drive, psi, energies)
         pressed = float(np.sum(np.abs(psi.amplitudes[boundary]) ** 2))
         if pressed > LEAK_TOL:
             raise ValueError(f"the drive pressed {pressed:.3e} of squared norm against the "

@@ -29,8 +29,8 @@ import numpy as np
 from scipy.special import eval_legendre, gammaln
 
 from . import distributions as dist
-from .fock import (Cutoff, LinearOperator, StateVector, TruncatedBasis, _whole, diagonal_op,
-                   enumerate_basis)
+from .fock import (Cutoff, LinearOperator, StateVector, TruncatedBasis, _real, _whole,
+                   diagonal_op, enumerate_basis)
 
 DEFAULT_NODES = {1: (64, 64), 2: (24, 24)}  # per-rank floors of the default nodes
 # M <= MAX_NODES - 2 keeps the default exact rule under the node ceiling, and the
@@ -208,7 +208,7 @@ def slicing_check(alphas, M: int) -> dict:
     count M must reproduce the multinomial law with eta_j = alpha_j/|alpha|
     (zeroth mode implied).  Reports the worst relative error over the shell.
     """
-    alphas = tuple(float(a) for a in alphas)
+    alphas = tuple(_real("alphas", a) for a in alphas)
     if len(alphas) < 2:
         raise ValueError("alphas must cover the zeroth mode plus at least one more")
     if any(a <= 0 for a in alphas):

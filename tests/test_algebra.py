@@ -117,7 +117,7 @@ def _corrupt(real, label, column):
     op = real.op(label)
     weight = op.weight.copy()
     weight[column] *= 1.5
-    real.generators[label] = LinearOperator.from_map(real.basis, op.target, weight, op.lossy)
+    real.generators[label] = LinearOperator(real.basis, op.target, weight, op.lossy)
 
 
 def _corrupted_k_plus():

@@ -9,6 +9,7 @@ cutoff the whole basis has larger column sums at states the chain never
 reaches, a larger Chebyshev norm and so other roundoff.
 """
 
+import cmath
 import math
 import re
 
@@ -18,7 +19,7 @@ import pytest
 from fockbench import generation
 from fockbench.algebra import _hp_weight
 from fockbench.fock import Cutoff, _monomial, apply_skew_exponential, enumerate_basis, vacuum_state
-from fockbench.generation import _apply_rotation, _rotation_angles, sequential_ms, sequential_nms
+from fockbench.generation import _rotation_angles, sequential_ms, sequential_nms
 
 
 def _full_basis_chain(eta, thetas, M, basis, compact):
@@ -27,10 +28,10 @@ def _full_basis_chain(eta, thetas, M, basis, compact):
     pump_angle = math.asin(strength) if compact else math.atanh(strength)
     phases = [thetas[0]] + [thetas[j] - thetas[j - 1] for j in range(1, len(thetas))]
     pump = _monomial(basis, create=(0,), weight=_hp_weight(M, compact))
-    psi = _apply_rotation(pump, pump_angle, phases[0], vacuum_state(basis))
+    psi = apply_skew_exponential(pump_angle * cmath.exp(1j * phases[0]), pump, vacuum_state(basis))
     for j, angle in enumerate(_rotation_angles(eta), start=1):
         transfer = _monomial(basis, create=(j,), destroy=(j - 1,))
-        psi = _apply_rotation(transfer, angle, phases[j], psi)
+        psi = apply_skew_exponential(angle * cmath.exp(1j * phases[j]), transfer, psi)
     return psi
 
 
@@ -73,9 +74,9 @@ def test_chains_on_per_mode_cutoffs_match_the_full_basis_loop_within_1e_15(rank,
 def test_each_step_of_a_rank_three_chain_runs_on_the_modes_it_has_filled(monkeypatch):
     sizes = []
 
-    def spy(gen, psi):
-        sizes.append((len(gen.basis), len(psi.basis)))
-        return apply_skew_exponential(gen, psi)
+    def spy(zeta, raising, psi):
+        sizes.append((len(raising.basis), len(psi.basis)))
+        return apply_skew_exponential(zeta, raising, psi)
 
     monkeypatch.setattr(generation, "apply_skew_exponential", spy)
     basis = enumerate_basis(3, Cutoff.total(20))

@@ -1,19 +1,24 @@
 """The Chebyshev action against scipy's dense exponential, and the generators that may use it.
 
-``apply_skew_exponential`` is exact only for skew-Hermitian generators, and it
-is chosen by how a generator was built, with no run-time test.  So the tests
-here check three things: it agrees with ``scipy.linalg.expm`` on the
-generators the library builds, those generators are skew-Hermitian exactly,
-and the one non-normal route (exp(tau K+)) never reaches it.
+The Chebyshev expansion is exact only for skew-Hermitian generators.  Only
+``fock`` builds one: ``apply_skew_exponential`` and ``op_skew_exponential``
+take (zeta, ladder) and build the rotation zeta X - zeta* X^dag themselves.
+So the tests here check four things: the action agrees with
+``scipy.linalg.expm`` on the generators those builds give, the generators are
+skew-Hermitian exactly, the one non-normal route (exp(tau K+)) never reaches
+the expansion, and no module but ``fock`` names the builder or the expansion.
 """
 
+import ast
 import cmath
 import math
+import pathlib
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import example, given
 from hypothesis import strategies as hs
 
@@ -25,12 +30,14 @@ from fockbench.fock import (
     StateVector,
     _monomial,
     _one_norm,
+    _rotation,
     apply_skew_exponential,
     creation_op,
     enumerate_basis,
     number_op,
 )
-from fockbench.generation import _rotation
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "fockbench"
 
 
 def _pump(basis, M, compact):
@@ -48,18 +55,19 @@ def _transfer(basis, j):
 
 
 def _drive(basis, omega, j, dt):
-    """-i dt (omega N + j a^dag + j* a), the generator dynamical_coherent builds for one step."""
-    generators = []
+    """(zeta, ladder, diagonal) of -i dt (omega N + j a^dag + j* a), as dynamical_coherent
+    passes them to apply_skew_exponential for one step."""
+    calls = []
 
-    def record(gen, psi):
-        generators.append(gen)
+    def record(zeta, raising, psi, diagonal=None):
+        calls.append((zeta, raising, diagonal))
         return psi
 
     current = generation.ClassicalCurrent(((0.0, dt, j),), omega)
     with mock.patch.object(generation, "apply_skew_exponential", record):
         generation.dynamical_coherent(current, dt, basis)
-    (gen,) = generators
-    return gen
+    (call,) = calls
+    return call
 
 
 def _dense_drive(basis, omega, j, dt):
@@ -75,9 +83,9 @@ def _random_state(basis, seed):
     return StateVector(basis, amps / np.linalg.norm(amps))
 
 
-def _assert_matches_expm(gen, psi):
-    out = apply_skew_exponential(gen, psi)
-    reference = scipy.linalg.expm(gen.matrix.toarray()) @ psi.amplitudes
+def _assert_matches_expm(psi, zeta, ladder, diagonal=None):
+    out = apply_skew_exponential(zeta, ladder, psi, diagonal)
+    reference = scipy.linalg.expm(_rotation(zeta, ladder, diagonal).toarray()) @ psi.amplitudes
     assert np.abs(out.amplitudes - reference).max() <= 1e-13
     assert abs(out.norm2() - psi.norm2()) <= 1e-14
 
@@ -95,7 +103,7 @@ def test_chebyshev_matches_expm_on_chain_rotations(rank, cutoff, compact, M, rea
         ladder = _pump(basis, M if compact else real_M, compact)
     else:
         ladder = _transfer(basis, min(step, rank - 1))
-    _assert_matches_expm(_rotation(zeta, ladder), _random_state(basis, seed))
+    _assert_matches_expm(_random_state(basis, seed), zeta, ladder)
 
 
 @given(levels=hs.integers(1, 30), omega=hs.floats(0.0, 3.0),
@@ -103,7 +111,7 @@ def test_chebyshev_matches_expm_on_chain_rotations(rank, cutoff, compact, M, rea
        dt=hs.floats(1e-3, 2.0), seed=hs.integers(0, 2**32 - 1))
 def test_chebyshev_matches_expm_on_current_drives(levels, omega, j, dt, seed):
     basis = enumerate_basis(1, Cutoff.per_mode(levels))
-    _assert_matches_expm(_drive(basis, omega, j, dt), _random_state(basis, seed))
+    _assert_matches_expm(_random_state(basis, seed), *_drive(basis, omega, j, dt))
 
 
 @given(levels=hs.integers(1, 30), omega=hs.floats(-3.0, 3.0) | hs.just(0.0),
@@ -116,14 +124,15 @@ def test_one_pass_drive_equals_dense_arithmetic(levels, omega, j, dt):
     # each entry is one product, (-i dt)(j sqrt(n+1)), its mirror or (-i dt)(omega n),
     # rounded as building H and then scaling it rounds them; (-i dt j) sqrt(n+1) is not
     basis = enumerate_basis(1, Cutoff.per_mode(levels))
-    assert np.array_equal(_drive(basis, omega, j, dt).matrix.toarray(),
+    assert np.array_equal(_rotation(*_drive(basis, omega, j, dt)).toarray(),
                           _dense_drive(basis, omega, j, dt))
 
 
-def _arithmetic_rotation(zeta, ladder):
+def _arithmetic_rotation(zeta, ladder, diagonal=None):
     """zeta X - zeta* X^dag by dense arithmetic, the reference for fock._rotation."""
+    assert diagonal is None  # the chains build no drive
     dense = ladder.matrix.toarray()
-    return LinearOperator(ladder.basis, zeta * dense - np.conj(zeta) * dense.conj().T)
+    return scipy.sparse.csr_array(zeta * dense - np.conj(zeta) * dense.conj().T)
 
 
 def _column_sum_norm(mat):
@@ -151,10 +160,10 @@ def test_one_pass_rotation_equals_operator_arithmetic(rank, cutoff, ladder, M, r
         x = su_r1_hp(basis, real_M).op(f"K+{mode}")
     gen = _rotation(zeta, x)
     reference = _arithmetic_rotation(zeta, x)
-    assert np.array_equal(gen.matrix.toarray(), reference.matrix.toarray())
+    assert np.array_equal(gen.toarray(), reference.toarray())
     # the bincount column sums add in the order abs(mat).sum(axis=0) does
-    assert _one_norm(gen.matrix) == _column_sum_norm(gen.matrix)
-    assert _one_norm(gen.matrix) == _column_sum_norm(reference.matrix)
+    assert _one_norm(gen) == _column_sum_norm(gen)
+    assert _one_norm(gen) == _column_sum_norm(reference)
     assert _one_norm(x.matrix) == _column_sum_norm(x.matrix)
 
 
@@ -163,18 +172,48 @@ def test_rotation_refuses_all_but_one_entry_per_row_and_column_off_the_diagonal(
     for target in ([2, 2, -1],  # two sources onto state 2: two entries in row 2
                    [0, 2, -1]):  # state 0 onto itself: an entry on the diagonal
         with pytest.raises(ValueError, match="one entry per row"):
-            _rotation(0.5j, LinearOperator.from_map(basis, target, [1.0, 1.0, 0.0], [False] * 3))
+            _rotation(0.5j, LinearOperator(basis, target, [1.0, 1.0, 0.0], [False] * 3))
     with pytest.raises(ValueError, match="one entry per row"):
         _rotation(0.5, number_op(enumerate_basis(2, Cutoff.total(3)), 1))
-    held_as_matrix = LinearOperator(basis, np.diag([1.0, 1.0], k=-1))  # a ladder, but no map
-    with pytest.raises(ValueError, match="one entry per row"):
-        _rotation(0.5, held_as_matrix)
-    empty = _rotation(0.5, LinearOperator.from_map(basis, [-1, -1, -1], np.zeros(3), [False] * 3))
-    assert empty.matrix.nnz == 0
+    empty = _rotation(0.5, LinearOperator(basis, [-1, -1, -1], np.zeros(3), [False] * 3))
+    assert empty.nnz == 0
+
+
+@pytest.mark.parametrize("zeta, diagonal", [
+    (0.5, [0.0, 1.0, 2.0]),  # a real zeta would make the diagonal Hermitian
+    (-0.5j + 1e-300, [0.0, 1.0, 2.0]),  # barely off the imaginary axis
+    (-0.5j, [0.0, 1.0j, 2.0]),  # a complex diagonal has a Hermitian part too
+    (-0.5j, [0.0, math.nan, 2.0]),
+    (-0.5j, [0.0, math.inf, 2.0]),
+])
+def test_rotation_refuses_a_diagonal_that_is_not_skew_hermitian(zeta, diagonal):
+    basis = enumerate_basis(1, Cutoff.per_mode(2))
+    psi = StateVector(basis, [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="diagonal needs finite real values and an imaginary"):
+        apply_skew_exponential(zeta, creation_op(basis, 0), psi, np.array(diagonal))
+
+
+@pytest.mark.parametrize("zeta", [math.nan, math.inf, complex(0.5, -math.inf), "0.5", True])
+def test_rotation_refuses_a_zeta_that_is_no_finite_number(zeta):
+    basis = enumerate_basis(1, Cutoff.per_mode(3))
+    with pytest.raises(ValueError, match="zeta must be a finite number"):
+        apply_skew_exponential(zeta, creation_op(basis, 0), StateVector(basis, [1, 0, 0, 0]))
+
+
+def test_only_fock_builds_or_expands_a_skew_hermitian_generator():
+    # a generator reaching the Chebyshev expansion from outside fock could be any matrix
+    names = {"_rotation", "_chebyshev_exponential"}
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            # a name used, an attribute read, an import (as) or a definition
+            if names & {getattr(node, field, None) for field in ("id", "attr", "name", "asname")}:
+                users.add(path.stem)
+    assert users == {"fock"}
 
 
 def _skew_hermitian_exactly(gen):
-    dense = gen.matrix.toarray()
+    dense = gen.toarray()
     return np.array_equal(dense, -dense.conj().T)
 
 
@@ -184,6 +223,7 @@ def test_exp_form_route_never_reaches_chebyshev(monkeypatch):
 
     monkeypatch.setattr(fock, "apply_skew_exponential", refuse)
     monkeypatch.setattr(generation, "apply_skew_exponential", refuse)
+    monkeypatch.setattr(fock, "_chebyshev_exponential", refuse)
     real = su11_hp(enumerate_basis(1, Cutoff.per_mode(30)), 2.0)
     assert generation.exp_form_state(real, 0.5 * cmath.exp(0.3j)).norm2() > 0
     compact = su2_hp(enumerate_basis(1, Cutoff.per_mode(4)), 4)
@@ -215,14 +255,15 @@ def test_rotation_and_drive_routes_pass_exactly_skew_hermitian_generators(monkey
         raise AssertionError("a skew-Hermitian generator must take the Chebyshev route")
 
     generators = []
+    build = fock._rotation
 
-    def record(gen, psi):
-        generators.append(gen)
-        return apply_skew_exponential(gen, psi)
+    def record(*args):
+        generators.append(build(*args))
+        return generators[-1]
 
     monkeypatch.setattr(fock, "apply_exponential", refuse)
     monkeypatch.setattr(generation, "apply_exponential", refuse)
-    monkeypatch.setattr(generation, "apply_skew_exponential", record)
+    monkeypatch.setattr(fock, "_rotation", record)
     assert abs(route().norm2() - 1.0) <= 1e-12
     assert generators and all(_skew_hermitian_exactly(gen) for gen in generators)
 
@@ -235,6 +276,6 @@ def test_rotation_and_drive_routes_pass_exactly_skew_hermitian_generators(monkey
 ])
 def test_chains_at_969_states_match_the_arithmetic_generator_bit_for_bit(monkeypatch, chain):
     fast = chain().amplitudes
-    monkeypatch.setattr(generation, "_rotation", _arithmetic_rotation)
+    monkeypatch.setattr(fock, "_rotation", _arithmetic_rotation)
     monkeypatch.setattr(fock, "_one_norm", lambda mat: _column_sum_norm(mat))
     assert np.array_equal(chain().amplitudes, fast)

@@ -1,28 +1,34 @@
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
+from fockbench import fock
 from fockbench.algebra import ConstraintSubspace, su2_hp, su11_hp, su_rp1_bilinear, su_rp1_hp
 from fockbench.distributions import PoissonParams
 from fockbench.fock import (
     Cutoff,
     LinearOperator,
     _bessel_j,
-    _rotation,
+    _chebyshev_exponential,
+    _ladder_series,
     _strictly_triangular,
     annihilation_op,
     apply_exponential,
     apply_skew_exponential,
     basis_state,
     creation_op,
+    diagonal_op,
     enumerate_basis,
     fidelity,
     inner,
     number_op,
     op_exponential,
+    op_skew_exponential,
     state_from_json_dict,
     state_to_json_dict,
     vacuum_state,
@@ -89,9 +95,11 @@ def test_rank_refuses_rows_of_the_wrong_width():
     assert empty.shape == (0,) and empty.dtype == np.int64
 
 
-def test_state_cap_enforced():
-    with pytest.raises(ValueError):
-        enumerate_basis(2, Cutoff.per_mode(9), max_states=50)
+def test_state_cap_enforced(monkeypatch):
+    monkeypatch.setattr(fock, "MAX_BASIS_STATES", 50)
+    with pytest.raises(ValueError, match="cutoff yields 100 basis states, above the cap of 50"):
+        enumerate_basis(2, Cutoff.per_mode(9))
+    assert len(enumerate_basis(1, Cutoff.per_mode(49))) == 50
 
 
 def test_ladder_actions():
@@ -160,25 +168,42 @@ def _random_generator(shape, d, seed, norm):
     return mat * (norm / np.linalg.norm(mat, 1))
 
 
-def _scaled(scale, op):
-    """scale * op, as a dense matrix wrapped in an operator."""
-    return LinearOperator(op.basis, scale * op.matrix.toarray())
+def _eye(d):
+    return np.eye(d, dtype=complex)
 
 
 @pytest.mark.parametrize("shape", ["skew", "ladder", "diagonal"])
 def test_op_exponential_matches_scipy(shape):
     basis = enumerate_basis(1, Cutoff.per_mode(11))
     mat = _random_generator(shape, len(basis), 11, 2.0)
-    ours = op_exponential(LinearOperator(basis, mat))
+    if shape == "skew":
+        ours = _chebyshev_exponential(mat, _eye(len(basis)))
+    elif shape == "ladder":
+        ours = _ladder_series(mat, _eye(len(basis)))
+    else:
+        ours = op_exponential(diagonal_op(basis, np.diagonal(mat)))
     ref = scipy.linalg.expm(mat)
     np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
 
 
-def test_op_exponential_refuses_a_generator_of_no_known_shape():
-    basis = enumerate_basis(1, Cutoff.per_mode(11))
-    general = LinearOperator(basis, _random_generator("general", len(basis), 11, 2.0))
-    with pytest.raises(ValueError, match="diagonal, ladder or skew-Hermitian"):
-        op_exponential(general)
+def _swap_map(basis):
+    """The map sending |0> to |1> and |1> to |0>: one step up and one down, no ladder."""
+    target = np.full(len(basis), -1)
+    target[:2] = [1, 0]
+    return LinearOperator(basis, target, np.where(target >= 0, 1.0, 0.0), [False] * len(basis))
+
+
+@pytest.mark.parametrize("make", [
+    _swap_map,
+    lambda basis: LinearOperator(basis, [0, 2, -1, -1], [1.0, 1.0, 0.0, 0.0], [False] * 4),
+])
+def test_exponentials_refuse_a_map_that_is_neither_a_ladder_nor_a_diagonal(make):
+    basis = enumerate_basis(1, Cutoff.per_mode(3))
+    op = make(basis)
+    with pytest.raises(ValueError, match="needs a diagonal or ladder generator"):
+        op_exponential(op)
+    with pytest.raises(ValueError, match="strictly triangular"):
+        apply_exponential(op, vacuum_state(basis))
 
 
 def test_op_exponential_inverse_pair():
@@ -186,16 +211,21 @@ def test_op_exponential_inverse_pair():
     d = len(basis)
     mat = _random_generator("skew", d, 5, 4.5)
     assert np.array_equal(mat, -mat.conj().T)
-    fwd = op_exponential(LinearOperator(basis, mat))
-    back = op_exponential(LinearOperator(basis, -mat))
+    fwd = _chebyshev_exponential(mat, _eye(d))
+    back = _chebyshev_exponential(-mat, _eye(d))
     resid = np.max(np.abs(fwd @ back - np.eye(d)))
     assert resid < 1e-11
 
 
 def test_op_exponential_zero_is_identity():
     basis = enumerate_basis(2, Cutoff.total(3))
-    out = op_exponential(LinearOperator(basis, np.zeros((len(basis), len(basis)))))
-    assert np.array_equal(out, np.eye(len(basis)))
+    d = len(basis)
+    nowhere = LinearOperator(basis, [-1] * d, np.zeros(d), [False] * d)
+    assert np.array_equal(op_exponential(nowhere), np.eye(d))
+    assert np.array_equal(op_skew_exponential(0.7j, nowhere), np.eye(d))
+    zero = np.zeros((d, d), dtype=complex)
+    assert np.array_equal(_chebyshev_exponential(zero, _eye(d)), np.eye(d))
+    assert np.array_equal(_ladder_series(zero, _eye(d)), np.eye(d))
 
 
 def test_op_exponential_nilpotent_terminates_exactly():
@@ -232,46 +262,51 @@ def _random_strictly_triangular(d, lower):
     return np.tril(mat, -1) if lower else np.triu(mat, 1)
 
 
+def _scaled(scale, op):
+    """scale * op as a dense array, scaled as op_exponential scales it."""
+    return scale * op.matrix.toarray()
+
+
 @pytest.mark.parametrize("generator", [
-    lambda: creation_op(enumerate_basis(1, Cutoff.per_mode(9)), 0),
+    lambda: creation_op(enumerate_basis(1, Cutoff.per_mode(9)), 0).matrix.toarray(),
     lambda: _scaled(0.8, su2_hp(enumerate_basis(1, Cutoff.per_mode(4)), 4).op("J+")),
     lambda: _scaled(-0.6 + 0.5j, su2_hp(enumerate_basis(1, Cutoff.per_mode(6)), 6).op("J-")),
     lambda: _scaled(0.5 - 0.3j, su11_hp(enumerate_basis(1, Cutoff.per_mode(12)), 2.5).op("K+")),
     lambda: _scaled(0.7 + 0.2j, su11_hp(enumerate_basis(1, Cutoff.per_mode(12)), 2.5).op("K-")),
-    lambda: LinearOperator(enumerate_basis(1, Cutoff.per_mode(7)),
-                           _random_strictly_triangular(8, lower=True)),
-    lambda: LinearOperator(enumerate_basis(1, Cutoff.per_mode(7)),
-                           _random_strictly_triangular(8, lower=False)),
+    lambda: _random_strictly_triangular(8, lower=True),
+    lambda: _random_strictly_triangular(8, lower=False),
 ])
 def test_op_exponential_of_a_nilpotent_generator_is_its_taylor_polynomial(generator):
-    op = generator()
-    dense = op.matrix.toarray()
-    assert _strictly_triangular(op.matrix) and _strictly_triangular(dense)
+    dense = generator()
+    assert _strictly_triangular(dense)
     expect = _taylor_polynomial(dense)
-    out = op_exponential(op)
+    out = _ladder_series(dense, _eye(len(dense)))
     assert np.abs(out - expect).max() <= 1e-15 * np.abs(expect).max()
 
 
 def test_op_exponential_scale_multiplies_the_generator():
     real = su2_hp(enumerate_basis(1, Cutoff.per_mode(4)), 4)
-    for label, scale in (("J+", 0.3 - 0.8j), ("J0", math.log1p(0.5)), ("J-", -1.2)):
+    for label, scale in (("J+", 0.3 - 0.8j), ("J-", -1.2)):
         op = real.op(label)
-        assert np.array_equal(op_exponential(op, scale), op_exponential(_scaled(scale, op)))
+        assert _strictly_triangular(op.matrix)
+        assert np.array_equal(op_exponential(op, scale),
+                              _ladder_series(_scaled(scale, op), _eye(len(real.basis))))
+    diagonal = _scaled(math.log1p(0.5), real.op("J0"))
+    assert np.array_equal(op_exponential(real.op("J0"), math.log1p(0.5)),
+                          np.diag(np.exp(np.diagonal(diagonal))))
 
 
 def test_apply_exponential_matches_matrix_route():
     basis = enumerate_basis(2, Cutoff.total(6))
-    op = LinearOperator(basis, _random_generator("ladder", len(basis), 23, 3.0))
+    mat = _random_generator("ladder", len(basis), 23, 3.0)
     psi = vacuum_state(basis)
-    via_vec = apply_exponential(op, psi)
-    via_mat = op_exponential(op) @ psi.amplitudes
-    np.testing.assert_allclose(via_vec.amplitudes, via_mat, rtol=0, atol=1e-12)
-
-
-def test_apply_exponential_refuses_a_rotation_generator():
-    real = su11_hp(enumerate_basis(1, Cutoff.per_mode(12)), 2.5)
-    with pytest.raises(ValueError, match="strictly triangular"):
-        apply_exponential(_rotation(0.4 - 0.2j, real.op("K+")), vacuum_state(real.basis))
+    via_vec = _ladder_series(scipy.sparse.csr_array(mat), psi.amplitudes)
+    via_mat = _ladder_series(mat, _eye(len(basis))) @ psi.amplitudes
+    np.testing.assert_allclose(via_vec, via_mat, rtol=0, atol=1e-12)
+    ladder = creation_op(basis, 1)
+    np.testing.assert_allclose(apply_exponential(ladder, psi, 0.4 - 0.3j).amplitudes,
+                               op_exponential(ladder, 0.4 - 0.3j) @ psi.amplitudes,
+                               rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-20, 1e-6, 1e-3, 0.1, 1.0, 3.7, 10.0, 31.4, 100.0, 299.9])
@@ -286,11 +321,39 @@ def test_bessel_coefficients_match_mpmath(x):
     assert all(abs(v) >= 1e-16 for k, v in enumerate(reference[:cutoff]) if k > x)
 
 
+def _chebyshev_work(gen, columns):
+    """Miller's start order for rho = ||gen||_1 times the entry-products of one term."""
+    rho = float(abs(gen).sum(axis=0).max())
+    stored = gen.size if isinstance(gen, np.ndarray) else gen.nnz
+    return (int(rho + 20 * rho ** (1 / 3)) + 30) * (stored * columns + fock.CHEBYSHEV_TERM_COST)
+
+
+@pytest.mark.parametrize("route, columns", [
+    (lambda ladder, psi: apply_skew_exponential(2.5 - 1j, ladder, psi).amplitudes, None),
+    (lambda ladder, psi: op_skew_exponential(2.5 - 1j, ladder), "d"),
+])
+def test_chebyshev_work_at_its_budget_runs_and_one_past_it_is_refused(monkeypatch, route,
+                                                                        columns):
+    basis = enumerate_basis(2, Cutoff.total(6))
+    ladder, psi = creation_op(basis, 1), vacuum_state(basis)
+    gen = fock._rotation(2.5 - 1j, ladder)
+    work = (_chebyshev_work(gen.toarray(), len(basis)) if columns
+            else _chebyshev_work(gen, 1))
+    expect = route(ladder, psi)
+    monkeypatch.setattr(fock, "MAX_CHEBYSHEV_WORK", work)
+    assert np.array_equal(route(ladder, psi), expect)
+    monkeypatch.setattr(fock, "MAX_CHEBYSHEV_WORK", work - 1)
+    monkeypatch.setattr(fock, "_bessel_j", lambda x: pytest.fail("the loop was started"))
+    message = f"needs about {work:.4g} entry-products, above the limit {work - 1:.4g}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        route(ladder, psi)
+
+
 def test_skew_exponential_of_zero_generator_returns_the_input():
     basis = enumerate_basis(2, Cutoff.total(4))
     psi = vacuum_state(basis)
     psi.amplitudes[3] = 0.5j
-    out = apply_skew_exponential(_rotation(0.0, creation_op(basis, 1)), psi)
+    out = apply_skew_exponential(0.0, creation_op(basis, 1), psi)
     assert out is not psi and out.amplitudes is not psi.amplitudes
     assert np.array_equal(out.amplitudes, psi.amplitudes)
 
@@ -302,16 +365,14 @@ def test_skew_exponential_matches_dense_rotation():
     dense = adag.matrix.toarray()
     psi = vacuum_state(basis)
     expect = scipy.linalg.expm(zeta * dense - np.conj(zeta) * dense.conj().T) @ psi.amplitudes
-    out = apply_skew_exponential(_rotation(zeta, adag), psi)
+    out = apply_skew_exponential(zeta, adag, psi)
     np.testing.assert_allclose(out.amplitudes, expect, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("route", [apply_exponential, apply_skew_exponential,
-                                   lambda op, psi: op_exponential(op)])
+@pytest.mark.parametrize("route", [_ladder_series, _chebyshev_exponential])
 @pytest.mark.parametrize("shape", ["diagonal", "ladder", "skew"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_exponentials_refuse_a_non_finite_generator(route, shape, bad):
-    basis = enumerate_basis(1, Cutoff.per_mode(4))
     mat = np.zeros((5, 5), dtype=complex)
     if shape == "diagonal":
         mat[2, 2] = bad
@@ -319,8 +380,23 @@ def test_exponentials_refuse_a_non_finite_generator(route, shape, bad):
         mat[1, 0] = bad
     else:
         mat[1, 0], mat[0, 1] = bad, -bad
+    for block in (vacuum_state(enumerate_basis(1, Cutoff.per_mode(4))).amplitudes, _eye(5)):
+        with pytest.raises(ValueError, match="generator norm is not finite"):
+            route(mat, block)
+
+
+@pytest.mark.parametrize("route", [
+    lambda op, psi: apply_exponential(op, psi),
+    lambda op, psi: op_exponential(op),
+    lambda op, psi: apply_skew_exponential(0.5, op, psi),
+    lambda op, psi: op_skew_exponential(0.5j, op),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_public_exponentials_refuse_a_non_finite_ladder(route, bad):
+    basis = enumerate_basis(1, Cutoff.per_mode(4))
+    ladder = LinearOperator(basis, [1, 2, 3, 4, -1], [1.0, bad, 1.0, 1.0, 0.0], [False] * 5)
     with pytest.raises(ValueError, match="generator norm is not finite"):
-        route(LinearOperator(basis, mat), vacuum_state(basis))
+        route(ladder, vacuum_state(basis))
 
 
 def test_state_vector_normalization_and_inner():
@@ -345,12 +421,6 @@ def test_fidelity_bounds_and_errors():
         fidelity(a, zero)
 
 
-def test_operator_shape_validation():
-    basis = enumerate_basis(1, Cutoff.per_mode(2))
-    with pytest.raises(ValueError):
-        LinearOperator(basis, np.zeros((2, 2)))
-
-
 def test_ladder_record_is_its_column_map():
     basis = enumerate_basis(1, Cutoff.per_mode(2))
     op = creation_op(basis, 0)
@@ -358,10 +428,6 @@ def test_ladder_record_is_its_column_map():
     assert op.target.tolist() == [1, 2, -1]
     assert op.weight.tolist() == [1.0, np.sqrt(2.0), 0.0]
     assert op.lossy.tolist() == [False, False, True]  # |2> would go to |3>, outside
-    # |1> goes to |0> and |2>: no map, only a matrix
-    both = LinearOperator(basis, op.matrix.toarray() + annihilation_op(basis, 0).matrix.toarray())
-    assert both.target is None and both.weight is None and both.lossy is None
-    assert both.matrix.nnz == 4
 
 
 @pytest.mark.parametrize("target, weight, lossy", [
@@ -374,7 +440,7 @@ def test_ladder_record_is_its_column_map():
 ])
 def test_column_map_refuses_a_malformed_record(target, weight, lossy):
     with pytest.raises(ValueError, match="column map needs 3 targets, weights and loss flags"):
-        LinearOperator.from_map(enumerate_basis(1, Cutoff.per_mode(2)), target, weight, lossy)
+        LinearOperator(enumerate_basis(1, Cutoff.per_mode(2)), target, weight, lossy)
 
 
 @pytest.mark.parametrize("target", [
@@ -383,15 +449,15 @@ def test_column_map_refuses_a_malformed_record(target, weight, lossy):
 ])
 def test_column_map_refuses_targets_outside_the_basis(target):
     with pytest.raises(ValueError, match=r"targets must lie in \[-1, 3\)"):
-        LinearOperator.from_map(enumerate_basis(1, Cutoff.per_mode(2)), target, [1.0, 1.0, 0.0],
-                                [False] * 3)
+        LinearOperator(enumerate_basis(1, Cutoff.per_mode(2)), target, [1.0, 1.0, 0.0],
+                       [False] * 3)
 
 
 def test_column_map_copies_its_input_and_builds_any_map_in_csr_order():
     basis = enumerate_basis(1, Cutoff.per_mode(3))
     target, weight = np.array([2, 0, 0, -1]), np.array([0.5, 1.0, 2.0, 0.0])
     lossy = np.array([False, False, False, True])
-    op = LinearOperator.from_map(basis, target, weight, lossy)
+    op = LinearOperator(basis, target, weight, lossy)
     target[0], weight[0], lossy[0] = 3, 9.0, True  # the record keeps what it was given
     assert op.lossy.tolist() == [False, False, False, True]
     for part in (op.target, op.weight, op.lossy):
@@ -401,9 +467,9 @@ def test_column_map_copies_its_input_and_builds_any_map_in_csr_order():
     dense[2, 0], dense[0, 1], dense[0, 2] = 0.5, 1.0, 2.0
     assert np.array_equal(op.matrix.toarray(), dense)
     assert op.matrix.has_sorted_indices
-    ladder = LinearOperator.from_map(basis, [-1, 0, 0, 1], [0.0, 1.0, 2.0, 0.5], [False] * 4)
+    ladder = LinearOperator(basis, [-1, 0, 0, 1], [0.0, 1.0, 2.0, 0.5], [False] * 4)
     assert np.array_equal(op_exponential(ladder, 0.3),
-                          op_exponential(LinearOperator(basis, ladder.matrix.toarray()), 0.3))
+                          _ladder_series(0.3 * ladder.matrix.toarray(), _eye(len(basis))))
 
 
 def test_serialization_round_trip():

@@ -1,11 +1,13 @@
 import cmath
 import math
 import re
+import time
 
 import mpmath
 import numpy as np
 import pytest
 
+from fockbench import fock
 from fockbench.algebra import su2_hp, su11_hp
 from fockbench.distributions import (
     BinomialParams,
@@ -22,7 +24,7 @@ from fockbench.fock import (
     basis_state,
     enumerate_basis,
     fidelity,
-    op_exponential,
+    op_skew_exponential,
 )
 from fockbench.generation import (
     ClassicalCurrent,
@@ -193,7 +195,7 @@ def test_disentangling_identity_noncompact():
 
 def _mpmath_whole(real, zeta):
     """exp(zeta J+ - zeta* J-) of a realization by mpmath.expm at 40 digits, rounded to complex."""
-    dense = _rotation(zeta, real.op("J+")).matrix.toarray()
+    dense = _rotation(zeta, real.op("J+")).toarray()
     with mpmath.workdps(40):
         return np.array(mpmath.expm(mpmath.matrix(dense.tolist())).tolist(), dtype=complex)
 
@@ -205,7 +207,7 @@ def test_whole_rotation_and_three_factor_product_match_mpmath(M):
     real = su2_hp(enumerate_basis(1, Cutoff.per_mode(M)), M)
     for zeta in (0.35, 0.3 + 0.4j, 1.1j, -0.8 + 0.2j):
         reference = _mpmath_whole(real, zeta)
-        whole = op_exponential(_rotation(zeta, real.op("J+")))
+        whole = op_skew_exponential(zeta, real.op("J+"))
         assert np.abs(whole - reference).max() <= 5e-16, zeta
         if M == 8 and zeta == 1.1j:
             assert np.abs(disentangled_product(real, zeta) - reference).max() <= 4e-12
@@ -469,6 +471,23 @@ def test_drive_past_the_basis_is_refused():
     # the same drive on a basis wide enough for it is accepted
     psi = dynamical_coherent(cur, 1.0, enumerate_basis(1, Cutoff.per_mode(40)))
     assert abs(psi.norm2() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("levels, rho, work", [
+    (45, r"1\.334e\+09", r"2\.183e\+12"),  # 1.3e9 terms of 90 entries
+    (1, r"1e\+08", r"1\.504e\+11"),  # four entries, but 1e8 terms: their fixed cost counts
+], ids=["46-levels", "2-levels"])
+def test_drive_past_the_chebyshev_budget_is_refused_before_it_runs(monkeypatch, levels, rho,
+                                                                   work):
+    # j = 1e8 for one unit: Miller's recurrence alone would take about rho steps and a list
+    # of as many floats before the first product
+    monkeypatch.setattr(fock, "_bessel_j", lambda x: pytest.fail("the recurrence was started"))
+    cur = ClassicalCurrent(segments=((0, 1, 1e8),), omega=0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^the Chebyshev expansion at rho = {rho} needs about "
+                                         f"{work} entry-products, above the limit 2e\\+09$"):
+        dynamical_coherent(cur, 1, enumerate_basis(1, Cutoff.per_mode(levels)))
+    assert time.perf_counter() - start < 0.5
 
 
 # --- contraction --------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from fockbench import distributions as dist
 from fockbench import generation as gen
+from fockbench import measure as meas
 from fockbench import states as st
 from fockbench.algebra import su11_bilinear, su11_hp, su_r1_bilinear, su_r1_hp
 from fockbench.fock import Cutoff, enumerate_basis
@@ -61,11 +62,17 @@ _WHOLE_M = "M must be an integer in [1, 9007199254740992], got {!r}"
      "n_max must be an integer in [1, inf], got True"),
     (lambda: gen.operator_identity_check(3.0, 2.5, "su11"),
      "n_max must be an integer in [1, inf], got 2.5"),
+    # float() took "1" and True for 1.0 and raised OverflowError on 10**400
+    (lambda: meas.slicing_check(("1", 1.0, 2.0), 2), "alphas must be a finite number, got '1'"),
+    (lambda: meas.slicing_check((1.0, True, 2.0), 2), "alphas must be a finite number, got True"),
+    (lambda: meas.slicing_check((1.0, 10**400), 2),
+     f"alphas must be a finite number, got {10**400!r}"),
 ], ids=["binomial-M-bool", "neg-binomial-M-bool", "poisson-alpha2-bool", "multinomial-eta-bool",
         "binomial-M-huge", "neg-binomial-M-huge", "trials-bool", "trials-fraction",
         "seed-fraction", "tail-tol-str", "quantum-gf-nan", "neg-binomial-gf-nan",
         "displacement-theta-nan", "slice-to-shell-nan", "multiple-poisson-nan", "phases-nan",
-        "identity-n-max-fraction", "identity-n-max-bool", "identity-su11-n-max-fraction"])
+        "identity-n-max-fraction", "identity-n-max-bool", "identity-su11-n-max-fraction",
+        "slicing-alpha-str", "slicing-alpha-bool", "slicing-alpha-huge"])
 def test_bad_number_is_refused_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
