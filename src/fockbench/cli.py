@@ -9,8 +9,8 @@ Subcommands
 Artifacts are rendered from the basis arrays (occupations, amplitudes,
 probabilities) one ``%``-format call per chunk of ``_CHUNK_ROWS`` rows, and each
 chunk is written as it is made, into ``{out}.partial``, which is renamed onto the
-artifact once complete.  The state file is never built as a dict;
-``fock.state_to_json_dict`` gives the same document as one, for library callers.
+artifact once complete.  The state file is never built as a dict, and
+:func:`_state_pieces` is its one writer; ``fock.state_from_json_dict`` reads it.
 
 Exit codes: 0 success, 2 usage or parameter error, 3 verification failure,
 1 internal error.  The environment variable FOCKBENCH_THREADS caps the
@@ -93,6 +93,25 @@ def _json_with_entries(head, rows):
         yield piece
         close = "\n  ]"
     yield close + after + "\n"
+
+
+def _entry_row(modes, fields):
+    """The %-format of one ``entries`` item of a json artifact: its ``modes`` occupations,
+    then ``fields``, the rest of its keys."""
+    return ('\n    {\n      "occupations": [' + ",".join(["\n        %d"] * modes)
+            + '\n      ],\n      ' + fields + '\n    }')
+
+
+def _state_pieces(psi, **extra):
+    """The ``fockbench.state/1`` file of ``psi`` in pieces: its non-zero amplitudes, then
+    the ``extra`` keys.  Joined, it is ``json.dump(document, indent=2)`` + newline."""
+    basis, amps = psi.basis, psi.amplitudes
+    kept = abs(amps) > 0.0
+    head = {"schema": "fockbench.state/1", "modes": basis.modes,
+            "cutoff": basis.cutoff.to_json_dict(), "entries": None, **extra}
+    return _json_with_entries(head, _render_rows(
+        _entry_row(basis.modes, '"re": %r,\n      "im": %r'), ",",
+        basis.occupations[kept], amps.real[kept], amps.imag[kept]))
 
 
 def _parse_float_list(key, value):
@@ -269,27 +288,19 @@ def _cmd_state(args) -> int:
     if pmf_format not in ("csv", "json"):
         raise ValueError("pmf format must be csv or json")
 
-    basis, amps = psi.basis, psi.amplitudes
-    kept = abs(amps) > 0.0  # the entries state_to_json_dict(psi) keeps
-    entry = ('\n    {\n      "occupations": [' + ",".join(["\n        %d"] * basis.modes)
-             + '\n      ],\n      ')
-    head = {"schema": "fockbench.state/1", "modes": basis.modes,
-            "cutoff": basis.cutoff.to_json_dict(), "entries": None, "family": family,
-            "parameters": dataclasses.asdict(params), "phases": list(spec.phases),
-            "norm_deficit": deficit}
     # each artifact is renamed into place from its partial file, so a failure leaves no file
-    _emit(f"{base}_state.json", _json_with_entries(head, _render_rows(
-        entry + '"re": %r,\n      "im": %r\n    }', ",",
-        basis.occupations[kept], amps.real[kept], amps.imag[kept])))
+    _emit(f"{base}_state.json", _state_pieces(
+        psi, family=family, parameters=dataclasses.asdict(params), phases=list(spec.phases),
+        norm_deficit=deficit))
 
-    probs = st.number_distribution(psi).probabilities
+    basis, probs = psi.basis, abs(psi.amplitudes) ** 2
     if pmf_format == "csv":
         header = ",".join([f"n{j}" for j in range(basis.modes)] + ["p"])
         row = ",".join(["%d"] * basis.modes + ["%.17g\n"])
         pieces = itertools.chain([header + "\n"], _render_rows(row, "", basis.occupations, probs))
     else:
         pieces = _json_with_entries({"schema": "fockbench.pmf/1", "entries": None},
-                                    _render_rows(entry + '"p": %r\n    }', ",",
+                                    _render_rows(_entry_row(basis.modes, '"p": %r'), ",",
                                                  basis.occupations, probs))
     _emit(f"{base}_pmf.{pmf_format}", pieces)
     print(f"norm deficit: {deficit:.17g}")

@@ -15,14 +15,13 @@ missing tail mass (and in ``lossy``), never as an exception.
 Exponentials form a 2 x 2 grid, picked by the caller, never by testing a generator:
 
                           on a state                whole, dense (small bases)
-    ladder or diagonal    apply_exponential         op_exponential
+    ladder                apply_exponential         op_exponential
     rotation of a ladder  apply_skew_exponential    op_skew_exponential
 
-A ladder (the only generator taken on a state by the first row) is nilpotent, so
-its exponential is a finite Taylor polynomial; a diagonal's is entrywise.  The
-rotation zeta X - zeta* X^dag of a ladder X is built inside the second row's
-functions, so their Chebyshev expansion only receives the skew-Hermitian
-generator it is exact for.
+A ladder (the only generator the first row takes) is nilpotent, so its
+exponential is a finite Taylor polynomial.  The rotation zeta X - zeta* X^dag
+of a ladder X is built inside the second row's functions, so their Chebyshev
+expansion only receives the skew-Hermitian generator it is exact for.
 """
 
 from __future__ import annotations
@@ -97,16 +96,6 @@ class Cutoff:
     @classmethod
     def shell(cls, value):
         return cls("shell", value)
-
-    def admits(self, occ) -> bool:
-        """Whether an occupation vector lies inside this cutoff."""
-        if any(n < 0 for n in occ):
-            return False
-        if self.kind == "per_mode":
-            return all(n <= self.value for n in occ)
-        if self.kind == "total":
-            return sum(occ) <= self.value
-        return sum(occ) == self.value
 
     def size(self, modes: int) -> int:
         """Number of basis states this cutoff yields for the given mode count."""
@@ -617,21 +606,16 @@ def _chebyshev_exponential(mat, block):
 
 
 def op_exponential(a: LinearOperator, scale: complex = 1.0) -> np.ndarray:
-    """The whole exponential exp(scale * a) of a ladder or diagonal ``a`` as a dense d x d
-    array; meant for small bases.
+    """The whole exponential exp(scale * a) of a strictly triangular (ladder) ``a`` as a dense
+    d x d array, by its series; else ValueError.  Meant for small bases.
 
     ``scale`` multiplies ``a``'s dense matrix, which costs less than scaling
-    its CSR form.  A strictly triangular ladder takes its series and a diagonal
-    its entrywise exponential; any other map raises ValueError.  The result is
-    an array, not an operator: a dense exponential is no generator.
+    its CSR form.  The result is an array, not an operator: a dense
+    exponential is no generator.
     """
+    scale = _complex("scale", scale)
     _one_norm(a.matrix)  # refuses a non-finite generator before scaling can turn an inf into NaN
-    dense = scale * a.matrix.toarray()
-    if _strictly_triangular(dense):
-        return _ladder_series(dense, np.eye(len(dense), dtype=complex))
-    if np.array_equal(dense, np.diag(np.diagonal(dense))):
-        return np.diag(np.exp(np.diagonal(dense)))
-    raise ValueError("op_exponential needs a diagonal or ladder generator")
+    return _ladder_series(scale * a.matrix.toarray(), np.eye(len(a.target), dtype=complex))
 
 
 def op_skew_exponential(zeta: complex, raising: LinearOperator) -> np.ndarray:
@@ -644,9 +628,10 @@ def op_skew_exponential(zeta: complex, raising: LinearOperator) -> np.ndarray:
 def apply_exponential(a: LinearOperator, psi: StateVector, scale: complex = 1.0) -> StateVector:
     """exp(scale * a) |psi> for a strictly triangular (ladder) ``a`` by sparse products; else
     ValueError.  ``scale`` multiplies ``a``'s CSR entries, after a non-finite ``a`` is refused."""
+    scale = _complex("scale", scale)
     _check_same_basis(a, psi)
     _one_norm(a.matrix)  # refuses a non-finite generator before scaling can turn an inf into NaN
-    return StateVector(psi.basis, _ladder_series(a.matrix * complex(scale), psi.amplitudes))
+    return StateVector(psi.basis, _ladder_series(a.matrix * scale, psi.amplitudes))
 
 
 def apply_skew_exponential(zeta: complex, raising: LinearOperator, psi: StateVector,
@@ -671,20 +656,6 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     if na == 0.0 or nb == 0.0:
         raise ValueError("fidelity is undefined for a zero-norm state")
     return abs(inner(a, b)) ** 2 / (na * nb)
-
-
-def state_to_json_dict(psi: StateVector) -> dict:
-    """Serialize a state; zero amplitudes are omitted."""
-    entries = []
-    for occ, amp in zip(psi.basis.occupations.tolist(), psi.amplitudes):
-        if abs(amp) > 0.0:
-            entries.append({"occupations": occ, "re": float(amp.real), "im": float(amp.imag)})
-    return {
-        "schema": "fockbench.state/1",
-        "modes": psi.basis.modes,
-        "cutoff": psi.basis.cutoff.to_json_dict(),
-        "entries": entries,
-    }
 
 
 def state_from_json_dict(d: dict) -> StateVector:

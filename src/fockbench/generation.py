@@ -174,7 +174,8 @@ def disentangled_product(realization: AlgebraRealization, zeta: complex) -> np.n
             exp(ln(1-|tau|^2) K0).
     Returns the three-factor product as a dense d x d array (the identity for
     zeta = 0), for entrywise comparison with the one-shot exponential.  The
-    outer factors are nilpotent ladders, whose series take one pass.  An su(1,1)
+    outer factors are nilpotent ladders, whose series take one pass; the middle
+    one is diagonal, the entrywise exponential of its weights.  An su(1,1)
     zeta with tanh|zeta| rounding to 1 (|zeta| above about 19.06) raises
     ValueError: its middle factor ln(1 - |tau|^2) diverges.
     """
@@ -193,7 +194,7 @@ def disentangled_product(realization: AlgebraRealization, zeta: complex) -> np.n
                              f"tanh|zeta| rounds to 1, so ln(1 - |tau|^2) diverges")
         middle_log = math.log1p(-abs(tau) ** 2)
     first = op_exponential(realization.op(plus), tau)
-    middle = op_exponential(realization.op(diag), middle_log)
+    middle = np.diag(np.exp(middle_log * realization.op(diag).weight))
     last = op_exponential(realization.op(minus), -tau.conjugate())
     return first @ middle @ last
 

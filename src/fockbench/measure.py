@@ -1,4 +1,4 @@
-"""Shell projectors, overcompleteness measures, and their numerical checks.
+"""Shell coherent states, the overcompleteness measure, and their numerical checks.
 
 The fixed-total shell of r+1 modes carries a C(M+r, r)-dimensional symmetric
 representation.  Its coherent projections |xi>, xi in C^r, come with a measure
@@ -29,8 +29,7 @@ import numpy as np
 from scipy.special import eval_legendre, gammaln
 
 from . import distributions as dist
-from .fock import (Cutoff, LinearOperator, StateVector, TruncatedBasis, _real, _whole,
-                   diagonal_op, enumerate_basis)
+from .fock import Cutoff, StateVector, TruncatedBasis, _real, _whole, enumerate_basis
 
 DEFAULT_NODES = {1: (64, 64), 2: (24, 24)}  # per-rank floors of the default nodes
 # M <= MAX_NODES - 2 keeps the default exact rule under the node ceiling, and the
@@ -39,22 +38,6 @@ MIN_NODES, MAX_NODES = 8, 1000
 # largest d^2 r a resolution check accepts; r = 6, M = 8 (5.4e7) takes ~1.3 s on one core
 MAX_PAIR_WORK = 10 ** 8
 BLOCK_ROWS = 64  # rows of the quadrature result formed at a time
-
-
-def projector_fixed_M(basis: TruncatedBasis, M: int) -> LinearOperator:
-    """Orthogonal projector onto the shell sum(n) = M inside ``basis``.
-
-    The basis must contain the complete shell (all C(M+r, r) states with
-    r = modes - 1), otherwise the projector would have the wrong rank.
-    """
-    M = _whole("M", M, 0)
-    on_shell = basis.totals == M
-    expected = math.comb(M + basis.modes - 1, basis.modes - 1)
-    if int(on_shell.sum()) != expected:
-        raise ValueError(
-            f"basis holds {int(on_shell.sum())} of the {expected} shell states with total {M}"
-        )
-    return diagonal_op(basis, on_shell)
 
 
 @dataclass(frozen=True)

@@ -211,20 +211,6 @@ def norm_deficit(psi: StateVector, family: str) -> float:
     return max(0.0, 1.0 - psi.norm2())
 
 
-@dataclass
-class NumberDistribution:
-    """|amplitude|^2 per basis state plus the missing-tail deficit."""
-
-    basis: TruncatedBasis
-    probabilities: np.ndarray
-    deficit: float
-
-
-def number_distribution(psi: StateVector) -> NumberDistribution:
-    probs = np.abs(psi.amplitudes) ** 2
-    return NumberDistribution(psi.basis, probs, float(1.0 - probs.sum()))
-
-
 def quantum_gf(psi: StateVector, t: float) -> float:
     """<psi| t^N |psi> with N the total number operator (normalized input assumed)."""
     t = _real("t", t)

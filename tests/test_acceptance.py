@@ -18,7 +18,9 @@ from fockbench.distributions import (
     NegMultinomialParams,
     PoissonParams,
     binomial_pmf,
+    moments_from_gf,
     multinomial_pmf,
+    neg_binomial_gf,
     neg_binomial_pmf,
     neg_multinomial_pmf,
     poisson_pmf,
@@ -267,13 +269,11 @@ def test_criterion_8_quantum_generating_function():
     basis = auto_basis(spec, tail_tol=1e-14, guard=30)
     psi = build_state(spec, basis=basis, tail_tol=1e-14)
     worst = 0.0
-    for t in (0.0, 0.5, 1.0):
-        closed = ((1 - eta2) / (1 - eta2 * t)) ** M
-        worst = max(worst, abs(quantum_gf(psi, t) - closed))
-    mean_closed = M * eta2 / (1 - eta2)
-    var_closed = mean_closed / (1 - eta2)
-    worst = max(worst, abs(mean_occupation(psi) - mean_closed))
-    worst = max(worst, abs(occupation_variance(psi) - var_closed))
+    for t in (0.0, 0.5, 1.0):  # the closed form ((1 - eta2) / (1 - eta2 t))^M
+        worst = max(worst, abs(quantum_gf(psi, t) - neg_binomial_gf(spec.params, t)))
+    closed = moments_from_gf(spec.params)  # M eta2 / (1 - eta2) and mean / (1 - eta2)
+    worst = max(worst, abs(mean_occupation(psi) - closed.mean))
+    worst = max(worst, abs(occupation_variance(psi) - closed.variance))
     elapsed = time.time() - start
     ok = worst <= 1e-10 and elapsed < budget
     _report(8, ok, elapsed, budget, f"gf and moments, worst deviation {worst:.2e}")

@@ -1,9 +1,10 @@
 """The CLI's array writers against the per-entry writers they replaced.
 
 The references below are the writers `fockbench state` and `fockbench
-simulate` used before artifacts were rendered from arrays: `json.dump` of
-`state_to_json_dict(psi)` plus the extra keys, a per-row CSV loop, a list of
-pmf entry dicts, and a per-bin simulate loop.  Every artifact must match them
+simulate` used before artifacts were rendered from arrays: `json.dump` of a
+per-entry state dict plus the extra keys, a per-row CSV loop, a list of pmf
+entry dicts, and a per-bin simulate loop.  They are written here, apart from
+`fockbench`, so the CLI's writer has no part in its own reference.  Every artifact must match them
 byte for byte, at the CLI's chunk size and at chunks of 1 and 3 rows, so every
 row boundary and a short last chunk fall between two % calls.
 """
@@ -18,7 +19,7 @@ import pytest
 from fockbench import cli
 from fockbench import distributions as dist
 from fockbench import states as st
-from fockbench.fock import Cutoff, enumerate_basis, state_to_json_dict
+from fockbench.fock import Cutoff, enumerate_basis
 
 
 def _fmt(x):
@@ -34,7 +35,14 @@ def _params_dict(params):
 
 
 def _reference_state_bytes(family, params, phases, psi):
-    payload = state_to_json_dict(psi) | {
+    cutoff = psi.basis.cutoff
+    payload = {
+        "schema": "fockbench.state/1",
+        "modes": psi.basis.modes,
+        "cutoff": {"kind": cutoff.kind, "value": cutoff.value},
+        # zero amplitudes are left out
+        "entries": [{"occupations": list(occ), "re": float(amp.real), "im": float(amp.imag)}
+                    for occ, amp in zip(psi.basis.states, psi.amplitudes) if abs(amp) > 0.0],
         "family": family,
         "parameters": _params_dict(params),
         "phases": list(phases),
@@ -46,8 +54,12 @@ def _reference_state_bytes(family, params, phases, psi):
     return (json.dumps(payload, indent=2) + "\n").encode()
 
 
+def _probabilities(psi):
+    return np.abs(psi.amplitudes) ** 2
+
+
 def _reference_pmf_csv(psi):
-    probs = st.number_distribution(psi).probabilities
+    probs = _probabilities(psi)
     lines = [",".join([f"n{j}" for j in range(psi.basis.modes)] + ["p"])]
     for occ, p in zip(psi.basis.states, probs):
         lines.append(",".join([str(n) for n in occ] + [_fmt(p)]))
@@ -55,7 +67,7 @@ def _reference_pmf_csv(psi):
 
 
 def _reference_pmf_json(psi):
-    probs = st.number_distribution(psi).probabilities
+    probs = _probabilities(psi)
     entries = [{"occupations": list(occ), "p": float(p)}
                for occ, p in zip(psi.basis.states, probs)]
     return (json.dumps({"schema": "fockbench.pmf/1", "entries": entries}, indent=2)
@@ -149,7 +161,7 @@ def test_grid_covers_the_edge_cases():
     for name in ("ms-r3-guard", "coherent-underflow", "nms-r2-underflow"):
         assert np.any(_case_state(name).amplitudes == 0.0), name
     for name in ("coherent-underflow", "nms-r2-underflow"):
-        probs = st.number_distribution(_case_state(name)).probabilities
+        probs = _probabilities(_case_state(name))
         assert np.any((probs > 0.0) & (probs < np.finfo(float).tiny)), name
 
 

@@ -17,7 +17,6 @@ from fockbench.measure import (
     _shell_quadrature,
     measure_density,
     projected_state,
-    projector_fixed_M,
     resolution_check,
     slicing_check,
 )
@@ -73,21 +72,6 @@ def test_projected_state_matches_shell_family():
         eta = xi / math.sqrt(1 + xi * xi)
         target = build_state(StateSpec("multinomial", MultinomialParams((eta,), M), (0.0,)))
         assert fidelity(psi, target) >= 1 - 1e-12
-
-
-def test_projector_shape_and_idempotence():
-    basis = enumerate_basis(3, Cutoff.total(5))
-    proj = projector_fixed_M(basis, 3)
-    mat = proj.matrix.toarray()
-    np.testing.assert_allclose(mat, mat.conj().T, atol=0)
-    np.testing.assert_allclose(mat @ mat, mat, atol=0)
-    assert int(round(np.trace(mat).real)) == math.comb(3 + 2, 2)
-
-
-def test_projector_requires_complete_shell():
-    basis = enumerate_basis(3, Cutoff.total(2))
-    with pytest.raises(ValueError):
-        projector_fixed_M(basis, 3)
 
 
 def test_resolution_rank_one():
@@ -176,6 +160,42 @@ def test_factored_quadrature_matches_per_node_sum(r, M):
     basis = enumerate_basis(r + 1, Cutoff.shell(M))
     factored = np.vstack(list(_shell_quadrature(spec, basis)))
     np.testing.assert_allclose(factored, _per_node_quadrature(spec), rtol=0, atol=1e-14)
+
+
+def _density_quadrature(spec):
+    """The paper's integral of dmu(xi) |xi><xi|, from ``measure_density`` and ``projected_state``.
+
+    The same tensor rule as the factored quadrature: Gauss-Legendre in each u_j of the
+    nested compactification, with xi_j = rho_j e^{i phi_j} and uniform angles.
+    """
+    r = spec.r
+    x, w = roots_legendre(spec.nodes_radial)
+    u1, w1 = 0.5 * (x + 1.0), 0.5 * w
+    phi = 2.0 * np.pi * np.arange(spec.nodes_angular) / spec.nodes_angular
+    phases = np.exp(1j * np.array(np.meshgrid(*([phi] * r), indexing="ij")).reshape(r, -1).T)
+    ang_weight = (2.0 * np.pi / spec.nodes_angular) ** r
+    total = 0
+    for idx in np.ndindex(*([spec.nodes_radial] * r)):
+        u = u1[list(idx)]
+        s_part = np.cumprod(1.0 / (1.0 - u))  # 1 + rho_1^2 + ... + rho_j^2
+        s_prev = np.concatenate(([1.0], s_part[:-1]))
+        rho = np.sqrt(s_part - s_prev)
+        # d^2 xi = prod_j rho_j drho_j dphi_j, and rho_j drho_j = s_{j-1} du_j / (2 (1 - u_j)^2)
+        jac = 0.5 ** r * np.prod(s_prev / (1.0 - u) ** 2)
+        amps = np.array([projected_state(spec, rho * phase).amplitudes for phase in phases])
+        weight = measure_density(spec, rho) * jac * np.prod(w1[list(idx)]) * ang_weight
+        total = total + weight * (amps.T @ amps.conj())
+    return total
+
+
+@pytest.mark.parametrize("r, M, nodes", [(1, 1, None), (1, 3, None), (1, 6, None),
+                                         (2, 1, 8), (2, 2, 8)])
+def test_density_and_projected_states_integrate_to_the_factored_quadrature(r, M, nodes):
+    # ties the paper's measure and shell states to the sum-factorised rule resolution_check runs
+    spec = MeasureSpec(r=r, M=M, nodes_radial=nodes, nodes_angular=nodes)
+    basis = enumerate_basis(r + 1, Cutoff.shell(M))
+    factored = np.vstack(list(_shell_quadrature(spec, basis)))
+    np.testing.assert_allclose(_density_quadrature(spec), factored, rtol=0, atol=1e-14)
 
 
 def test_resolution_any_rank_without_flag():

@@ -32,7 +32,6 @@ from fockbench.states import (
     multinomial_state,
     neg_binomial_state,
     neg_multinomial_state,
-    number_distribution,
     occupation_variance,
     quantum_gf,
 )
@@ -204,18 +203,6 @@ def test_phase_count_validation():
         StateSpec("multinomial", MultinomialParams((0.5, 0.5), 2), (0.1,))
     with pytest.raises(ValueError):
         StateSpec("unknown_family", PoissonParams(1.0), ())
-
-
-def test_number_distribution_matches_amplitudes():
-    spec = _spec("neg_binomial", NegBinomialParams(0.5, 2.0))
-    psi = build_state(spec)
-    nd = number_distribution(psi)
-    assert nd.probabilities.sum() == pytest.approx(psi.norm2(), abs=1e-14)
-    assert nd.deficit == pytest.approx(1.0 - psi.norm2(), abs=1e-14)
-    k = nd.basis.index_of((2,))
-    assert nd.probabilities[k] == pytest.approx(
-        neg_binomial_pmf(NegBinomialParams(0.5, 2.0), 2), rel=1e-12
-    )
 
 
 def test_quantum_gf_closed_form():

@@ -12,6 +12,7 @@ import re
 import pytest
 
 from fockbench import distributions as dist
+from fockbench import fock
 from fockbench import generation as gen
 from fockbench import measure as meas
 from fockbench import states as st
@@ -112,8 +113,9 @@ def test_non_number_is_refused_by_name_before_use(call, message):
 
 
 # a complex argument was coerced with complex(): "0.5" built a unit-norm state, True ran
-# at zeta = 1, and an infinite zeta reached the rotation's multiply; each part is now
-# checked as a finite real
+# at zeta = 1, and an infinite zeta reached the rotation's multiply; an exponential's scale
+# was used as given: NaN was refused as no ladder, inf warned from the multiply, and "0.5"
+# raised numpy's UFuncTypeError or was taken as 0.5.  Each part is now checked as a finite real
 
 def _su11():
     return su11_hp(enumerate_basis(1, Cutoff.per_mode(6)), 2.0)
@@ -124,6 +126,9 @@ COMPLEX_ARGUMENTS = {
     "disentangled_product": ("zeta", lambda x: gen.disentangled_product(_su11(), x)),
     "disentangling_identity_check": ("zeta",
                                      lambda x: gen.disentangling_identity_check(_su11(), x)),
+    "op_exponential": ("scale", lambda x: fock.op_exponential(_su11().op("K+"), x)),
+    "apply_exponential": ("scale", lambda x: fock.apply_exponential(
+        _su11().op("K+"), fock.vacuum_state(_su11().basis), x)),
     "ClassicalCurrent": ("segments", lambda x: gen.ClassicalCurrent(((0, 1, x),), 1)),
 }
 
