@@ -9,10 +9,10 @@ the Cartan generator.
 ``verify_algebra`` checks the structure relations entrywise, restricted to
 *interior* basis states -- states that no monomial in the relation pushes out
 of the truncated basis -- so truncation artifacts never masquerade as algebra
-violations.  ``ConstraintSubspace`` transports states between the two
-pictures and ``intertwining_check`` confirms the generators agree under that
-transport.  A realization is one table from label to generator (raising,
-then lowering, then diagonal), and every generator is its column map
+violations.  ``intertwining_check`` confirms the two pictures' generators
+agree on the constraint shell that ties them, which it reads off the pair.
+A realization is one table from label to generator (raising, then lowering,
+then diagonal), and every generator is its column map
 (target, weight, lossy): it sends a basis state to at most one basis state.
 So neither check forms an operator product: both walk those images and
 truncation flags, column by column, and build no matrix.
@@ -314,7 +314,7 @@ def _worst_column(rows, values, checked, occupations):
     ``rows[t][s]`` and ``values[t][s]`` are where term t sends column s and
     with what value (row -1 and value 0 for none).  Images of a column that
     share a row add up, in term order.  Only the ``checked`` columns count.
-    Returns (max_residual, worst_state, checked_count); the first two are
+    Returns (max_residual, worst_state, interior_count); the first two are
     None when no column is checked.
     """
     rows, values = np.array(rows), np.array(values)
@@ -363,78 +363,43 @@ def verify_algebra(realization: AlgebraRealization) -> list:
     return reports
 
 
-@dataclass
-class ConstraintSubspace:
-    """Identification of the reduced space with a constrained parent sector.
+def intertwining_check(bilinear: AlgebraRealization, reduced: AlgebraRealization) -> list:
+    """Compare bilinear and reduced generator actions on the constraint shell.
 
-    For the non-compact pair the parent shell is n0 - sum(n') = M - 1; for the
-    compact pair it is sum(n) = M.  ``embed``/``project`` translate occupation
-    vectors; ``_rows[s]`` is the parent row that reduced state s embeds to.
-    """
-
-    parent: TruncatedBasis
-    reduced: TruncatedBasis
-    M: int
-    kind: str  # "su_r1" or "su_rp1"
-
-    def __post_init__(self):
-        if self.kind not in ("su_r1", "su_rp1"):
-            raise ValueError("kind must be 'su_r1' or 'su_rp1'")
-        self.M = _whole("M", self.M, 1)
-        if self.parent.modes != self.reduced.modes + 1:
-            raise ValueError("parent must have exactly one more mode than the reduced space")
-        occ = self.reduced.occupations
-        totals = self.reduced.totals
-        n0 = self.M - 1 + totals if self.kind == "su_r1" else self.M - totals
-        rows = self.parent.rank(np.column_stack((n0, occ)))
-        if (rows < 0).any():
-            first = tuple(occ[int(np.argmax(rows < 0))].tolist())
-            raise ValueError(
-                f"reduced state {first} embeds to {self.embed(first)}, outside the parent basis"
-            )
-        self._rows = rows
-
-    def embed(self, occ):
-        occ = tuple(occ)
-        if self.kind == "su_r1":
-            n0 = self.M - 1 + sum(occ)
-        else:
-            n0 = self.M - sum(occ)
-            if n0 < 0:
-                raise ValueError(f"occupation {occ} exceeds the shell total {self.M}")
-        return (n0,) + occ
-
-    def project(self, occ):
-        occ = tuple(occ)
-        expected = self.embed(occ[1:])
-        if occ != expected:
-            raise ValueError(f"parent state {occ} is not on the constrained shell")
-        return occ[1:]
-
-
-def intertwining_check(bilinear: AlgebraRealization, reduced: AlgebraRealization,
-                       subspace: ConstraintSubspace) -> list:
-    """Compare bilinear and reduced generator actions through the embedding E.
-
-    For every shared label L checks (B_L E - E R_L) column by column, skipping
-    columns where either picture truncates.  Column s has two images: B_L's
-    image of the parent row s embeds to, and -R_L's image carried up to the
-    parent by E.  Returns per-label report dicts.
+    The shell comes from the pair itself: M is the reduced realization's (a
+    whole number), and reduced state n' sits at the parent row (n0, n') with
+    n0 = M - 1 + sum(n') for su(1,1) and su(r,1), n0 = M - sum(n') for su(2)
+    and su(r+1).  For every shared label L checks (B_L E - E R_L) column by
+    column, E that embedding, skipping columns where either picture truncates.
+    Column s has two images: B_L's image of the parent row s embeds to, and
+    -R_L's image carried up to the parent by E.  Returns per-label report dicts
+    {"label", "max_residual", "worst_state", "interior_count"}.
     """
     if bilinear.form != "bilinear" or reduced.form != "holstein_primakoff":
         raise ValueError("pass the bilinear realization first, the reduced one second")
-    if bilinear.basis != subspace.parent or reduced.basis != subspace.reduced:
-        raise ValueError("realizations do not match the subspace bases")
-    parent_rows = subspace._rows
-    embedded = np.append(parent_rows, -1)  # the sink -1 stays -1
+    if bilinear.algebra != reduced.algebra:
+        raise ValueError(f"a {bilinear.algebra} bilinear realization cannot be compared with "
+                         f"a {reduced.algebra} reduced one")
+    if bilinear.basis.modes != reduced.basis.modes + 1:
+        raise ValueError("the bilinear basis must have exactly one more mode than the reduced one")
+    M = _whole("M", reduced.M, 1)
+    occ, totals = reduced.basis.occupations, reduced.basis.totals
+    n0 = M - totals if reduced.algebra in ("su2", "su_rp1") else M - 1 + totals
+    embedded = np.column_stack((n0, occ))
+    parent_rows = bilinear.basis.rank(embedded)
+    if (parent_rows < 0).any():
+        first = int(np.argmax(parent_rows < 0))
+        raise ValueError(f"reduced state {tuple(occ[first].tolist())} embeds to "
+                         f"{tuple(embedded[first].tolist())}, outside the bilinear basis")
+    sink = np.append(parent_rows, -1)  # the sink -1 stays -1
     reports = []
     shared = [l for l in reduced.labels if l in set(bilinear.labels)]
     for label in shared:
         b, r = bilinear.op(label), reduced.op(label)
         checked = ~r.lossy & ~b.lossy[parent_rows]
         residual, worst, count = _worst_column(
-            [b.target[parent_rows], embedded[r.target]], [b.weight[parent_rows], -r.weight],
-            checked, reduced.basis.occupations)
+            [b.target[parent_rows], sink[r.target]], [b.weight[parent_rows], -r.weight],
+            checked, occ)
         reports.append({"label": label, "max_residual": residual,
-                        "worst_state": worst, "checked_count": count})
+                        "worst_state": worst, "interior_count": count})
     return reports

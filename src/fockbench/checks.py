@@ -41,7 +41,7 @@ def _record(name, key, value, tol, **fields):
 def _relations(name, reports):
     """Worst residual of per-relation reports, at most 1e-12; one that counted no state fails."""
     residuals = [rep["max_residual"] for rep in reports if rep["max_residual"] is not None]
-    counted = sum(rep.get("interior_count", rep.get("checked_count", 0)) for rep in reports)
+    counted = sum(rep["interior_count"] for rep in reports)
     record = _record(name, "max_residual", max(residuals, default=0.0), 1e-12,
                      relations=len(reports), states_checked=counted)
     record["passed"] = record["passed"] and counted > 0
@@ -68,9 +68,8 @@ def intertwinings(grid):
         small = fock.enumerate_basis(r, reduced_cutoff)
         big, real = getattr(alg, bilinear)(parent, m), getattr(alg, reduced)(small, m)
         kind = "compact" if big.algebra in ("su2", "su_rp1") else "noncompact"
-        sub = alg.ConstraintSubspace(parent, small, m, "su_rp1" if kind == "compact" else "su_r1")
-        records.append(_relations(f"intertwining_{kind}_r{r}_M{sub.M}",
-                                  alg.intertwining_check(big, real, sub)))
+        records.append(_relations(f"intertwining_{kind}_r{r}_M{fock._whole('M', m, 1)}",
+                                  alg.intertwining_check(big, real)))
     return records
 
 
@@ -92,7 +91,7 @@ def displacement_routes(grid, theta):
 
 def resolutions(grid):
     """Quadrature of the shell identity to 1e-8 at r = 1, 1e-4 above, per (r, M, nodes)."""
-    reps = [meas.resolution_check(meas.MeasureSpec(r, m, nodes, nodes)) for r, m, nodes in grid]
+    reps = [meas.resolution_check(meas.MeasureSpec(r, m, nodes)) for r, m, nodes in grid]
     for rep in reps:
         tol = 1e-8 if rep["r"] == 1 else 1e-4
         rep.update(tolerance=tol, passed=_passes("max_residual", rep["max_entry_residual"], tol),

@@ -261,30 +261,36 @@ def poisson_cutoff(p: PoissonParams, tail_mass: float = TAIL_MASS_POLICY) -> int
     return _smallest_within(lambda n: gammainc(n + 1, p.alpha2), tail_mass)
 
 
-def poisson_limit_distance(family: str, M, alpha2: float) -> float:
-    """Total-variation distance from the Poisson law with mean ``alpha2``.
+def matched_law(family: str, M, alpha2: float):
+    """The finite-M law of ``family`` whose Poisson limit has mean ``alpha2``.
 
-    family "binomial" uses eta2 = alpha2/M (mean alpha2 as M grows);
-    family "neg_binomial" uses eta2 = alpha2/(M + alpha2) (mean exactly
-    alpha2 for every M).  The sum truncates under the 1e-14 tail policy.
+    "binomial": BinomialParams with eta2 = alpha2/M, which needs a whole M > alpha2;
+    "neg_binomial": NegBinomialParams with eta2 = alpha2/(M + alpha2), mean exactly
+    alpha2 for every real M > 0.
     """
     _real("M", M)  # a non-number is refused here, not by the arithmetic below
     alpha2 = _real("alpha2", alpha2)
     if alpha2 <= 0:
         raise ValueError("alpha2 must be positive")
-    pois = PoissonParams(alpha2)
     if family == "binomial":
         if M <= alpha2:
-            raise ValueError("binomial matching needs M > alpha2")
-        other = BinomialParams(alpha2 / M, M)
-        n_top = other.M
-    elif family == "neg_binomial":
-        other = NegBinomialParams(alpha2 / (M + alpha2), M)
-        n_top = neg_binomial_cutoff(other)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    ns = np.arange(max(n_top, poisson_cutoff(pois)) + 1)
-    if family == "binomial":
+            raise ValueError(f"binomial matching needs M > alpha2, got M = {M!r}, "
+                             f"alpha2 = {alpha2!r}")
+        return BinomialParams(alpha2 / M, M)
+    if family == "neg_binomial":
+        return NegBinomialParams(alpha2 / (M + alpha2), M)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def poisson_limit_distance(family: str, M, alpha2: float) -> float:
+    """Total-variation distance of :func:`matched_law` from the Poisson law with mean
+    ``alpha2``; the sum truncates under the 1e-14 tail policy."""
+    other = matched_law(family, M, alpha2)
+    pois = PoissonParams(alpha2)
+    binomial = family == "binomial"
+    ns = np.arange(max(other.M if binomial else neg_binomial_cutoff(other),
+                       poisson_cutoff(pois)) + 1)
+    if binomial:
         q = np.zeros(len(ns))
         q[:other.M + 1] = binomial_pmf(other, ns[:other.M + 1])
     else:

@@ -236,9 +236,6 @@ class TruncatedBasis:
             raise ValueError(f"occupation {tuple(occ)} is not in the basis")
         return index
 
-    def contains(self, occ) -> bool:
-        return len(occ) == self.modes and int(self.rank(occ)[0]) >= 0
-
     @property
     def totals(self) -> np.ndarray:
         return _row_totals(self.occupations)
@@ -308,20 +305,8 @@ class StateVector:
         """Squared norm."""
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm2())
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.basis, self.amplitudes / n)
-
     def amplitude(self, occ) -> complex:
         return complex(self.amplitudes[self.basis.index_of(occ)])
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.basis, self.amplitudes.copy())
 
 
 def basis_state(basis: TruncatedBasis, occ) -> StateVector:
@@ -496,10 +481,6 @@ def creation_op(basis: TruncatedBasis, mode: int) -> LinearOperator:
 def annihilation_op(basis: TruncatedBasis, mode: int) -> LinearOperator:
     """a_mode; its entries are bit for bit those of :func:`creation_op`, transposed."""
     return _monomial(basis, destroy=(_check_mode(basis, mode),))
-
-
-def number_op(basis: TruncatedBasis, mode: int) -> LinearOperator:
-    return diagonal_op(basis, basis.occupations[:, _check_mode(basis, mode)])
 
 
 def _one_norm(mat):

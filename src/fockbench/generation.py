@@ -488,34 +488,21 @@ def dynamical_coherent(current: ClassicalCurrent, t: float, basis) -> StateVecto
     return StateVector(basis, frame * psi.amplitudes)
 
 
-def contraction_check(family: str, m_values, alpha2: float, theta: float = 0.0) -> list:
+def contraction_check(family: str, m_values, alpha2: float) -> list:
     """Fidelity of finite-M states against the fixed-mean coherent target.
 
-    binomial: eta^2 = alpha^2/M (needs M > alpha^2);
-    neg_binomial: eta^2 = alpha^2/(M + alpha^2) (mean alpha^2 exactly).
-    Returns [{"M", "fidelity"}], expected monotone increasing toward 1.
+    Each M's law is :func:`distributions.matched_law`, worked out for every M
+    before any state is built.  Returns [{"M", "fidelity"}], expected monotone
+    increasing toward 1.
     """
-    if family not in ("binomial", "neg_binomial"):
-        raise ValueError("family must be 'binomial' or 'neg_binomial'")
-    for m in m_values:
-        _real("M", m)  # a non-number is refused here, not by the arithmetic below
-    alpha2 = _real("alpha2", alpha2)
-    if alpha2 <= 0:
-        raise ValueError("alpha2 must be positive")
+    laws = [dist.matched_law(family, m, alpha2) for m in m_values]
+    coh_spec = st.StateSpec("coherent", dist.PoissonParams(alpha2), (0.0,))
+    coh_top = dist.poisson_cutoff(coh_spec.params, 1e-16)
     rows = []
-    coh_spec = st.StateSpec("coherent", dist.PoissonParams(alpha2), (theta,))
-    for m in m_values:
-        if family == "binomial":
-            if m <= alpha2:
-                raise ValueError(f"M={m} must exceed alpha2={alpha2}")
-            spec = st.StateSpec("binomial", dist.BinomialParams(alpha2 / m, m), (theta,))
-            n_max = max(spec.params.M, dist.poisson_cutoff(coh_spec.params, 1e-16))
-        else:
-            eta2 = alpha2 / (m + alpha2)
-            spec = st.StateSpec("neg_binomial", dist.NegBinomialParams(eta2, m), (theta,))
-            n_max = max(dist.neg_binomial_cutoff(spec.params, 1e-16),
-                        dist.poisson_cutoff(coh_spec.params, 1e-16))
-        basis = enumerate_basis(1, Cutoff.per_mode(n_max))
+    for m, law in zip(m_values, laws):
+        spec = st.StateSpec(family, law, (0.0,))
+        n_top = law.M if family == "binomial" else dist.neg_binomial_cutoff(law, 1e-16)
+        basis = enumerate_basis(1, Cutoff.per_mode(max(n_top, coh_top)))
         target = st.coherent_state(coh_spec, basis)
         psi = st.build_state(spec, basis)
         rows.append({"M": m, "fidelity": fidelity(psi, target)})

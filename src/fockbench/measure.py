@@ -22,7 +22,7 @@ once per node count in a process, and no ``verify`` path loads scipy.linalg.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +31,7 @@ from scipy.special import eval_legendre, gammaln
 from . import distributions as dist
 from .fock import Cutoff, StateVector, TruncatedBasis, _real, _whole, enumerate_basis
 
-DEFAULT_NODES = {1: (64, 64), 2: (24, 24)}  # per-rank floors of the default nodes
+DEFAULT_NODES = {1: 64, 2: 24}  # per-rank floors of the default nodes
 # M <= MAX_NODES - 2 keeps the default exact rule under the node ceiling, and the
 # radial table and c_n in double range (at r = 1 they leave it near M = 1020)
 MIN_NODES, MAX_NODES = 8, 1000
@@ -42,24 +42,34 @@ BLOCK_ROWS = 64  # rows of the quadrature result formed at a time
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Rank, shell total, and quadrature node counts per real dimension."""
+    """Rank, shell total, and quadrature nodes per real dimension.
+
+    ``nodes`` sets both node counts, ``nodes_radial`` and ``nodes_angular``; left
+    out, each is the smallest count that is exact, and at least its rank's floor.
+    """
 
     r: int
     M: int
-    nodes_radial: int = None
-    nodes_angular: int = None
+    nodes: int = None
+    nodes_radial: int = field(init=False)
+    nodes_angular: int = field(init=False)
 
     def __post_init__(self):
         r, M = _whole("r", self.r, 1), _whole("M", self.M, 1, MAX_NODES - 2)
-        floor_rad, floor_ang = DEFAULT_NODES.get(r, (MIN_NODES, MIN_NODES))
-        # Gauss-Legendre with n nodes is exact to degree 2n - 1 >= M + r - 1, the top
-        # degree of a diagonal entry; n uniform angles resolve phases |n_k - m_k| <= M
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "M", M)
-        for field, default in (("nodes_radial", max(floor_rad, M + 2, -(-(M + r) // 2))),
-                               ("nodes_angular", max(floor_ang, M + 1))):
-            nodes = default if getattr(self, field) is None else getattr(self, field)
-            object.__setattr__(self, field, _whole(field, nodes, MIN_NODES, MAX_NODES))
+        if self.nodes is None:
+            floor = DEFAULT_NODES.get(r, MIN_NODES)
+            # Gauss-Legendre with n nodes is exact to degree 2n - 1 >= M + r - 1, the top
+            # degree of a diagonal entry; n uniform angles resolve phases |n_k - m_k| <= M
+            radial, angular = max(floor, M + 2, -(-(M + r) // 2)), max(floor, M + 1)
+            if radial > MAX_NODES:  # M + 1 and M + 2 stay within it, (M + r) / 2 may not
+                raise ValueError(f"an exact rule at r = {r} needs {radial} radial nodes, "
+                                 f"above the ceiling {MAX_NODES}")
+        else:
+            radial = angular = _whole("nodes", self.nodes, MIN_NODES, MAX_NODES)
+        object.__setattr__(self, "nodes_radial", radial)
+        object.__setattr__(self, "nodes_angular", angular)
 
 
 def measure_density(spec: MeasureSpec, xi) -> float:

@@ -1,11 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse
 
 from fockbench.algebra import (
-    ConstraintSubspace,
     intertwining_check,
     relations_for,
     su2_bilinear,
@@ -77,7 +77,7 @@ def test_su2_hp_ladder_annihilates_top():
     basis = enumerate_basis(1, Cutoff.per_mode(3))
     real = su2_hp(basis, 3)
     top = real.op("J+").apply(basis_state(basis, (3,)))
-    assert top.norm() == 0.0
+    assert top.norm2() == 0.0
 
 
 def test_rank_two_noncompact_relations():
@@ -236,24 +236,11 @@ def test_verify_algebra_matches_dense_reference_on_corrupted_generator():
     assert _worst(reports) > 0.1
 
 
-def test_constraint_subspace_round_trip():
-    parent = enumerate_basis(2, Cutoff.total(12))
-    reduced = enumerate_basis(1, Cutoff.per_mode(5))
-    sub = ConstraintSubspace(parent, reduced, M=3, kind="su_r1")
-    for occ in reduced.states:
-        embedded = sub.embed(occ)
-        assert sub.project(embedded) == occ
-    # embedding for the difference constraint pins n0 - n1 = M - 1
-    emb = sub.embed((2,))
-    assert emb[0] - emb[1] == 2  # M - 1 with M = 3
-
-
 def test_intertwining_noncompact():
     M = 3
     reduced = enumerate_basis(1, Cutoff.per_mode(5))
     parent = enumerate_basis(2, Cutoff.total(M - 1 + 2 * 5))
-    sub = ConstraintSubspace(parent, reduced, M=M, kind="su_r1")
-    reports = intertwining_check(su11_bilinear(parent, float(M)), su11_hp(reduced, float(M)), sub)
+    reports = intertwining_check(su11_bilinear(parent, float(M)), su11_hp(reduced, float(M)))
     assert reports
     assert _worst(reports) <= 1e-12
 
@@ -262,8 +249,7 @@ def test_intertwining_compact_shell():
     M = 3
     reduced = enumerate_basis(2, Cutoff.total(M))
     parent = enumerate_basis(3, Cutoff.shell(M))
-    sub = ConstraintSubspace(parent, reduced, M=M, kind="su_rp1")
-    reports = intertwining_check(su_rp1_bilinear(parent, M), su_rp1_hp(reduced, M), sub)
+    reports = intertwining_check(su_rp1_bilinear(parent, M), su_rp1_hp(reduced, M))
     assert _worst(reports) <= 1e-12
 
 
@@ -271,24 +257,26 @@ def test_intertwining_rank_two_noncompact():
     M = 2
     reduced = enumerate_basis(2, Cutoff.total(5))
     parent = enumerate_basis(3, Cutoff.total(M - 1 + 10))
-    sub = ConstraintSubspace(parent, reduced, M=M, kind="su_r1")
-    reports = intertwining_check(su_r1_bilinear(parent, float(M)), su_r1_hp(reduced, float(M)), sub)
+    reports = intertwining_check(su_r1_bilinear(parent, float(M)), su_r1_hp(reduced, float(M)))
     assert _worst(reports) <= 1e-12
 
 
-def _dense_intertwining_reports(bilinear, reduced, sub):
-    """intertwining_check's reports from the dense product B E - E R and an explicit mask."""
-    e = np.zeros((len(sub.parent), len(sub.reduced)))
-    e[sub._rows, np.arange(len(sub.reduced))] = 1.0
+def _dense_intertwining_reports(bilinear, reduced, M):
+    """intertwining_check's reports from the dense product B E - E R and an explicit mask,
+    for the noncompact shell n0 = M - 1 + sum(n'), embedded one index_of per reduced state."""
+    parent, small = bilinear.basis, reduced.basis
+    rows = [parent.index_of((M - 1 + sum(occ),) + occ) for occ in small.states]
+    e = np.zeros((len(parent), len(small)))
+    e[rows, np.arange(len(small))] = 1.0
     reports = []
     for label in reduced.labels:
         diff = bilinear.op(label).matrix.toarray() @ e - e @ reduced.op(label).matrix.toarray()
-        mask = ~reduced.op(label).lossy & ~bilinear.op(label).lossy[sub._rows]
+        mask = ~reduced.op(label).lossy & ~bilinear.op(label).lossy[rows]
         col_res = np.abs(diff[:, mask]).max(axis=0)
         worst = int(np.argmax(col_res))
         reports.append({"label": label, "max_residual": float(col_res[worst]),
-                        "worst_state": list(sub.reduced.states[np.flatnonzero(mask)[worst]]),
-                        "checked_count": int(mask.sum())})
+                        "worst_state": list(small.states[np.flatnonzero(mask)[worst]]),
+                        "interior_count": int(mask.sum())})
     return reports
 
 
@@ -297,13 +285,38 @@ def test_intertwining_corrupted_reduced_generator_fails_loudly():
     M = 2
     reduced = enumerate_basis(2, Cutoff.total(4))
     parent = enumerate_basis(3, Cutoff.total(M - 1 + 8))
-    sub = ConstraintSubspace(parent, reduced, M=M, kind="su_r1")
     bilinear, hp = su_r1_bilinear(parent, float(M)), su_r1_hp(reduced, float(M))
     _corrupt(hp, "K+2", np.flatnonzero(hp.op("K+2").target >= 0)[4])  # its 5th stored entry
-    reports = intertwining_check(bilinear, hp, sub)
-    assert reports == _dense_intertwining_reports(bilinear, hp, sub)
+    reports = intertwining_check(bilinear, hp)
+    assert reports == _dense_intertwining_reports(bilinear, hp, M)
     assert _worst(reports) > 0.1
     assert [r["label"] for r in reports if r["max_residual"] > 0.1] == ["K+2"]
+
+
+@pytest.mark.parametrize("bilinear, reduced, message", [
+    (lambda: su11_hp(enumerate_basis(1, Cutoff.per_mode(5)), 3.0),
+     lambda: su11_bilinear(enumerate_basis(2, Cutoff.total(12)), 3.0),
+     "bilinear realization first"),
+    # su(r,1) bilinears against su(r+1) weights share only N0, N1 and N2, which agree
+    (lambda: su_r1_bilinear(enumerate_basis(3, Cutoff.total(8)), 3.0),
+     lambda: su_rp1_hp(enumerate_basis(2, Cutoff.total(3)), 3),
+     "a su_r1 bilinear realization cannot be compared with a su_rp1 reduced one"),
+    (lambda: su_r1_bilinear(enumerate_basis(3, Cutoff.total(12)), 3.0),
+     lambda: su_r1_hp(enumerate_basis(1, Cutoff.per_mode(5)), 3.0),
+     "exactly one more mode"),
+    # su_r1_hp takes a real M, but only a whole M has a constraint shell
+    (lambda: su11_bilinear(enumerate_basis(2, Cutoff.total(12)), 2.5),
+     lambda: su11_hp(enumerate_basis(1, Cutoff.per_mode(5)), 2.5),
+     "M must be an integer in [1, inf], got 2.5"),
+    # the reduced state (5,) at M = 3 sits at the parent row (7, 5), past total 11
+    (lambda: su11_bilinear(enumerate_basis(2, Cutoff.total(11)), 3.0),
+     lambda: su11_hp(enumerate_basis(1, Cutoff.per_mode(5)), 3.0),
+     "reduced state (5,) embeds to (7, 5), outside the bilinear basis"),
+], ids=["wrong-order", "different-algebras", "not-one-mode-wider", "fractional-M",
+        "parent-row-outside"])
+def test_intertwining_refusals(bilinear, reduced, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        intertwining_check(bilinear(), reduced())
 
 
 def test_compact_reduced_realization_rejects_wrong_simplex():

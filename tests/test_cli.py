@@ -212,7 +212,8 @@ def test_verify_measure_beyond_rank_two_passes(args):
     ({}, ("--r", "1", "--M", "inf"), "M must be an integer"),
     ({}, ("--M", "3"), "pass --r with it"),
     ({"M": 3}, (), "pass --r with it"),
-    ({}, ("--r", "1", "--nodes", "1000000000"), "nodes_radial must be an integer"),
+    ({}, ("--r", "1", "--nodes", "1000000000"), "nodes must be an integer in [8, 1000]"),
+    ({}, ("--r", "10000", "--M", "1"), "r = 10000 needs 5001 radial nodes, above the ceiling"),
     ({}, ("--r", "10", "--M", "30"), "exceeds the limit"),
     ({"r": True}, (), "r must be an integer"),
     ({"r": 1, "M": True}, (), "M must be an integer"),
@@ -307,6 +308,24 @@ def test_flags_override_config(tmp_path):
     assert proc.returncode == 0, proc.stderr
     state = json.loads((tmp_path / "out_state.json").read_text())
     assert state["phases"] == [0.0]
+
+
+def test_config_keys_may_be_spelled_like_flags(tmp_path):
+    # "pmf-format" is read as pmf_format, as --pmf-format is
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "nbs", "eta2": "0.25", "M": 2, "pmf-format": "json"}))
+    proc = run_cli("state", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "out_pmf.json").read_text())["schema"] == "fockbench.pmf/1"
+    assert not (tmp_path / "out_pmf.csv").exists()
+
+
+def test_dashed_config_key_is_checked_like_its_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "nbs", "eta2": "0.25", "M": 2, "tail-tol": 2}))
+    proc = run_cli("state", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "tail_tol must lie in (0, 1), got 2.0" in proc.stderr
 
 
 def test_missing_config_file_exits_two(tmp_path):

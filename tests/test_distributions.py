@@ -11,6 +11,7 @@ from fockbench.distributions import (
     NegMultinomialParams,
     PoissonParams,
     binomial_pmf,
+    matched_law,
     moments_from_gf,
     multinomial_pmf,
     multiple_poisson_pmf,
@@ -189,6 +190,25 @@ def test_poisson_limit_distance_decreases():
 def test_poisson_limit_requires_enough_levels():
     with pytest.raises(ValueError):
         poisson_limit_distance("binomial", 1, 2.0)  # binomial needs M > alpha^2
+
+
+def test_matched_law_keeps_the_mean():
+    assert matched_law("binomial", 10, 1.0) == BinomialParams(0.1, 10)
+    assert matched_law("neg_binomial", 2.5, 1.0) == NegBinomialParams(1.0 / 3.5, 2.5)
+    for M in (3, 7.5, 40):
+        assert moments_from_gf(matched_law("neg_binomial", M, 1.0)).mean == pytest.approx(
+            1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("family, M, alpha2, message", [
+    ("poisson", 10, 1.0, "unknown family 'poisson'"),
+    ("binomial", 2, 2.0, "binomial matching needs M > alpha2, got M = 2, alpha2 = 2.0"),
+    ("binomial", 0.5, 1.0, "binomial matching needs M > alpha2"),
+    ("binomial", 10.5, 1.0, "M must be an integer in [1, 9007199254740992], got 10.5"),
+], ids=["unknown-family", "M-at-alpha2", "M-below-alpha2", "fractional-binomial-M"])
+def test_matched_law_refusals(family, M, alpha2, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        matched_law(family, M, alpha2)
 
 
 def test_multiple_poisson_factorizes():

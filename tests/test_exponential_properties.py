@@ -33,8 +33,8 @@ from fockbench.fock import (
     _rotation,
     apply_skew_exponential,
     creation_op,
+    diagonal_op,
     enumerate_basis,
-    number_op,
 )
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "fockbench"
@@ -173,8 +173,9 @@ def test_rotation_refuses_all_but_one_entry_per_row_and_column_off_the_diagonal(
                    [0, 2, -1]):  # state 0 onto itself: an entry on the diagonal
         with pytest.raises(ValueError, match="one entry per row"):
             _rotation(0.5j, LinearOperator(basis, target, [1.0, 1.0, 0.0], [False] * 3))
+    wide = enumerate_basis(2, Cutoff.total(3))
     with pytest.raises(ValueError, match="one entry per row"):
-        _rotation(0.5, number_op(enumerate_basis(2, Cutoff.total(3)), 1))
+        _rotation(0.5, diagonal_op(wide, wide.occupations[:, 1]))
     empty = _rotation(0.5, LinearOperator(basis, [-1, -1, -1], np.zeros(3), [False] * 3))
     assert empty.nnz == 0
 

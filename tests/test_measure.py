@@ -95,11 +95,11 @@ def test_resolution_is_actually_exact_quadrature():
 
 
 def test_resolution_angular_aliasing_control():
-    # with fewer angular nodes than M+1 the off-diagonal phases alias back in;
-    # one step past the threshold they cancel exactly
-    coarse = resolution_check(MeasureSpec(r=1, M=12, nodes_radial=16, nodes_angular=8))
+    # with fewer angular nodes than M+1 the off-diagonal phases alias back in
+    # (8 radial nodes stay exact on the diagonal, degree 15 >= M); past it they cancel
+    coarse = resolution_check(MeasureSpec(r=1, M=12, nodes=8))
     assert coarse["max_entry_residual"] > 1e-3
-    fine = resolution_check(MeasureSpec(r=1, M=12, nodes_radial=16, nodes_angular=16))
+    fine = resolution_check(MeasureSpec(r=1, M=12, nodes=16))
     assert fine["max_entry_residual"] < 1e-12
 
 
@@ -192,7 +192,7 @@ def _density_quadrature(spec):
                                          (2, 1, 8), (2, 2, 8)])
 def test_density_and_projected_states_integrate_to_the_factored_quadrature(r, M, nodes):
     # ties the paper's measure and shell states to the sum-factorised rule resolution_check runs
-    spec = MeasureSpec(r=r, M=M, nodes_radial=nodes, nodes_angular=nodes)
+    spec = MeasureSpec(r=r, M=M, nodes=nodes)
     basis = enumerate_basis(r + 1, Cutoff.shell(M))
     factored = np.vstack(list(_shell_quadrature(spec, basis)))
     np.testing.assert_allclose(_density_quadrature(spec), factored, rtol=0, atol=1e-14)
@@ -218,19 +218,24 @@ def test_default_nodes_exact_past_the_rank_floor():
 
 
 def test_node_floor_enforced():
-    with pytest.raises(ValueError):
-        MeasureSpec(r=1, M=1, nodes_radial=4)
-    with pytest.raises(ValueError):
-        MeasureSpec(r=1, M=1, nodes_angular=6)
+    for nodes in (4, 6):
+        with pytest.raises(ValueError, match=r"nodes must be an integer in \[8, 1000\]"):
+            MeasureSpec(r=1, M=1, nodes=nodes)
+
+
+def test_nodes_sets_both_counts():
+    spec = MeasureSpec(r=2, M=3, nodes=9)
+    assert (spec.nodes_radial, spec.nodes_angular) == (9, 9)
+    assert resolution_check(spec)["nodes"] == {"radial": 9, "angular": 9}
 
 
 @pytest.mark.parametrize("fields", [
     {"r": 1.5, "M": 2}, {"r": 0, "M": 2}, {"r": math.nan, "M": 2}, {"r": "3", "M": 2},
     {"r": 1, "M": 2.5}, {"r": 1, "M": math.inf}, {"r": 1, "M": 0}, {"r": 1, "M": 999},
-    {"r": 1, "M": 2, "nodes_radial": 8.5}, {"r": 1, "M": 2, "nodes_angular": math.inf},
-    {"r": 1, "M": 2, "nodes_radial": 1001}, {"r": 1, "M": 2, "nodes_angular": 10 ** 9},
+    {"r": 1, "M": 2, "nodes": 8.5}, {"r": 1, "M": 2, "nodes": math.inf},
+    {"r": 1, "M": 2, "nodes": 1001}, {"r": 1, "M": 2, "nodes": 10 ** 9},
     {"r": 10 ** 4, "M": 1},  # default radial nodes (M + r) / 2 past the ceiling
-    {"r": True, "M": 2}, {"r": 1, "M": True}, {"r": 1, "M": 2, "nodes_radial": True},
+    {"r": True, "M": 2}, {"r": 1, "M": True}, {"r": 1, "M": 2, "nodes": True},
     {"r": 1, "M": 10 ** 400},  # an integer beyond float range
 ])
 def test_spec_rejects_bad_fields(fields):
