@@ -213,10 +213,10 @@ def test_verify_measure_beyond_rank_two_passes(args):
     ({}, ("--M", "3"), "pass --r with it"),
     ({"M": 3}, (), "pass --r with it"),
     ({}, ("--r", "1", "--nodes", "1000000000"), "nodes must be an integer in [8, 1000]"),
-    ({}, ("--r", "10000", "--M", "1"), "r = 10000 needs 5001 radial nodes, above the ceiling"),
     ({}, ("--r", "10", "--M", "30"), "exceeds the limit"),
     ({"r": True}, (), "r must be an integer"),
     ({"r": 1, "M": True}, (), "M must be an integer"),
+    ({}, ("--r", "10000", "--M", "1"), "r = 10000 needs 5001 radial nodes, above the ceiling"),
 ])
 def test_bad_measure_input_exits_two(tmp_path, config, flags, message):
     cfg = tmp_path / "cfg.json"
